@@ -13,7 +13,16 @@ from .controller import (
     plan_naive,
     weight_schedule,
 )
-from .domain import DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain, StateInterner, SuccessorOutcome
+from .domain import (
+    DUMMY_ACTION,
+    DomainError,
+    Edge,
+    EdgeCache,
+    Path,
+    SearchDomain,
+    StateInterner,
+    SuccessorOutcome,
+)
 from .engine import EpisodeContext, ImproveOutcome, improve_path, write_expansion_log
 from .grid2d import (
     CostModel,

@@ -167,11 +167,10 @@ def _run_single(spec: RunSpec, world: GridWorld, start: tuple[int, int],
         result = ara_star(cfg, problem, problem.start)
     elif spec.algorithm == "epase":
         problem = GridPlanningProblem(world, start, goal)
-        result = plan(replace(cfg, max_iterations=1), problem, problem.start,
-                      log_events=False)
+        result = plan(replace(cfg, max_iterations=1), problem, problem.start)
     elif spec.algorithm == "aepase":
         problem = GridPlanningProblem(world, start, goal)
-        result = plan(cfg, problem, problem.start, log_events=False)
+        result = plan(cfg, problem, problem.start)
     elif spec.algorithm == "aepase_naive":
         def factory():
             fresh = GridPlanningProblem(world, start, goal)

@@ -46,6 +46,12 @@ class SuccessorOutcome(NamedTuple):
 INVALID_OUTCOME = SuccessorOutcome(False)
 
 
+class DomainError(Exception):
+    """A domain returned an outcome outside the contract: a valid outcome
+    whose cost is not finite and non-negative, or whose successor is not an
+    int state handle."""
+
+
 class SearchDomain(ABC):
     """Abstract planning domain.
 
@@ -106,7 +112,9 @@ class StateInterner:
 class EdgeCache:
     """Per-episode memo of edge evaluations.
 
-    Guarantees at most one domain evaluation per distinct edge per episode.
+    Guarantees at most one domain evaluation per distinct edge per episode,
+    and checks each new outcome against the domain contract once, raising
+    :class:`DomainError` before it is stored.
     Concurrent callers must present distinct edges (the engine pops each edge
     exactly once), so no per-key blocking is needed; the lock only protects
     the dict itself.
@@ -127,6 +135,12 @@ class EdgeCache:
                 self.hits += 1
                 return cached
         outcome = domain.evaluate(edge.state, edge.action)
+        if outcome.valid:
+            successor, cost = outcome.successor, outcome.cost
+            if not isinstance(successor, int):
+                raise DomainError(f"edge {edge}: successor {successor!r} is not an int handle")
+            if not isinstance(cost, (int, float)) or not 0.0 <= cost < math.inf:
+                raise DomainError(f"edge {edge}: cost {cost!r} is not finite and >= 0")
         with self._lock:
             self._data[edge] = outcome
             self.misses += 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, NamedTuple
 
-from .domain import DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain
+from .domain import DUMMY_ACTION, DomainError, Edge, EdgeCache, Path, SearchDomain
 from .structures import (
     INF,
     InconsistentSet,
@@ -163,6 +163,8 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
         while True:
             if ctx.worker_error is not None:
                 _drain_locked(ctx)
+                if isinstance(ctx.worker_error, DomainError):
+                    raise ctx.worker_error  # the domain's fault, named as such
                 raise EngineError("edge-expansion worker failed") from ctx.worker_error
             if time.monotonic() >= ctx.deadline:
                 _drain_locked(ctx)

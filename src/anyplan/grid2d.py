@@ -181,9 +181,25 @@ def build_factor_map(seed: int, width: int, height: int) -> np.ndarray:
     return (1.0 + 99.0 * u).reshape(height, width)
 
 
+def sample_offsets(dx: int, dy: int, step: int) -> list[tuple[int, int]]:
+    """Where a (dx, dy) move is collision-checked, as offsets from its start:
+    at exact ``step`` multiples of the per-axis parameter strictly inside
+    the move, then the endpoint.  A zero move checks its start alone."""
+    span = max(abs(dx), abs(dy))
+    if span == 0:
+        return [(0, 0)]
+    offsets = []
+    for k in range(math.ceil(span / step)):
+        t = k * step / span
+        offsets.append((round(t * dx), round(t * dy)))
+    offsets.append((dx, dy))
+    return offsets
+
+
 class GridWorld:
     """Immutable map + motion/cost parameters with precomputed placement
-    validity.  Read-only after construction; safe for concurrent callers."""
+    and move validity.  Read-only after construction; safe for concurrent
+    callers."""
 
     def __init__(self, grid: GridMap, config: GridDomainConfig | None = None,
                  cost_model: CostModel | None = None) -> None:
@@ -204,10 +220,28 @@ class GridWorld:
             window = (integral[side:, side:] - integral[:ph, side:]
                       - integral[side:, :pw] + integral[:ph, :pw])
             self.placement_ok = window == 0
+        self._move_tables = self._build_move_tables()
         if self.cost_model.kind == "random_factor":
             self.factor_map = build_factor_map(self.cost_model.rng_seed, grid.width, grid.height)
         else:
             self.factor_map = None
+
+    def _build_move_tables(self) -> tuple[bytes, ...]:
+        """Per action, one byte per anchor in raster order: 1 iff the move
+        from that anchor passes :meth:`segment_clear` and ends on a free
+        placement.  Each table is ``placement_ok`` ANDed over the move's
+        sample offsets, with out of bounds solid."""
+        ph, pw = self.placement_ok.shape
+        m = self.config.move_length  # no sample lies further from the anchor
+        padded = np.zeros((ph + 2 * m, pw + 2 * m), dtype=bool)
+        padded[m:m + ph, m:m + pw] = self.placement_ok
+        tables = []
+        for ux, uy in DIRECTIONS:
+            table = np.ones((ph, pw), dtype=bool)
+            for ox, oy in set(sample_offsets(ux * m, uy * m, self.config.collision_step)):
+                table &= padded[m + oy:m + oy + ph, m + ox:m + ox + pw]
+            tables.append(table.tobytes())
+        return tuple(tables)
 
     def placement_free(self, x: int, y: int) -> bool:
         ok = self.placement_ok
@@ -225,17 +259,17 @@ class GridWorld:
         plus the final endpoint, both endpoints included.
         """
         x0, y0 = frm
-        x1, y1 = to
-        dx, dy = x1 - x0, y1 - y0
-        span = max(abs(dx), abs(dy))
-        if span == 0:
-            return self.placement_free(x0, y0)
-        n = math.ceil(span / self.config.collision_step)
-        for k in range(n):  # k * step strictly inside, then the endpoint
-            t = k * self.config.collision_step / span
-            if not self.placement_free(x0 + round(t * dx), y0 + round(t * dy)):
-                return False
-        return self.placement_free(x1, y1)
+        return all(self.placement_free(x0 + ox, y0 + oy)
+                   for ox, oy in sample_offsets(to[0] - x0, to[1] - y0,
+                                                self.config.collision_step))
+
+    def move_ok(self, xy: tuple[int, int], action: int) -> bool:
+        """Whether the move is valid: a lookup in the table built at
+        construction, equal to ``placement_free(target) and
+        segment_clear(xy, target)``.  No delay."""
+        x, y = xy
+        ph, pw = self.placement_ok.shape
+        return 0 <= x < pw and 0 <= y < ph and self._move_tables[action][y * pw + x] == 1
 
     def move_target(self, xy: tuple[int, int], action: int) -> tuple[int, int]:
         ux, uy = DIRECTIONS[action]
@@ -256,11 +290,9 @@ class GridWorld:
         edge.  Pure given (map, config, cost model): repeat calls agree."""
         if self.config.eval_delay > 0:
             time.sleep(self.config.eval_delay)
+        if not self.move_ok(xy, action):
+            return False, None, None
         target = self.move_target(xy, action)
-        if not self.placement_free(*target):
-            return False, None, None
-        if not self.segment_clear(xy, target):
-            return False, None, None
         return True, target, self.edge_cost(xy, target)
 
     def heuristic_between(self, a: tuple[int, int], b: tuple[int, int]) -> float:
@@ -328,13 +360,10 @@ def sample_start_goal_pairs(world: GridWorld, count: int, seed: int,
     """Sample ``count`` connected start/goal pairs, deterministic in ``seed``.
 
     A start anchor is drawn uniformly from the free placements; the goal is
-    drawn uniformly from the start's reachable set (computed by the exact
-    Dijkstra oracle on the actual move graph), which guarantees
-    connectivity.  Starts whose reachable set is empty are rejected, up to
-    ``max_attempts_per_pair`` draws per pair.
+    drawn uniformly from the start's reachable set (a graph search over the
+    move graph), which guarantees connectivity.  Starts whose reachable set
+    is empty are rejected, up to ``max_attempts_per_pair`` draws per pair.
     """
-    from .baselines import dijkstra_distances
-
     anchors = world.free_anchors()
     if len(anchors) < 2:
         raise SamplingError("map has fewer than two free footprint placements")
@@ -346,9 +375,7 @@ def sample_start_goal_pairs(world: GridWorld, count: int, seed: int,
             start = anchors[rng.randrange(len(anchors))]
             others = reachable_cache.get(start)
             if others is None:
-                probe = GridPlanningProblem(world, start, start)
-                dist = dijkstra_distances(probe, probe.start)
-                others = sorted(probe.coord_of(s) for s in dist if s != probe.start)
+                others = sorted(reachable_anchors(world, start) - {start})
                 reachable_cache[start] = others
             if others:
                 pairs.append((start, others[rng.randrange(len(others))]))
@@ -358,3 +385,19 @@ def sample_start_goal_pairs(world: GridWorld, count: int, seed: int,
                 f"no connected pair found within {max_attempts_per_pair} attempts"
             )
     return pairs
+
+
+def reachable_anchors(world: GridWorld, start: tuple[int, int]) -> set[tuple[int, int]]:
+    """Every anchor reachable from ``start`` by valid moves, ``start`` included."""
+    seen = {start}
+    frontier = [start]
+    actions = range(len(DIRECTIONS))
+    while frontier:
+        xy = frontier.pop()
+        for a in actions:
+            if world.move_ok(xy, a):
+                nxt = world.move_target(xy, a)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen

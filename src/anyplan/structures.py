@@ -110,9 +110,6 @@ class OpenQueue:
         for f, _h, s, a in list(self._entries):
             yield Edge(s, a), f
 
-    def edges_of_state(self, state: int) -> list[Edge]:
-        return [e for e in self._key if e.state == state]
-
     def rebalance(self, w: float, nodes: dict[int, SearchNode]) -> None:
         """Recompute every key as g(state) + w*h(state) and restore order."""
         if w < 1.0:

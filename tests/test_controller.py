@@ -132,7 +132,8 @@ def test_plan_sink_receives_records_in_order_before_next_pass():
     def sink(record):
         seen.append((record.iteration_index, time.monotonic_ns()))
 
-    result = plan(PlannerConfig(w0=3.0, delta_w=1.0), problem, problem.start, sink=sink)
+    result = plan(PlannerConfig(w0=3.0, delta_w=1.0), problem, problem.start, sink=sink,
+                  log_events=True)
     assert [i for i, _t in seen] == [0, 1, 2]
     # each delivery happened before the next pass logged its first event
     for idx, t_ns in seen[:-1]:

@@ -1,9 +1,13 @@
+import math
 import threading
 
 import pytest
 
+from anyplan.baselines import dijkstra_oracle
+from anyplan.controller import PlannerConfig, plan
 from anyplan.domain import (
     DUMMY_ACTION,
+    DomainError,
     Edge,
     EdgeCache,
     Path,
@@ -13,7 +17,14 @@ from anyplan.domain import (
     rewalk_cost,
 )
 
-from _support import CountingDomain, ToyGraphDomain, all_pairs_optimal, grid_problem, open_world
+from _support import (
+    CountingDomain,
+    ToyGraphDomain,
+    all_pairs_optimal,
+    assert_no_leaked_workers,
+    grid_problem,
+    open_world,
+)
 
 
 def chain_domain():
@@ -49,6 +60,38 @@ def test_cache_invalid_edges_are_outcomes_not_errors():
     assert not out.valid and out.successor is None and out.cost is None
     assert cache.evaluate(domain, Edge(0, 1)) is out
     assert domain.calls == 1
+
+
+BAD_FIRST_EDGES = [((1, math.nan), "cost nan"), ((1, -1.0), "cost -1.0"),
+                   ((1, math.inf), "cost inf"), ((1.0, 2.0), "successor 1.0")]
+
+
+def bad_first_edge_domain(first_edge):
+    # 0 -> 1 -> 2 with the goal reachable; only the first edge breaks the contract
+    coords = {0: (0, 0), 1: (1, 0), 2: (2, 0)}
+    return ToyGraphDomain(coords, {0: [first_edge], 1: [(2, 3.0)], 2: []}, goals={2})
+
+
+@pytest.mark.parametrize("first_edge,what", BAD_FIRST_EDGES)
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_plan_names_an_outcome_outside_the_contract(first_edge, what, n_threads):
+    domain = bad_first_edge_domain(first_edge)
+    with pytest.raises(DomainError, match=rf"Edge\(state=0, action=0\): {what}"):
+        plan(PlannerConfig(w0=1.0, n_threads=n_threads), domain, 0)
+    assert_no_leaked_workers()
+
+
+@pytest.mark.parametrize("first_edge,what", BAD_FIRST_EDGES)
+def test_dijkstra_oracle_names_an_outcome_outside_the_contract(first_edge, what):
+    with pytest.raises(DomainError, match=rf"Edge\(state=0, action=0\): {what}"):
+        dijkstra_oracle(bad_first_edge_domain(first_edge), 0)
+
+
+def test_cache_stores_no_outcome_outside_the_contract():
+    cache = EdgeCache()
+    with pytest.raises(DomainError):
+        cache.evaluate(bad_first_edge_domain((1, -1.0)), Edge(0, 0))
+    assert len(cache) == 0 and cache.get(Edge(0, 0)) is None
 
 
 def test_cache_rejects_dummy_edges():

@@ -126,7 +126,7 @@ def incon_toy():
 def test_closed_state_relaxation_goes_to_incon_and_reopens_next_pass():
     domain = incon_toy()
     result = plan(PlannerConfig(w0=5.0, delta_w=0.5, n_threads=1), domain, 0,
-                  debug_checks=True)
+                  log_events=True, debug_checks=True)
     assert result.status == "proved_optimal"
     first = result.iterations[0]
     assert first.n_incon_end == 1  # X deferred within the first pass
@@ -149,7 +149,7 @@ def test_closed_state_relaxation_goes_to_incon_and_reopens_next_pass():
 
 def test_worker_overlap_with_eight_threads_and_slow_edges():
     domain = StarDomain(64, delay=0.002)
-    result = plan(PlannerConfig(w0=1.0, n_threads=8), domain, 0)
+    result = plan(PlannerConfig(w0=1.0, n_threads=8), domain, 0, log_events=True)
     assert result.status == "infeasible"  # star has no goal: exhausts
     overlap = max_eval_overlap(result.events)
     assert overlap >= 6, f"peak concurrent evaluations {overlap}"
@@ -188,7 +188,7 @@ def test_single_thread_trace_matches_serial_repair_search():
         start, goal = pairs[0]
         cfg = PlannerConfig(w0=3.0, delta_w=0.5, max_iterations=1, n_threads=1)
         engine_problem = grid_problem(world, start, goal)
-        engine_run = plan(cfg, engine_problem, engine_problem.start)
+        engine_run = plan(cfg, engine_problem, engine_problem.start, log_events=True)
         serial_problem = grid_problem(world, start, goal)
         serial_run = ara_star(cfg, serial_problem, serial_problem.start,
                               collect_trace=True)
@@ -200,7 +200,7 @@ def test_at_most_once_expansion_per_pass_from_log():
     world = open_world(18, footprint=2, move=2, cost="random_factor", cost_seed=5)
     problem = grid_problem(world, (0, 0), (14, 14))
     result = plan(PlannerConfig(w0=50.0, delta_w=0.5, n_threads=4),
-                  problem, problem.start)
+                  problem, problem.start, log_events=True)
     assert result.status == "proved_optimal"
     dummies = set()
     reals = set()
@@ -241,7 +241,8 @@ def test_expansion_log_export_round_trips_as_ndjson():
     from anyplan.engine import write_expansion_log
 
     problem = grid_problem(open_world(5), (0, 0), (4, 4))
-    result = plan(PlannerConfig(w0=1.0), problem, problem.start)
+    result = plan(PlannerConfig(w0=1.0), problem, problem.start, log_events=True)
+    assert result.events
     buf = io.StringIO()
     write_expansion_log(result.events, buf)
     lines = buf.getvalue().splitlines()

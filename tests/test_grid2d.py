@@ -18,6 +18,7 @@ from anyplan.grid2d import (
     grid_successors,
     load_map,
     parse_map,
+    reachable_anchors,
     sample_start_goal_pairs,
     serialize_map,
 )
@@ -164,6 +165,69 @@ def test_zero_length_move_checks_standing_footprint():
     world = make_world(text, footprint=2)
     assert not world.segment_clear((1, 1), (1, 1))
     assert world.placement_free(0, 0) is False  # footprint 2 covers (1,1)
+
+
+# -- move table ---------------------------------------------------------------
+
+def test_move_table_matches_reference_check_randomized():
+    import random
+
+    rng = random.Random(1)
+    valid = 0
+    for case in range(120):
+        width, height = rng.randint(3, 14), rng.randint(3, 14)
+        text = random_obstacle_map_text(width, height, rng.uniform(0.0, 0.3), seed=case)
+        side = max(width, height)
+        # mostly small footprints and moves, which leave valid moves to check;
+        # some up to larger than the map and past its side
+        footprint = rng.randint(1, side + 1) if case % 4 == 0 else rng.randint(1, 3)
+        move = rng.randint(1, side + 2) if case % 3 == 0 else rng.randint(1, 4)
+        step = rng.randint(1, min(3, move))
+        world = make_world(text, footprint=footprint, move=move, collision_step=step,
+                           cost="random_factor", cost_seed=case)
+        for y in range(-2, height + 2):  # out-of-range and blocked anchors too
+            for x in range(-2, width + 2):
+                for a in range(8):
+                    t = world.move_target((x, y), a)
+                    want = world.placement_free(*t) and world.segment_clear((x, y), t)
+                    ok, target, cost = world.evaluate_move((x, y), a)
+                    assert ok == want, (case, footprint, move, step, (x, y), a)
+                    if ok:
+                        assert target == t and cost == world.edge_cost((x, y), t)
+                        valid += 1
+    assert valid > 1000
+
+
+@pytest.mark.parametrize("map_name,footprint,move", [("maze64.map", 4, 6),
+                                                     ("cross32.map", 4, 4)])
+def test_reachable_anchors_equal_dijkstra_settled_set(map_name, footprint, move):
+    import random
+
+    from anyplan.baselines import dijkstra_distances
+
+    world = GridWorld(load_map(MAPS_DIR / map_name),
+                      GridDomainConfig(footprint_side=footprint, move_length=move))
+    anchors = world.free_anchors()
+    for start in random.Random(3).sample(anchors, 6):
+        probe = GridPlanningProblem(world, start, start)
+        dist = dijkstra_distances(probe, probe.start)
+        assert reachable_anchors(world, start) == {probe.coord_of(s) for s in dist}
+
+
+def test_sampled_maze128_pairs_are_pinned():
+    # footprint 8 / move 12 on maze128, seed 5: the benchmark's instance
+    # source; these are the pairs the Dijkstra-based sampler drew
+    world = GridWorld(load_map(MAPS_DIR / "maze128.map"),
+                      GridDomainConfig(footprint_side=8, move_length=12))
+    assert sample_start_goal_pairs(world, 20, seed=5) == [
+        ((113, 120), (65, 60)), ((20, 73), (8, 37)), ((61, 94), (49, 118)),
+        ((88, 8), (28, 32)), ((113, 18), (53, 90)), ((20, 95), (56, 107)),
+        ((9, 78), (117, 114)), ((4, 17), (112, 89)), ((26, 44), (2, 20)),
+        ((16, 37), (88, 25)), ((25, 53), (25, 77)), ((1, 80), (25, 44)),
+        ((2, 12), (26, 0)), ((9, 120), (105, 36)), ((17, 21), (5, 21)),
+        ((52, 0), (4, 0)), ((70, 35), (58, 47)), ((94, 27), (46, 111)),
+        ((20, 56), (68, 80)), ((24, 33), (120, 57)),
+    ]
 
 
 # -- successors and costs ---------------------------------------------------
