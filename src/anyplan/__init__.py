@@ -23,7 +23,7 @@ from .domain import (
     StateInterner,
     SuccessorOutcome,
 )
-from .engine import EpisodeContext, ImproveOutcome, improve_path, write_expansion_log
+from .engine import EpisodeContext, improve_path
 from .grid2d import (
     CostModel,
     GridDomainConfig,
@@ -35,6 +35,7 @@ from .grid2d import (
     sample_start_goal_pairs,
     serialize_map,
 )
+from .search import ImproveOutcome, write_expansion_log
 from .structures import OpenQueue, SearchNode, edge_priority, is_independent, pop_independent
 
 __version__ = "0.1.0"

@@ -2,9 +2,10 @@
 weighted A*, and a serial anytime-repair search.
 
 These double as experiment baselines and as correctness oracles for the
-parallel engine, so they deliberately do not import anything from the
-engine module: the repair search re-implements the edge-expansion
-discipline serially (no threads, no locks, no independence checks).
+parallel engine.  Dijkstra and weighted A* share only the domain contract
+and the edge cache with it, so they stay independent checks of its costs.
+``ara_star`` is the serial, lock-free driver over the engine's
+:class:`~anyplan.search.SearchState`: it checks the parallel machinery.
 """
 
 from __future__ import annotations
@@ -13,27 +14,10 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .controller import (
-    STATUS_COMPLETED_BOUNDED,
-    STATUS_INFEASIBLE,
-    STATUS_PROVED_OPTIMAL,
-    STATUS_TIMEOUT,
-    IterationStats,
-    PlanResult,
-    PlannerConfig,
-    SolutionRecord,
-    publish,
-    weight_schedule,
-)
+from .controller import PlannerConfig, PlanResult, repair_passes, run_anytime
 from .domain import DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain
-from .structures import (
-    INF,
-    InconsistentSet,
-    OpenQueue,
-    SearchNode,
-    edge_priority,
-    merge_incons,
-)
+from .search import ImproveOutcome, SearchState, seed_open_with_start
+from .structures import INF
 
 
 @dataclass(frozen=True)
@@ -160,168 +144,38 @@ def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0,
 def ara_star(config: PlannerConfig, domain: SearchDomain, start: int, *,
              sink=None, collect_trace: bool = False) -> PlanResult:
     """Serial anytime repairing search over the same edge-expansion
-    discipline as the parallel engine, minus all parallel machinery.
-
-    Keeps the inconsistent list across passes, seeds each pass with
-    OPEN u INCON, and terminates a pass once the incumbent's priority is no
-    worse than OPEN's minimum.  With the shared tie-break rule this yields
-    the same published costs as the parallel engine at one thread, which is
-    what makes it a useful cross-engine oracle.
+    discipline and anytime driver as the parallel engine, minus all
+    parallel machinery: each pass pops OPEN's minimum until the incumbent's
+    priority is no worse than it.  With the shared tie-break rule this
+    yields the same published costs as the parallel engine at one thread,
+    which is what makes it a useful cross-engine oracle.
 
     ``collect_trace`` records every popped (iteration, state, action) in
     ``result.trace``.
     """
-    t0 = time.monotonic()
-    deadline = t0 + config.time_budget
-    schedule = weight_schedule(config.w0, config.delta_w)
-    if config.max_iterations is not None:
-        schedule = schedule[: config.max_iterations]
+    state = SearchState(domain, start)
+    seed_open_with_start(state, config.w0)
+    trace: list[tuple[int, int, int]] | None = [] if collect_trace else None
 
-    cache = EdgeCache()
-    nodes: dict[int, SearchNode] = {}
-    open_q = OpenQueue()
-    incons = InconsistentSet()
-    be: set[int] = set()
-    closed: set[int] = set()
-    trace: list[tuple[int, int, int]] = []
-    unjustified = 0
-
-    def node_of(state: int) -> SearchNode:
-        node = nodes.get(state)
-        if node is None:
-            node = SearchNode(h=domain.heuristic(state))
-            nodes[state] = node
-        return node
-
-    start_node = node_of(start)
-    start_node.g = 0.0
-    open_q.upsert(Edge(start, DUMMY_ACTION),
-                  edge_priority(0.0, start_node.h, schedule[0]), start_node.h)
-
-    goal_found: int | None = None
-    records: list[SolutionRecord] = []
-    iterations: list[IterationStats] = []
-    status: str | None = None
-    best_path: Path | None = None
-    best_cost = INF
-
-    for i, w in enumerate(schedule):
-        if time.monotonic() >= deadline:
-            status = STATUS_TIMEOUT
-            break
-        eps = config.epsilon_for(w)
-        for s in closed:
-            nodes[s].in_closed = False
-        closed.clear()
-        merge_incons(open_q, incons, nodes, w)
-        open_q.rebalance(w, nodes)
-
-        n_dummy = n_real = 0
-        it_t0 = time.monotonic()
-        outcome = "solved"
+    def improve(state: SearchState) -> ImproveOutcome:
         while True:
-            if time.monotonic() >= deadline:
-                outcome = "timeout"
-                break
-            goal_g = nodes[goal_found].g if goal_found is not None else INF
-            if goal_found is not None and goal_g <= open_q.min_f():
-                break
-            if not open_q:
-                outcome = "exhausted"
-                break
-            edge = open_q.pop_min()
-            node = nodes[edge.state]
-            if collect_trace:
-                trace.append((i, edge.state, edge.action))
+            if time.monotonic() >= state.deadline:
+                return ImproveOutcome.TIMEOUT
+            if state.goal_found is not None and state.goal_g() <= state.open.min_f():
+                state.recollapse()
+                return ImproveOutcome.SOLVED
+            if not state.open:
+                return ImproveOutcome.EXHAUSTED
+            edge = state.open.pop_min()
+            if trace is not None:
+                trace.append((state.iteration, edge.state, edge.action))
+            state.begin_expansion(edge, 0)
             if edge.action == DUMMY_ACTION:
-                if node.g >= node.g_expanded:
-                    unjustified += 1
-                node._g_expanded_prev = node.g_expanded
-                node.g_expanded = node.g
-                node.in_be = True
-                be.add(edge.state)
-                node.n_actions = len(domain.actions(edge.state))
-                node.n_successors_generated = 0
-                n_dummy += 1
+                state.spill(edge.state, 0)
             else:
-                n_real += 1
-            if node.g < goal_g and domain.is_goal(edge.state):
-                goal_found = edge.state
+                state.relax(edge, state.cache.evaluate(domain, edge), 0)
 
-            if edge.action == DUMMY_ACTION:
-                f = edge_priority(node.g, node.h, w)
-                for a in domain.actions(edge.state):
-                    open_q.upsert(Edge(edge.state, a), f, node.h)
-                if node.n_actions == 0:  # nothing to expand: close right away
-                    node.in_be = False
-                    be.discard(edge.state)
-                    node.in_closed = True
-                    closed.add(edge.state)
-            else:
-                out = cache.evaluate(domain, edge)
-                if out.valid:
-                    succ = node_of(out.successor)
-                    ng = node.g + out.cost
-                    if succ.g > ng:
-                        succ.g = ng
-                        succ.parent = edge
-                        if not succ.in_closed and not succ.in_be:
-                            open_q.upsert(Edge(out.successor, DUMMY_ACTION),
-                                          edge_priority(ng, succ.h, w), succ.h)
-                        else:
-                            succ.in_incon = True
-                            incons.add(out.successor)
-                node.n_successors_generated += 1
-                if node.n_successors_generated == node.n_actions:
-                    node.in_be = False
-                    be.discard(edge.state)
-                    node.in_closed = True
-                    closed.add(edge.state)
-
-        iterations.append(IterationStats(
-            w=w, eps=eps, n_dummy_expansions=n_dummy, n_real_expansions=n_real,
-            n_incon_end=len(incons), wall_time=time.monotonic() - it_t0,
-            outcome=outcome))
-        if outcome == "exhausted":
-            status = STATUS_INFEASIBLE
-            break
-        if outcome == "timeout":
-            status = STATUS_TIMEOUT
-            break
-
-        # fold interrupted expansions back into dummy edges
-        for s in sorted(be):
-            node = nodes[s]
-            for a in domain.actions(s):
-                open_q.discard(Edge(s, a))
-            node.n_successors_generated = 0
-            node.n_actions = -1
-            node.in_be = False
-            node.g_expanded = node._g_expanded_prev
-            if not node.in_incon:
-                open_q.upsert(Edge(s, DUMMY_ACTION),
-                              edge_priority(node.g, node.h, w), node.h)
-        be.clear()
-
-        path = _reconstruct(cache, {s: n.parent for s, n in nodes.items()
-                                    if n.parent is not None}, start, goal_found)
-        if path.cost < best_cost:
-            best_path, best_cost = path, path.cost
-        record = SolutionRecord(
-            path=best_path, cost=best_cost, w_at_publish=w,
-            bound_lambda=max(eps, w),
-            t_since_plan_start=time.monotonic() - t0,
-            iteration_index=i)
-        records.append(record)
-        publish(sink, record)
-    else:
-        last_w = schedule[-1]
-        if last_w == 1.0 and config.epsilon_for(last_w) == 1.0:
-            status = STATUS_PROVED_OPTIMAL
-        else:
-            status = STATUS_COMPLETED_BOUNDED
-
-    return PlanResult(records=records, status=status or STATUS_TIMEOUT,
-                      iterations=iterations, wall_time=time.monotonic() - t0,
-                      unjustified_reexpansions=unjustified,
-                      trace=trace if collect_trace else None)
+    result = run_anytime(config, repair_passes(state, improve), sink=sink)
+    result.unjustified_reexpansions = state.unjustified_reexpansions
+    result.trace = trace
+    return result

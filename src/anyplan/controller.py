@@ -1,5 +1,7 @@
 """Outer anytime control loop: weight schedule, per-iteration reset, INCON
-merge, OPEN rebalance, solution publication and termination."""
+merge, OPEN rebalance, solution publication and termination.  One driver,
+:func:`run_anytime`, runs the passes of :func:`plan`, :func:`plan_naive`
+and the serial ``baselines.ara_star``."""
 
 from __future__ import annotations
 
@@ -9,20 +11,15 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .domain import Path, SearchDomain
-from .engine import (
-    EpisodeContext,
+from .engine import EpisodeContext, improve_path, shutdown
+from .search import (
     ExpansionEvent,
     ImproveOutcome,
+    SearchState,
     backtrack,
-    improve_path,
     seed_open_with_start,
-    shutdown,
 )
 from .structures import INF, merge_incons
-
-#: The single implemented tie-break rule: equal priorities order by smaller
-#: h, then smaller state handle, then smaller action id.
-TIE_BREAK_RULE = "f_h_state_action"
 
 STATUS_PROVED_OPTIMAL = "proved_optimal"
 STATUS_TIMEOUT = "timeout"
@@ -51,7 +48,6 @@ class PlannerConfig:
     epsilon: float | None = None
     n_threads: int = 1
     time_budget: float = INF
-    tie_break: str = TIE_BREAK_RULE
     rng_seed: int = 0
     max_iterations: int | None = None
 
@@ -66,8 +62,6 @@ class PlannerConfig:
             raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
         if self.time_budget < 0.0:
             raise ValueError("time_budget must be non-negative")
-        if self.tie_break != TIE_BREAK_RULE:
-            raise ValueError(f"unknown tie-break rule {self.tie_break!r}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1 when given")
 
@@ -107,7 +101,7 @@ class PlanResult:
     events: list[ExpansionEvent] = field(default_factory=list)
     wall_time: float = 0.0
     unjustified_reexpansions: int = 0
-    context: EpisodeContext | None = None  # white-box access for audits
+    context: SearchState | None = None  # white-box access for audits
     trace: list | None = None  # pop sequence, when the caller asked for one
 
     @property
@@ -154,6 +148,73 @@ def publish(sink, record: SolutionRecord) -> None:
         sink(record)
 
 
+def run_anytime(config: PlannerConfig, run_pass: Callable, *, sink=None) -> PlanResult:
+    """The anytime loop of :func:`plan`, :func:`plan_naive` and ``ara_star``.
+
+    ``run_pass(index, w, eps, deadline)`` runs one pass of the (truncated)
+    weight schedule and returns its :class:`ImproveOutcome`, its
+    :class:`IterationStats` list and the path it found, or None when the
+    incumbent stands.  Each solved pass publishes one record.
+    """
+    t0 = time.monotonic()
+    deadline = t0 + config.time_budget
+    schedule = weight_schedule(config.w0, config.delta_w)[: config.max_iterations]
+    result = PlanResult(records=[], status=STATUS_TIMEOUT)
+    for i, w in enumerate(schedule):
+        if time.monotonic() >= deadline:
+            break
+        eps = config.epsilon_for(w)
+        outcome, stats, path = run_pass(i, w, eps, deadline)
+        result.iterations += stats
+        if outcome is not ImproveOutcome.SOLVED:
+            if outcome is ImproveOutcome.EXHAUSTED:
+                result.status = STATUS_INFEASIBLE
+            break
+        if path is None or path.cost >= result.final_cost:
+            path = result.records[-1].path  # the incumbent stands
+        record = SolutionRecord(
+            path=path, cost=path.cost, w_at_publish=w, bound_lambda=max(eps, w),
+            t_since_plan_start=time.monotonic() - t0, iteration_index=i)
+        result.records.append(record)
+        publish(sink, record)
+    else:
+        last_w = schedule[-1]
+        if last_w == 1.0 and config.epsilon_for(last_w) == 1.0:
+            result.status = STATUS_PROVED_OPTIMAL
+        else:
+            result.status = STATUS_COMPLETED_BOUNDED
+    result.wall_time = time.monotonic() - t0
+    return result
+
+
+def repair_passes(state: SearchState,
+                  improve: Callable[[SearchState], ImproveOutcome]) -> Callable:
+    """The passes of one search state repaired from pass to pass.
+
+    Each pass reopens CLOSED, folds INCON into OPEN, re-keys OPEN, runs
+    ``improve`` and backtracks from the goal.  A pass that expanded nothing
+    changed no g and no parent, so it skips the backtrack.
+    """
+    def run_pass(index: int, w: float, eps: float, deadline: float):
+        state.deadline = deadline
+        state.begin_pass(index, w, eps)
+        # merge_incons and backtrack are called by this module's names (and
+        # plan passes improve_path by its name), which perfbench/bench_trace.py
+        # wraps to time each layer
+        merge_incons(state.open, state.incons, state.nodes, w)
+        state.open.rebalance(w, state.nodes)
+        t0 = time.monotonic()
+        outcome = improve(state)
+        n_dummy, n_real = state.iter_dummy_expansions, state.iter_real_expansions
+        stats = IterationStats(w, eps, n_dummy, n_real, len(state.incons),
+                               time.monotonic() - t0, outcome.value)
+        path = None
+        if outcome is ImproveOutcome.SOLVED and n_dummy + n_real:
+            path = backtrack(state, state.goal_found)
+        return outcome, [stats], path
+    return run_pass
+
+
 def plan(config: PlannerConfig, domain: SearchDomain, start: int, *,
          sink=None, log_events: bool = False, debug_checks: bool = False) -> PlanResult:
     """Run the anytime parallel search to completion, timeout or proof.
@@ -164,84 +225,23 @@ def plan(config: PlannerConfig, domain: SearchDomain, start: int, *,
     the per-event expansion log in ``PlanResult.events``; it is off by
     default because it adds about a quarter to the plan time of a large
     zero-delay instance.
+
+    Deadline: once ``config.time_budget`` has passed, the running pass pops
+    no more edges and waits for the evaluations in flight, so ``plan``
+    returns within the budget plus the longest ``evaluate`` call then in
+    flight (and the sink's and the coordinator's own time).  An
+    ``evaluate`` that never returns keeps ``plan`` from returning.
     """
     t0 = time.monotonic()
-    deadline = t0 + config.time_budget
-    schedule = weight_schedule(config.w0, config.delta_w)
-    if config.max_iterations is not None:
-        schedule = schedule[: config.max_iterations]
-
-    ctx = EpisodeContext(domain, start, config.n_threads, deadline=deadline,
+    ctx = EpisodeContext(domain, start, config.n_threads,
                          log_enabled=log_events, debug_checks=debug_checks)
-    seed_open_with_start(ctx, schedule[0])
-
-    records: list[SolutionRecord] = []
-    iterations: list[IterationStats] = []
-    status: str | None = None
-    best_path: Path | None = None
-    best_cost = INF
+    seed_open_with_start(ctx, config.w0)
     try:
-        for i, w in enumerate(schedule):
-            if time.monotonic() >= deadline:
-                status = STATUS_TIMEOUT
-                break
-            eps = config.epsilon_for(w)
-            _begin_iteration(ctx, i, w, eps)
-            it_t0 = time.monotonic()
-            outcome = improve_path(ctx)
-            iterations.append(IterationStats(
-                w=w, eps=eps,
-                n_dummy_expansions=ctx.iter_dummy_expansions,
-                n_real_expansions=ctx.iter_real_expansions,
-                n_incon_end=len(ctx.incons),
-                wall_time=time.monotonic() - it_t0,
-                outcome=outcome.value,
-            ))
-            if outcome is ImproveOutcome.TIMEOUT:
-                status = STATUS_TIMEOUT
-                break
-            if outcome is ImproveOutcome.EXHAUSTED:
-                status = STATUS_INFEASIBLE
-                break
-            path = backtrack(ctx, ctx.goal_found)
-            if path.cost < best_cost:
-                best_path, best_cost = path, path.cost
-            record = SolutionRecord(
-                path=best_path, cost=best_cost, w_at_publish=w,
-                bound_lambda=max(eps, w),
-                t_since_plan_start=time.monotonic() - t0,
-                iteration_index=i)
-            records.append(record)
-            publish(sink, record)
-        else:
-            last_w = schedule[-1]
-            if last_w == 1.0 and config.epsilon_for(last_w) == 1.0:
-                status = STATUS_PROVED_OPTIMAL
-            else:
-                status = STATUS_COMPLETED_BOUNDED
+        result = run_anytime(config, repair_passes(ctx, improve_path), sink=sink)
     finally:
         shutdown(ctx)
-
-    return PlanResult(
-        records=records, status=status or STATUS_TIMEOUT,
-        iterations=iterations, events=ctx.events,
-        wall_time=time.monotonic() - t0,
-        unjustified_reexpansions=ctx.unjustified_reexpansions,
-        context=ctx)
-
-
-def _begin_iteration(ctx: EpisodeContext, index: int, w: float, eps: float) -> None:
-    """Per-pass reset: clear CLOSED, fold INCON into OPEN, re-key OPEN."""
-    ctx.iteration = index
-    ctx.w = w
-    ctx.eps = eps
-    ctx.iter_dummy_expansions = 0
-    ctx.iter_real_expansions = 0
-    for s in ctx.closed:
-        ctx.nodes[s].in_closed = False
-    ctx.closed.clear()
-    merge_incons(ctx.open, ctx.incons, ctx.nodes, w)
-    ctx.open.rebalance(w, ctx.nodes)
+    return replace(result, events=ctx.events, wall_time=time.monotonic() - t0,
+                   unjustified_reexpansions=ctx.unjustified_reexpansions, context=ctx)
 
 
 def plan_naive(config: PlannerConfig, problem_factory: Callable[[], tuple[SearchDomain, int]],
@@ -253,50 +253,15 @@ def plan_naive(config: PlannerConfig, problem_factory: Callable[[], tuple[Search
     instance and start handle) per call, so edge evaluations are not shared
     between restarts.  Publishes the best-so-far incumbent per weight.
     """
-    t0 = time.monotonic()
-    deadline = t0 + config.time_budget
-    schedule = weight_schedule(config.w0, config.delta_w)
-    if config.max_iterations is not None:
-        schedule = schedule[: config.max_iterations]
+    outcomes = {STATUS_TIMEOUT: ImproveOutcome.TIMEOUT,
+                STATUS_INFEASIBLE: ImproveOutcome.EXHAUSTED}
 
-    records: list[SolutionRecord] = []
-    iterations: list[IterationStats] = []
-    status: str | None = None
-    best_path: Path | None = None
-    best_cost = INF
-    for i, w in enumerate(schedule):
-        now = time.monotonic()
-        if now >= deadline:
-            status = STATUS_TIMEOUT
-            break
+    def run_pass(index: int, w: float, eps: float, deadline: float):
         domain, start = problem_factory()
-        sub = replace(config, w0=w, epsilon=config.epsilon, max_iterations=1,
-                      time_budget=deadline - now)
+        sub = replace(config, w0=w, max_iterations=1,
+                      time_budget=max(0.0, deadline - time.monotonic()))
         result = plan(sub, domain, start)
-        for it in result.iterations:
-            iterations.append(it)
-        if result.status == STATUS_INFEASIBLE:
-            status = STATUS_INFEASIBLE
-            break
-        if result.status == STATUS_TIMEOUT:
-            status = STATUS_TIMEOUT
-            break
-        fresh = result.records[0]
-        if fresh.cost < best_cost:
-            best_path, best_cost = fresh.path, fresh.cost
-        record = SolutionRecord(
-            path=best_path, cost=best_cost, w_at_publish=w,
-            bound_lambda=fresh.bound_lambda,
-            t_since_plan_start=time.monotonic() - t0,
-            iteration_index=i)
-        records.append(record)
-        publish(sink, record)
-    else:
-        last_w = schedule[-1]
-        if last_w == 1.0 and config.epsilon_for(last_w) == 1.0:
-            status = STATUS_PROVED_OPTIMAL
-        else:
-            status = STATUS_COMPLETED_BOUNDED
+        path = result.records[0].path if result.records else None
+        return outcomes.get(result.status, ImproveOutcome.SOLVED), result.iterations, path
 
-    return PlanResult(records=records, status=status or STATUS_TIMEOUT,
-                      iterations=iterations, wall_time=time.monotonic() - t0)
+    return run_anytime(config, run_pass, sink=sink)

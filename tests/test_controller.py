@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyplan.baselines import dijkstra_oracle
+from anyplan import controller
+from anyplan.baselines import ara_star, dijkstra_oracle
 from anyplan.controller import (
     STATUS_COMPLETED_BOUNDED,
+    STATUS_INFEASIBLE,
     STATUS_PROVED_OPTIMAL,
     STATUS_TIMEOUT,
     PlannerConfig,
@@ -16,8 +18,9 @@ from anyplan.controller import (
     publish,
     weight_schedule,
 )
+from anyplan.search import ImproveOutcome
 
-from _support import grid_problem, open_world
+from _support import grid_problem, make_world, open_world
 
 # -- weight schedule ----------------------------------------------------------
 
@@ -68,8 +71,6 @@ def test_config_validation():
         PlannerConfig(n_threads=0)
     with pytest.raises(ValueError):
         PlannerConfig(epsilon=0.5)
-    with pytest.raises(ValueError):
-        PlannerConfig(tie_break="lifo")
     assert PlannerConfig(epsilon=math.inf).epsilon_for(3.0) == math.inf
     assert PlannerConfig().epsilon_for(3.0) == 3.0
 
@@ -215,3 +216,83 @@ def test_plan_naive_first_record_matches_full_anytime_first_record():
     problem = grid_problem(world, (0, 0), (12, 12))
     full = plan(cfg, problem, problem.start)
     assert naive.records[0].cost == full.records[0].cost  # same first search
+
+
+# -- the shared anytime driver --------------------------------------------------
+
+def test_pass_without_expansions_skips_backtrack_and_keeps_the_incumbent(monkeypatch):
+    world = open_world(15, footprint=2, move=2, cost="random_factor", cost_seed=8)
+    problem = grid_problem(world, (0, 0), (12, 12))
+    real_backtrack, real_improve = controller.backtrack, controller.improve_path
+    calls = []
+    always = []  # the incumbent of a run that backtracks after every solved pass
+
+    def counting_backtrack(state, goal):
+        calls.append(goal)
+        return real_backtrack(state, goal)
+
+    def improve_then_backtrack(ctx):
+        outcome = real_improve(ctx)
+        if outcome is ImproveOutcome.SOLVED:
+            path = real_backtrack(ctx, ctx.goal_found)
+            always.append(path if not always or path.cost < always[-1].cost else always[-1])
+        return outcome
+
+    monkeypatch.setattr(controller, "backtrack", counting_backtrack)
+    monkeypatch.setattr(controller, "improve_path", improve_then_backtrack)
+    result = plan(PlannerConfig(w0=50.0, delta_w=0.5), problem, problem.start)
+    assert result.status == STATUS_PROVED_OPTIMAL
+    expanded = [it for it in result.iterations
+                if it.n_dummy_expansions + it.n_real_expansions]
+    assert 0 < len(calls) == len(expanded) < len(result.iterations)
+    assert [(r.path, r.cost) for r in result.records] == [(p, p.cost) for p in always]
+
+
+def walled_off_world():
+    rows = ["..@..",
+            "..@..",
+            "..@..",
+            "..@..",
+            "..@..",
+            ]
+    return make_world("type octile\nheight 5\nwidth 5\nmap\n" + "\n".join(rows) + "\n")
+
+
+DRIVERS = {
+    "plan": lambda cfg, factory: plan(cfg, *factory()),
+    "plan_naive": plan_naive,
+    "ara_star": lambda cfg, factory: ara_star(cfg, *factory()),
+}
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize("case", ["zero_budget", "one_pass", "walled_off", "w0_one"])
+def test_drivers_agree_on_each_terminal_status(driver, case):
+    world, goal = open_world(7, cost="random_factor", cost_seed=3), (6, 6)
+    cfg = PlannerConfig(w0=3.0, n_threads=2)
+    if case == "zero_budget":
+        cfg = PlannerConfig(w0=3.0, time_budget=0.0)
+    elif case == "one_pass":
+        cfg = PlannerConfig(w0=3.0, max_iterations=1)
+    elif case == "walled_off":
+        world, goal = walled_off_world(), (4, 0)
+    else:
+        cfg = PlannerConfig(w0=1.0, n_threads=2)
+
+    def factory():
+        problem = grid_problem(world, (0, 0), goal)
+        return problem, problem.start
+
+    result = DRIVERS[driver](cfg, factory)
+    if case == "zero_budget":
+        assert result.status == STATUS_TIMEOUT
+        assert result.records == [] and result.iterations == []
+    elif case == "one_pass":
+        assert result.status == STATUS_COMPLETED_BOUNDED
+        assert [(r.w_at_publish, r.bound_lambda) for r in result.records] == [(3.0, 3.0)]
+    elif case == "walled_off":
+        assert result.status == STATUS_INFEASIBLE
+        assert result.records == []
+    else:
+        assert result.status == STATUS_PROVED_OPTIMAL
+        assert result.final_cost == pytest.approx(dijkstra_oracle(*factory()).cost, rel=1e-12)
