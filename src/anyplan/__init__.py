@@ -36,6 +36,6 @@ from .grid2d import (
     serialize_map,
 )
 from .search import ImproveOutcome, write_expansion_log
-from .structures import OpenQueue, SearchNode, edge_priority, is_independent, pop_independent
+from .structures import OpenQueue, SearchNode, edge_priority, pop_independent
 
 __version__ = "0.1.0"

@@ -142,7 +142,7 @@ def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0,
 
 
 def ara_star(config: PlannerConfig, domain: SearchDomain, start: int, *,
-             sink=None, collect_trace: bool = False) -> PlanResult:
+             sink=None, log_events: bool = False) -> PlanResult:
     """Serial anytime repairing search over the same edge-expansion
     discipline and anytime driver as the parallel engine, minus all
     parallel machinery: each pass pops OPEN's minimum until the incumbent's
@@ -150,12 +150,11 @@ def ara_star(config: PlannerConfig, domain: SearchDomain, start: int, *,
     yields the same published costs as the parallel engine at one thread,
     which is what makes it a useful cross-engine oracle.
 
-    ``collect_trace`` records every popped (iteration, state, action) in
-    ``result.trace``.
+    ``log_events`` keeps the expansion log in ``result.events``, as in
+    ``plan``; a one-worker ``plan`` logs the same event sequence.
     """
-    state = SearchState(domain, start)
+    state = SearchState(domain, start, log_enabled=log_events)
     seed_open_with_start(state, config.w0)
-    trace: list[tuple[int, int, int]] | None = [] if collect_trace else None
 
     def improve(state: SearchState) -> ImproveOutcome:
         while True:
@@ -167,15 +166,13 @@ def ara_star(config: PlannerConfig, domain: SearchDomain, start: int, *,
             if not state.open:
                 return ImproveOutcome.EXHAUSTED
             edge = state.open.pop_min()
-            if trace is not None:
-                trace.append((state.iteration, edge.state, edge.action))
             state.begin_expansion(edge, 0)
             if edge.action == DUMMY_ACTION:
                 state.spill(edge.state, 0)
             else:
-                state.relax(edge, state.cache.evaluate(domain, edge), 0)
+                state.relax(edge, state.evaluate(edge, 0), 0)
 
     result = run_anytime(config, repair_passes(state, improve), sink=sink)
     result.unjustified_reexpansions = state.unjustified_reexpansions
-    result.trace = trace
+    result.events = state.events
     return result

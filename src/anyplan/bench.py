@@ -418,7 +418,14 @@ _COST_ALIASES = {"euclidean": "euclidean", "random": "random_factor",
 
 
 def parse_run_spec(text: str, base_dir: str | FsPath = ".") -> RunSpec:
-    """Parse the flat ``key = value`` spec format ('#' comments allowed).
+    """Parse a spec file's text into a :class:`RunSpec`; ``map`` is relative
+    to ``base_dir``."""
+    return build_run_spec(parse_spec_values(text), base_dir)
+
+
+def parse_spec_values(text: str) -> dict[str, object]:
+    """Parse the flat ``key = value`` spec format ('#' comments allowed)
+    into typed values, keyed as :func:`build_run_spec` reads them.
 
     Required keys: ``algo`` and ``map``.  Unknown keys are errors.
     """
@@ -440,7 +447,7 @@ def parse_run_spec(text: str, base_dir: str | FsPath = ".") -> RunSpec:
             raise SpecError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     if "algo" not in values or "map" not in values:
         raise SpecError("spec must define at least 'algo' and 'map'")
-    return build_run_spec(values, base_dir)
+    return values
 
 
 def build_run_spec(values: dict, base_dir: str | FsPath = ".") -> RunSpec:

@@ -20,7 +20,7 @@ from .bench import (
     aggregate,
     build_run_spec,
     emit_outputs,
-    parse_run_spec,
+    parse_spec_values,
     run_experiment,
     run_metrics_from_json,
 )
@@ -61,19 +61,16 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
+        values: dict = {}
         if args.spec:
             spec_path = FsPath(args.spec)
-            spec = parse_run_spec(spec_path.read_text(), base_dir=spec_path.parent)
-            values = _collect_overrides(args)
-            if values:
-                merged = _spec_to_values(spec)
-                merged.update(values)
-                spec = build_run_spec(merged)
-        else:
-            values = _collect_overrides(args)
-            if "algo" not in values or "map" not in values:
-                raise SpecError("either --spec or both --algo and --map are required")
-            spec = build_run_spec(values)
+            values = parse_spec_values(spec_path.read_text())
+            # the spec's map is relative to the spec file, --map to the cwd
+            values["map"] = str(spec_path.parent / values["map"])
+        values.update(_collect_overrides(args))
+        if "algo" not in values or "map" not in values:
+            raise SpecError("either --spec or both --algo and --map are required")
+        spec = build_run_spec(values)
     except (SpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -89,24 +86,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"run failed: pair {m.pair_index} rep {m.repetition}: {m.error}",
               file=sys.stderr)
     return 1 if failures else 0
-
-
-def _spec_to_values(spec) -> dict:
-    return {
-        "algo": spec.algorithm, "map": spec.map_path, "scale": spec.map_scale,
-        "cost": spec.cost_kind, "cost_seed": spec.cost_seed,
-        "pairs": spec.pair_count, "pair_seed": spec.pair_seed,
-        "reps": spec.repetitions, "threads": spec.planner.n_threads,
-        "w0": spec.planner.w0, "dw": spec.planner.delta_w,
-        "epsilon": "w" if spec.planner.epsilon is None else str(spec.planner.epsilon),
-        "seed": spec.planner.rng_seed,
-        "timeout_ms": None if spec.planner.time_budget == float("inf")
-        else spec.planner.time_budget * 1e3,
-        "max_iterations": spec.planner.max_iterations,
-        "footprint": spec.domain.footprint_side, "move": spec.domain.move_length,
-        "collision_step": spec.domain.collision_step,
-        "eval_delay_us": spec.domain.eval_delay * 1e6,
-    }
 
 
 def _progress(metric) -> None:

@@ -102,7 +102,6 @@ class PlanResult:
     wall_time: float = 0.0
     unjustified_reexpansions: int = 0
     context: SearchState | None = None  # white-box access for audits
-    trace: list | None = None  # pop sequence, when the caller asked for one
 
     @property
     def final_cost(self) -> float:

@@ -26,10 +26,6 @@ class Edge(NamedTuple):
     state: int
     action: int
 
-    @property
-    def is_dummy(self) -> bool:
-        return self.action == DUMMY_ACTION
-
 
 class SuccessorOutcome(NamedTuple):
     """Result of evaluating one real edge.

@@ -24,13 +24,7 @@ import time
 from dataclasses import dataclass
 
 from .domain import DUMMY_ACTION, DomainError, Edge, SearchDomain
-from .search import (
-    EVENT_EVAL_END,
-    EVENT_EVAL_START,
-    EngineInvariantError,
-    ImproveOutcome,
-    SearchState,
-)
+from .search import EngineInvariantError, ImproveOutcome, SearchState
 # The engine's callers also reach these through this module.
 from .search import backtrack, seed_open_with_start, write_expansion_log  # noqa: F401
 from .structures import INF, pop_independent
@@ -46,9 +40,10 @@ class EngineError(RuntimeError):
 
 @dataclass(slots=True)
 class _WorkerSlot:
+    """A worker thread and the edge it is expanding (None while idle)."""
+
     thread: threading.Thread | None = None
     pending: Edge | None = None
-    busy: bool = False
 
 
 class EpisodeContext(SearchState):
@@ -97,7 +92,7 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
                 # in-flight expansion may still push an edge under the
                 # incumbent's priority, so let it land and re-check.  This
                 # is what makes one-thread runs replay the serial search.
-                if any(slot.busy for slot in ctx.slots):
+                if any(slot.pending is not None for slot in ctx.slots):
                     cv.wait(WAIT_SLICE)
                     continue
                 ctx.recollapse()
@@ -125,16 +120,15 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
 
 def _find_idle_slot(ctx: EpisodeContext) -> int | None:
     for i, slot in enumerate(ctx.slots):
-        if not slot.busy:
+        if slot.pending is None:
             return i
     return None
 
 
 def _assign_locked(ctx: EpisodeContext, wid: int, edge: Edge) -> None:
     slot = ctx.slots[wid]
-    if slot.busy or slot.pending is not None:
-        raise EngineInvariantError(f"worker {wid} assigned while busy")
-    slot.busy = True
+    if slot.pending is not None:
+        raise EngineInvariantError(f"worker {wid} assigned {edge} while expanding {slot.pending}")
     slot.pending = edge
     if slot.thread is None:  # spawned lazily on first assignment
         slot.thread = threading.Thread(
@@ -146,7 +140,7 @@ def _assign_locked(ctx: EpisodeContext, wid: int, edge: Edge) -> None:
 
 def _drain_locked(ctx: EpisodeContext) -> None:
     """Wait (holding cv) until no expansion is in flight."""
-    while any(slot.busy for slot in ctx.slots):
+    while any(slot.pending is not None for slot in ctx.slots):
         ctx.cv.wait(WAIT_SLICE)
 
 
@@ -169,7 +163,6 @@ def _worker_loop(ctx: EpisodeContext, wid: int) -> None:
         finally:
             with cv:
                 slot.pending = None
-                slot.busy = False
                 cv.notify_all()
 
 
@@ -188,10 +181,7 @@ def expand_edge(ctx: EpisodeContext, edge: Edge, wid: int) -> None:
             ctx.cv.notify_all()
         return
 
-    g = ctx.nodes[edge.state].g
-    ctx.log(EVENT_EVAL_START, wid, edge, g)
-    outcome = ctx.cache.evaluate(ctx.domain, edge)  # the slow part, unlocked
-    ctx.log(EVENT_EVAL_END, wid, edge, g)
+    outcome = ctx.evaluate(edge, wid)  # the slow part, unlocked
     with ctx.cv:
         ctx.relax(edge, outcome, wid)
         if ctx.debug_checks:
@@ -214,17 +204,15 @@ def shutdown(ctx: EpisodeContext, join_timeout: float = 5.0) -> None:
 def validate_invariants(ctx: EpisodeContext) -> None:
     """Debug-mode consistency audit; call while holding the lock."""
     ctx.open.check_no_duplicates()
+    both = ctx.be & ctx.closed
+    if both:
+        raise EngineInvariantError(f"states {sorted(both)} in BE and CLOSED at once")
+    for s in ctx.incons:
+        if Edge(s, DUMMY_ACTION) in ctx.open:
+            raise EngineInvariantError(f"state {s} in INCON and OPEN simultaneously")
     for s, node in ctx.nodes.items():
-        if node.in_be and node.in_closed:
-            raise EngineInvariantError(f"state {s} in BE and CLOSED at once")
-        if node.in_be != (s in ctx.be) or node.in_closed != (s in ctx.closed):
-            raise EngineInvariantError(f"membership flags out of sync for state {s}")
-        if node.in_incon != (s in ctx.incons):
-            raise EngineInvariantError(f"INCON flag out of sync for state {s}")
         if node.n_actions >= 0:
             if node.n_successors_generated > node.n_actions:
                 raise EngineInvariantError(f"state {s} over-generated successors")
-            if node.in_closed and node.n_successors_generated != node.n_actions:
+            if s in ctx.closed and node.n_successors_generated != node.n_actions:
                 raise EngineInvariantError(f"state {s} closed before all successors")
-        if node.in_incon and Edge(s, DUMMY_ACTION) in ctx.open:
-            raise EngineInvariantError(f"state {s} in INCON and OPEN simultaneously")

@@ -10,8 +10,8 @@ import time
 from enum import Enum
 from typing import IO, NamedTuple
 
-from .domain import DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain, SuccessorOutcome
-from .structures import INF, InconsistentSet, OpenQueue, SearchNode, edge_priority
+from .domain import DUMMY_ACTION, DomainError, Edge, EdgeCache, Path, SearchDomain, SuccessorOutcome
+from .structures import INF, OpenQueue, SearchNode, edge_priority
 
 EVENT_DUMMY_EXPAND = "dummy_expand"
 EVENT_EVAL_START = "eval_start"
@@ -43,7 +43,7 @@ class EngineInvariantError(AssertionError):
 
 class SearchState:
     """All search state of one planning episode.  OPEN stays empty until
-    :func:`seed_open_with_start`."""
+    :func:`seed_open_with_start`.  BE, CLOSED and INCON are sets of states."""
 
     def __init__(self, domain: SearchDomain, start: int, *,
                  log_enabled: bool = False) -> None:
@@ -54,7 +54,7 @@ class SearchState:
         self.open = OpenQueue()
         self.be: set[int] = set()
         self.closed: set[int] = set()
-        self.incons = InconsistentSet()
+        self.incons: set[int] = set()
         self.nodes: dict[int, SearchNode] = {}
         self.w = 1.0
         self.eps = 1.0
@@ -74,7 +74,10 @@ class SearchState:
     def ensure_node(self, state: int) -> SearchNode:
         node = self.nodes.get(state)
         if node is None:
-            node = SearchNode(h=self.domain.heuristic(state))
+            h = self.domain.heuristic(state)
+            if not h >= 0.0:  # also catches NaN
+                raise DomainError(f"state {state}: heuristic {h!r} is not >= 0")
+            node = SearchNode(h=h)
             self.nodes[state] = node
         return node
 
@@ -92,6 +95,15 @@ class SearchState:
             time.monotonic_ns(), self.iteration, worker, edge.state,
             edge.action, g, g + self.w * h, kind))
 
+    def evaluate(self, edge: Edge, worker: int) -> SuccessorOutcome:
+        """Evaluate a real edge through the edge cache, logged.  Takes no
+        lock: the engine calls it outside its critical section."""
+        g = self.nodes[edge.state].g
+        self.log(EVENT_EVAL_START, worker, edge, g)
+        outcome = self.cache.evaluate(self.domain, edge)
+        self.log(EVENT_EVAL_END, worker, edge, g)
+        return outcome
+
     def begin_pass(self, index: int, w: float, eps: float) -> None:
         """Zero the pass counters and reopen CLOSED; the caller then folds
         INCON into OPEN and re-keys OPEN at ``w``."""
@@ -100,8 +112,6 @@ class SearchState:
         self.eps = eps
         self.iter_dummy_expansions = 0
         self.iter_real_expansions = 0
-        for s in self.closed:
-            self.nodes[s].in_closed = False
         self.closed.clear()
 
     def begin_expansion(self, edge: Edge, worker: int) -> None:
@@ -114,7 +124,6 @@ class SearchState:
                 self.unjustified_reexpansions += 1
             node._g_expanded_prev = node.g_expanded
             node.g_expanded = node.g
-            node.in_be = True
             self.be.add(edge.state)
             node.n_actions = len(self.domain.actions(edge.state))
             node.n_successors_generated = 0
@@ -148,23 +157,20 @@ class SearchState:
             if succ.g > new_g:
                 succ.g = new_g
                 succ.parent = edge
-                if not succ.in_closed and not succ.in_be:
+                if succ_key not in self.closed and succ_key not in self.be:
                     self.open.upsert(Edge(succ_key, DUMMY_ACTION),
                                      edge_priority(new_g, succ.h, self.w), succ.h)
                 else:
-                    succ.in_incon = True
                     self.incons.add(succ_key)
                 self.log(EVENT_RELAX, worker, Edge(succ_key, DUMMY_ACTION), new_g)
         node.n_successors_generated += 1
         if node.n_successors_generated == node.n_actions:
-            if not node.in_be:
+            if s not in self.be:
                 raise EngineInvariantError(f"state {s} completed while not in BE")
             self._close(s, node, worker)
 
     def _close(self, state: int, node: SearchNode, worker: int) -> None:
-        node.in_be = False
         self.be.discard(state)
-        node.in_closed = True
         self.closed.add(state)
         self.log(EVENT_CLOSE, worker, Edge(state, DUMMY_ACTION), node.g)
 
@@ -183,9 +189,8 @@ class SearchState:
                 self.open.discard(Edge(s, a))
             node.n_successors_generated = 0
             node.n_actions = -1
-            node.in_be = False
             node.g_expanded = node._g_expanded_prev
-            if not node.in_incon:
+            if s not in self.incons:
                 self.open.upsert(Edge(s, DUMMY_ACTION),
                                  edge_priority(node.g, node.h, self.w), node.h)
         self.be.clear()

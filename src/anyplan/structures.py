@@ -1,5 +1,5 @@
-"""Shared mutable search state: OPEN queue of edges, BE/CLOSED/INCON sets,
-per-state records, and the independence-filtered pop.
+"""Shared mutable search state: OPEN queue of edges, per-state records, the
+independence-filtered pop and the INCON fold.
 
 None of these structures are thread safe on their own; the engine mutates
 them only inside its single exclusive critical section.
@@ -30,9 +30,6 @@ class SearchNode:
     g: float = INF
     h: float = 0.0
     parent: Edge | None = None
-    in_be: bool = False
-    in_closed: bool = False
-    in_incon: bool = False
     n_successors_generated: int = 0
     n_actions: int = -1
     g_expanded: float = INF
@@ -135,31 +132,6 @@ class OpenQueue:
         assert self._entries == sorted(self._entries)
 
 
-class InconsistentSet:
-    """States whose dummy edge was deferred to the next search iteration."""
-
-    def __init__(self) -> None:
-        self._states: set[int] = set()
-
-    def add(self, state: int) -> None:
-        self._states.add(state)
-
-    def __contains__(self, state: int) -> bool:
-        return state in self._states
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def __bool__(self) -> bool:
-        return bool(self._states)
-
-    def sorted_states(self) -> list[int]:
-        return sorted(self._states)
-
-    def clear(self) -> None:
-        self._states.clear()
-
-
 def _passes_pair(g_e: float, g_other: float, eps: float,
                  domain: SearchDomain, other: int, target: int) -> bool:
     # g differences <= 0 satisfy the inequality for any eps, h >= 0.
@@ -167,32 +139,6 @@ def _passes_pair(g_e: float, g_other: float, eps: float,
     if diff <= 0.0:
         return True
     return diff <= eps * domain.pairwise_heuristic(other, target)
-
-
-def is_independent(edge: Edge, open_queue: OpenQueue, be: set[int], eps: float,
-                   nodes: dict[int, SearchNode], domain: SearchDomain) -> bool:
-    """Whether no lower-priority OPEN edge or in-progress expansion can
-    reduce g(edge.state).
-
-    Checks every OPEN entry strictly ahead of ``edge`` in the tie-break
-    order, then every state under expansion.  ``eps=inf`` disables the
-    checks entirely.
-    """
-    if eps == INF:
-        return True
-    key = open_queue.key_of(edge)
-    if key is None:
-        raise ValueError(f"{edge} is not in OPEN")
-    g_e = nodes[edge.state].g
-    for entry in open_queue._entries:
-        if entry >= key:
-            break
-        if not _passes_pair(g_e, nodes[entry[2]].g, eps, domain, entry[2], edge.state):
-            return False
-    for s in be:
-        if not _passes_pair(g_e, nodes[s].g, eps, domain, s, edge.state):
-            return False
-    return True
 
 
 def pop_independent(open_queue: OpenQueue, be: set[int], eps: float,
@@ -229,11 +175,10 @@ def pop_independent(open_queue: OpenQueue, be: set[int], eps: float,
     return None
 
 
-def merge_incons(open_queue: OpenQueue, incons: InconsistentSet,
+def merge_incons(open_queue: OpenQueue, incons: set[int],
                  nodes: dict[int, SearchNode], w: float) -> None:
     """Move every deferred state's dummy edge into OPEN, keyed g + w*h."""
-    for s in incons.sorted_states():
+    for s in sorted(incons):
         node = nodes[s]
         open_queue.upsert(Edge(s, DUMMY_ACTION), edge_priority(node.g, node.h, w), node.h)
-        node.in_incon = False
     incons.clear()

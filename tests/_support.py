@@ -215,14 +215,6 @@ def all_pairs_optimal(domain, states) -> dict[tuple[int, int], float]:
     return table
 
 
-def engine_pop_trace(events) -> list[tuple[int, int, int]]:
-    """(iteration, state, action) pop sequence recovered from an expansion
-    log: dummy expansions and real-edge evaluation starts, in time order."""
-    picked = [ev for ev in events if ev.kind in ("dummy_expand", "eval_start")]
-    picked.sort(key=lambda ev: ev.t_ns)
-    return [(ev.iteration, ev.state, ev.action) for ev in picked]
-
-
 def committed_expansion_check(events) -> int:
     """Re-derive the local-inconsistency-at-expansion property from a log.
 

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,21 @@ from anyplan.domain import rewalk_cost
 from _support import grid_problem, make_world, open_world, random_obstacle_map_text
 
 SQ2 = math.sqrt(2)
+SRC = Path(__file__).resolve().parents[1] / "src" / "anyplan"
+
+
+@pytest.mark.parametrize("module", ["search.py", "baselines.py"])
+def test_serial_search_modules_do_not_import_threading(module):
+    # the one-thread replay check (C06) compares the engine against a search
+    # that has no threads and no locks of its own
+    tree = ast.parse((SRC / module).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "threading" not in imported
 
 
 def test_dijkstra_two_diagonal_steps_on_3x3():

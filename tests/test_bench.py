@@ -266,6 +266,36 @@ def test_cli_bad_spec_exits_2(tmp_path):
     assert main(["run", "--spec", str(spec_file), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_spec_file_with_flag_overrides(tmp_path, monkeypatch):
+    import anyplan.cli as cli
+
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda spec, progress=None: specs.append(spec) or [])
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    spec_file = spec_dir / "run.spec"
+    spec_file.write_text(spec_text(map="cross32.map", threads=1, pairs=3, epsilon=2.5,
+                                   timeout_ms=750, max_iterations=4, collision_step=2,
+                                   eval_delay_us=30))
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--spec", str(spec_file), "--threads", "2", "--pairs", "1",
+                     "--out", out]) == 0
+    spec = specs[-1]
+    assert spec.planner.n_threads == 2 and spec.pair_count == 1
+    assert spec.planner.epsilon == 2.5
+    assert spec.planner.time_budget == pytest.approx(0.75)
+    assert spec.planner.max_iterations == 4
+    assert spec.domain.collision_step == 2
+    assert spec.domain.eval_delay == pytest.approx(30e-6)
+    assert spec.map_path == str(spec_dir / "cross32.map")  # relative to the spec
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--spec", str(spec_file), "--map", "other.map",
+                     "--out", out]) == 0
+    assert specs[-1].map_path == "other.map"  # relative to the working directory
+    assert specs[-1].planner.n_threads == 1 and specs[-1].pair_count == 3
+
+
 def test_cli_flag_only_run(tmp_path):
     from anyplan.cli import main
 

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from anyplan.baselines import dijkstra_oracle
+from anyplan.baselines import ara_star, dijkstra_oracle
 from anyplan.controller import PlannerConfig, plan
 from anyplan.domain import (
     DUMMY_ACTION,
@@ -78,6 +78,32 @@ def test_plan_names_an_outcome_outside_the_contract(first_edge, what, n_threads)
     domain = bad_first_edge_domain(first_edge)
     with pytest.raises(DomainError, match=rf"Edge\(state=0, action=0\): {what}"):
         plan(PlannerConfig(w0=1.0, n_threads=n_threads), domain, 0)
+    assert_no_leaked_workers()
+
+
+class BadHeuristicChain(ToyGraphDomain):
+    """0 -> 1 -> 2 with the goal reachable; h(bad_state) breaks the contract."""
+
+    def __init__(self, bad_state, h):
+        super().__init__({0: (0, 0), 1: (1, 0), 2: (2, 0)},
+                         {0: [(1, 2.0)], 1: [(2, 3.0)], 2: []}, goals={2})
+        self.bad_state = bad_state
+        self.h = h
+
+    def heuristic(self, state):
+        return self.h if state == self.bad_state else super().heuristic(state)
+
+
+@pytest.mark.parametrize("h,what", [(math.nan, "nan"), (-1.0, "-1.0")])
+@pytest.mark.parametrize("bad_state", [0, 1])
+@pytest.mark.parametrize("planner", ["plan-1", "plan-2", "ara_star"])
+def test_a_heuristic_outside_the_contract_is_named(h, what, bad_state, planner):
+    domain = BadHeuristicChain(bad_state, h)
+    with pytest.raises(DomainError, match=rf"state {bad_state}: heuristic {what}"):
+        if planner == "ara_star":
+            ara_star(PlannerConfig(w0=1.0), domain, 0)
+        else:
+            plan(PlannerConfig(w0=1.0, n_threads=int(planner[-1])), domain, 0)
     assert_no_leaked_workers()
 
 

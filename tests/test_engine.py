@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 
@@ -20,7 +21,6 @@ from _support import (
     ToyGraphDomain,
     assert_no_leaked_workers,
     committed_expansion_check,
-    engine_pop_trace,
     grid_problem,
     make_world,
     max_eval_overlap,
@@ -70,7 +70,6 @@ def test_dummy_expansion_spills_real_edges_at_g_plus_wh():
     ctx.w = 3.0
     node = ctx.nodes[problem.start]
     # simulate the pop-time bookkeeping the coordinator performs
-    node.in_be = True
     ctx.be.add(problem.start)
     node.n_actions = 8
     node.n_successors_generated = 0
@@ -88,7 +87,6 @@ def test_real_edge_relaxation_routes_fresh_state_to_open():
     ctx = EpisodeContext(problem, problem.start, 1)
     ctx.w = 2.0
     node = ctx.nodes[problem.start]
-    node.in_be = True
     ctx.be.add(problem.start)
     node.n_actions = 8
     expand_edge(ctx, Edge(problem.start, DUMMY_ACTION), 0)
@@ -105,7 +103,6 @@ def test_real_edge_relaxation_routes_fresh_state_to_open():
         assert f == pytest.approx(succ.g + 2.0 * succ.h)
         assert succ.parent.state == problem.start
     # source closed after the last real edge
-    assert ctx.nodes[problem.start].in_closed
     assert problem.start in ctx.closed and problem.start not in ctx.be
 
 
@@ -178,6 +175,11 @@ def test_backtrack_broken_chain_is_invariant_violation():
         backtrack(ctx, stray)
 
 
+def untimed(events):
+    """The event log less the time stamps and the worker ids."""
+    return [ev._replace(t_ns=0, worker=0) for ev in events]
+
+
 def test_single_thread_trace_matches_serial_repair_search():
     for seed in range(10):
         world = make_world(random_obstacle_map_text(16, 16, 0.2, seed=seed))
@@ -191,8 +193,9 @@ def test_single_thread_trace_matches_serial_repair_search():
         engine_run = plan(cfg, engine_problem, engine_problem.start, log_events=True)
         serial_problem = grid_problem(world, start, goal)
         serial_run = ara_star(cfg, serial_problem, serial_problem.start,
-                              collect_trace=True)
-        assert engine_pop_trace(engine_run.events) == serial_run.trace
+                              log_events=True)
+        assert engine_run.events
+        assert untimed(engine_run.events) == untimed(serial_run.events)
         assert engine_run.published_costs == serial_run.published_costs
 
 
@@ -273,6 +276,60 @@ def test_worker_error_surfaces_as_engine_error():
 
     with pytest.raises(EngineError):
         plan(PlannerConfig(w0=1.0, n_threads=2), ExplodingDomain(4), 0)
+    assert_no_leaked_workers()
+
+
+class FailingStar(StarDomain):
+    """A star whose ``fail_at``-th evaluate call raises ``error``.  With
+    ``hold`` set, every other call stays in flight until that failure."""
+
+    def __init__(self, fail_at: int, hold: bool):
+        super().__init__(8)
+        self.fail_at = fail_at
+        self.hold = hold
+        self.calls = itertools.count(1)
+        self.failed = threading.Event()
+        self.error = RuntimeError(f"evaluate call {fail_at} failed")
+
+    def evaluate(self, state, action):
+        if next(self.calls) == self.fail_at:
+            self.failed.set()
+            raise self.error
+        if self.hold:
+            self.failed.wait(timeout=5.0)
+        return super().evaluate(state, action)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_evaluate_raising_on_its_kth_call_is_the_engine_error_cause(n_threads):
+    from anyplan.engine import EngineError
+
+    # at two threads the first call is still in flight when the second raises
+    domain = FailingStar(fail_at=2, hold=n_threads > 1)
+    with pytest.raises(EngineError) as info:
+        plan(PlannerConfig(w0=1.0, n_threads=n_threads), domain, 0)
+    assert info.value.__cause__ is domain.error
+    assert_no_leaked_workers()
+
+
+def test_evaluate_raising_on_its_kth_call_leaves_ara_star_unchanged():
+    domain = FailingStar(fail_at=2, hold=False)
+    with pytest.raises(RuntimeError) as info:
+        ara_star(PlannerConfig(w0=1.0), domain, 0)
+    assert info.value is domain.error
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_sink_error_leaves_plan_unchanged(n_threads):
+    error = RuntimeError("sink failed")
+
+    def sink(record):
+        raise error
+
+    problem = grid_problem(open_world(6), (0, 0), (5, 5))
+    with pytest.raises(RuntimeError) as info:
+        plan(PlannerConfig(w0=3.0, n_threads=n_threads), problem, problem.start, sink=sink)
+    assert info.value is error
     assert_no_leaked_workers()
 
 

@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 from anyplan.domain import DUMMY_ACTION, Edge
 from anyplan.structures import (
     INF,
-    InconsistentSet,
     OpenQueue,
     SearchNode,
     edge_priority,
-    is_independent,
     merge_incons,
     pop_independent,
 )
 
-from _support import ToyGraphDomain, independence_oracle, pop_oracle
+from _support import ToyGraphDomain, pop_oracle
 
 
 def test_edge_priority_direct_substitution():
@@ -118,31 +116,6 @@ def grid_for_independence(n=6):
     return ToyGraphDomain(coords, edges)
 
 
-def test_is_independent_vacuous_with_singleton_open():
-    domain = grid_for_independence()
-    nodes = {0: SearchNode(g=5.0)}
-    q = make_queue([(Edge(0, DUMMY_ACTION), 5.0, 0.0)])
-    assert is_independent(Edge(0, DUMMY_ACTION), q, set(), 1.0, nodes, domain)
-
-
-def test_is_independent_direct_be_substitution():
-    # g(e.s)=10 vs BE state with g=8, distance 5: 2 <= 5 -> independent
-    domain = grid_for_independence()
-    nodes = {0: SearchNode(g=10.0), 5: SearchNode(g=8.0)}
-    q = make_queue([(Edge(0, DUMMY_ACTION), 10.0, 0.0)])
-    assert is_independent(Edge(0, DUMMY_ACTION), q, {5}, 1.0, nodes, domain)
-    # shrink the slack: distance(0, 5) = 5 cells; make the gap exceed eps*h
-    nodes[5].g = 10.0 - 5.0 - 1.0
-    assert not is_independent(Edge(0, DUMMY_ACTION), q, {5}, 1.0, nodes, domain)
-
-
-def test_is_independent_eps_inf_disables_checks():
-    domain = grid_for_independence()
-    nodes = {0: SearchNode(g=100.0), 5: SearchNode(g=0.0)}
-    q = make_queue([(Edge(0, DUMMY_ACTION), 100.0, 0.0)])
-    assert is_independent(Edge(0, DUMMY_ACTION), q, {5}, INF, nodes, domain)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_pop_independent_matches_bruteforce_oracle(data):
@@ -169,10 +142,6 @@ def test_pop_independent_matches_bruteforce_oracle(data):
     assert got == expected
     if expected is not None:
         assert expected not in q
-    # the oracle agrees with is_independent on every remaining edge
-    for edge, _f in q.entries():
-        assert is_independent(edge, q, set(be_states), eps, nodes, domain) == \
-            independence_oracle(edge, q, set(be_states), eps, nodes, domain)
 
 
 def test_pop_independent_single_edge_is_vacuously_independent():
@@ -181,6 +150,19 @@ def test_pop_independent_single_edge_is_vacuously_independent():
     q = make_queue([(Edge(0, DUMMY_ACTION), 3.0, 0.0)])
     assert pop_independent(q, set(), 1.0, nodes, domain) == Edge(0, DUMMY_ACTION)
     assert len(q) == 0
+
+
+def test_pop_independent_direct_be_substitution():
+    # g(e.s)=10 vs BE state with g=8, distance 5: 2 <= 5 -> independent
+    domain = grid_for_independence()
+    nodes = {0: SearchNode(g=10.0), 5: SearchNode(g=8.0)}
+    q = make_queue([(Edge(0, DUMMY_ACTION), 10.0, 0.0)])
+    assert pop_independent(q, {5}, 1.0, nodes, domain) == Edge(0, DUMMY_ACTION)
+    # shrink the slack: distance(0, 5) = 5 cells; make the gap exceed eps*h
+    nodes[5].g = 10.0 - 5.0 - 1.0
+    q = make_queue([(Edge(0, DUMMY_ACTION), 10.0, 0.0)])
+    assert pop_independent(q, {5}, 1.0, nodes, domain) is None
+    assert len(q) == 1
 
 
 def test_pop_independent_returns_none_when_nothing_qualifies():
@@ -235,25 +217,24 @@ def test_rebalance_empty_queue_is_noop():
 def test_merge_incons_empty_leaves_open_unchanged():
     q = make_queue([(Edge(1, DUMMY_ACTION), 4.0, 1.0)])
     before = list(q.entries())
-    merge_incons(q, InconsistentSet(), {1: SearchNode(g=3.0, h=1.0)}, 3.0)
+    merge_incons(q, set(), {1: SearchNode(g=3.0, h=1.0)}, 3.0)
     assert list(q.entries()) == before
 
 
 def test_merge_incons_keys_dummy_at_g_plus_wh():
-    nodes = {5: SearchNode(g=4.0, h=2.0, in_incon=True)}
-    incons = InconsistentSet()
+    nodes = {5: SearchNode(g=4.0, h=2.0)}
+    incons = set()
     incons.add(5)
     q = OpenQueue()
     merge_incons(q, incons, nodes, 3.0)
     assert q.key_of(Edge(5, DUMMY_ACTION))[0] == pytest.approx(10.0)
     assert len(incons) == 0
-    assert not nodes[5].in_incon
 
 
 def test_merge_incons_state_in_both_open_and_incon_single_entry():
-    nodes = {5: SearchNode(g=4.0, h=2.0, in_incon=True)}
+    nodes = {5: SearchNode(g=4.0, h=2.0)}
     q = make_queue([(Edge(5, DUMMY_ACTION), 99.0, 2.0)])
-    incons = InconsistentSet()
+    incons = set()
     incons.add(5)
     merge_incons(q, incons, nodes, 3.0)
     q.check_no_duplicates()
