@@ -5,7 +5,6 @@ and the serial ``baselines.ara_star``."""
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable

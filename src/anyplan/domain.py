@@ -52,8 +52,8 @@ class SearchDomain(ABC):
     """Abstract planning domain.
 
     Implementations must be safe for concurrent ``evaluate`` calls on
-    distinct edges; ``heuristic``/``pairwise_heuristic`` must be cheap (they
-    run inside the engine's critical section).
+    distinct edges; ``heuristic``/``pairwise_heuristic`` must be cheap
+    (heuristics run on the coordinator).
     """
 
     @abstractmethod
@@ -111,9 +111,10 @@ class EdgeCache:
     Guarantees at most one domain evaluation per distinct edge per episode,
     and checks each new outcome against the domain contract once, raising
     :class:`DomainError` before it is stored.
-    Concurrent callers must present distinct edges (the engine pops each edge
-    exactly once), so no per-key blocking is needed; the lock only protects
-    the dict itself.
+    The engine's workers, which only evaluate, write outcomes through it
+    while its coordinator reads it; concurrent callers present distinct
+    edges (the engine pops each edge exactly once), so no per-key blocking
+    is needed, and the lock only protects the dict itself.
     """
 
     def __init__(self) -> None:

@@ -1,36 +1,32 @@
-"""Parallel edge-expansion engine.
+"""Parallel edge-expansion engine: a single-writer coordinator and
+evaluation-only workers.
 
-One coordinator thread runs the search loop: it pops the lowest-priority
-independent edge from OPEN and hands it to an idle edge-expansion worker.
-Up to ``n_threads`` workers evaluate edges concurrently; every move on the
-shared :class:`~anyplan.search.SearchState` happens inside one exclusive
-critical section, and the slow domain evaluation is the only work performed
-outside it.
-
-Deviations from a naive reading of the handoff protocol, both required for
-correctness (see tests):
-
-* a dummy-popped state enters BE atomically with the pop, so a concurrent
-  independence check can never miss an expansion that is on its way to a
-  worker but has not locked yet;
-* the coordinator pops only when an idle worker exists, so a popped edge is
-  assigned immediately and ``n_threads=1`` degenerates to the serial search.
+The coordinator owns the state: the thread in :func:`improve_path` alone
+changes the :class:`~anyplan.search.SearchState`.  It pops independent
+edges, spills dummy edges and relaxes edge-cache hits itself, and hands
+each cache miss to an idle worker.  Workers only evaluate: each takes edges
+from its own inbox and puts the outcomes on one completion queue, which the
+coordinator lands.  It pops only when an idle worker exists, so a popped
+edge never waits and ``n_threads=1`` replays the serial search.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .domain import DUMMY_ACTION, DomainError, Edge, SearchDomain
+from .domain import DUMMY_ACTION, DomainError, Edge, SearchDomain, SuccessorOutcome
 from .search import EngineInvariantError, ImproveOutcome, SearchState
 # The engine's callers also reach these through this module.
 from .search import backtrack, seed_open_with_start, write_expansion_log  # noqa: F401
 from .structures import INF, pop_independent
 
-#: Timed fallback for every blocking wait; bounds staleness at shutdown and
-#: after missed notifications (seconds).
+#: How long the coordinator waits for a completion before it re-checks the
+#: deadline and OPEN (seconds).  A wait with no timeout measured slower at
+#: one worker on 2 ms edges: with no thread polling, the host woke the
+#: sleeping workers later.
 WAIT_SLICE = 1e-4
 
 
@@ -40,28 +36,25 @@ class EngineError(RuntimeError):
 
 @dataclass(slots=True)
 class _WorkerSlot:
-    """A worker thread and the edge it is expanding (None while idle)."""
+    """A worker thread, its inbox and the edge it evaluates (None while idle)."""
 
     thread: threading.Thread | None = None
     pending: Edge | None = None
+    inbox: queue.SimpleQueue = field(default_factory=queue.SimpleQueue)
 
 
 class EpisodeContext(SearchState):
-    """All shared state of one planning episode.
-
-    Owned by the coordinator (the thread that calls :func:`improve_path`);
-    shared with the workers.  Everything except ``terminate``, the event
-    list and the edge cache is guarded by ``cv``'s lock.
-    """
+    """All state of one planning episode.  The coordinator owns the state;
+    workers only evaluate, and touch only the edge cache (through its lock),
+    the event log and the completion queue ``done``."""
 
     def __init__(self, domain: SearchDomain, start: int, n_threads: int, *,
                  log_enabled: bool = True, debug_checks: bool = False) -> None:
         if n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
         super().__init__(domain, start, log_enabled=log_enabled)
-        self.cv = threading.Condition()
         self.slots = [_WorkerSlot() for _ in range(n_threads)]
-        self.terminate = threading.Event()
+        self.done: queue.SimpleQueue = queue.SimpleQueue()
         self.worker_error: BaseException | None = None
         self.debug_checks = debug_checks
 
@@ -69,53 +62,54 @@ class EpisodeContext(SearchState):
 def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
     """One bounded-suboptimal search pass at the context's current w/eps.
 
-    Loops while the incumbent goal priority exceeds OPEN's minimum; pops the
-    cheapest independent edge and hands it to an idle worker, blocking when
-    none qualifies or none is idle.  On exit, in-flight expansions are
-    drained and partially expanded states are collapsed back to dummy edges
-    so BE is empty between passes.
+    Runs on the coordinator, which owns the state; workers only evaluate.
+    Loops while the incumbent goal priority exceeds OPEN's minimum: lands
+    completed evaluations, pops the cheapest independent edge and expands
+    it.  On exit, in-flight evaluations are landed and partially expanded
+    states are collapsed back to dummy edges so BE is empty between passes.
     """
-    cv = ctx.cv
-    with cv:
-        while True:
-            if ctx.worker_error is not None:
-                _drain_locked(ctx)
-                if isinstance(ctx.worker_error, DomainError):
-                    raise ctx.worker_error  # the domain's fault, named as such
-                raise EngineError("edge-expansion worker failed") from ctx.worker_error
-            if time.monotonic() >= ctx.deadline:
-                _drain_locked(ctx)
+    while True:
+        _land(ctx, wait=False)
+        if ctx.worker_error is not None or time.monotonic() >= ctx.deadline:
+            _drain(ctx)  # a worker's error may land here too: it is raised
+            if ctx.worker_error is None:
                 ctx.recollapse()
                 return ImproveOutcome.TIMEOUT
-            if ctx.goal_found is not None and ctx.goal_g() <= ctx.open.min_f():
-                # Declare termination only at a quiescent instant: an
-                # in-flight expansion may still push an edge under the
-                # incumbent's priority, so let it land and re-check.  This
-                # is what makes one-thread runs replay the serial search.
-                if any(slot.pending is not None for slot in ctx.slots):
-                    cv.wait(WAIT_SLICE)
-                    continue
-                ctx.recollapse()
-                return ImproveOutcome.SOLVED
-            if not ctx.open and not ctx.be:
-                # BE empty implies no expansion in flight: truly exhausted.
-                return ImproveOutcome.EXHAUSTED
-            wid = _find_idle_slot(ctx)
-            if wid is None:
-                cv.wait(WAIT_SLICE)
+            if isinstance(ctx.worker_error, DomainError):
+                raise ctx.worker_error  # the domain's fault, named as such
+            raise EngineError("edge-expansion worker failed") from ctx.worker_error
+        if ctx.goal_found is not None and ctx.goal_g() <= ctx.open.min_f():
+            # Declare termination only at a quiescent instant: an in-flight
+            # evaluation may still push an edge under the incumbent's
+            # priority, so land it and re-check.  This is what makes
+            # one-thread runs replay the serial search.
+            if _busy(ctx):
+                _land(ctx, wait=True)
                 continue
-            # With a single gated worker no expansion is ever concurrent
-            # with a pop, so the independence filter adds no guarantee;
-            # popping the minimum replays the serial repair search exactly.
-            eps = ctx.eps if len(ctx.slots) > 1 else INF
-            edge = pop_independent(ctx.open, ctx.be, eps, ctx.nodes, ctx.domain)
-            if edge is None:
-                cv.wait(WAIT_SLICE)
-                continue
-            ctx.begin_expansion(edge, wid)
-            _assign_locked(ctx, wid, edge)
-            if ctx.debug_checks:
-                validate_invariants(ctx)
+            ctx.recollapse()
+            return ImproveOutcome.SOLVED
+        if not ctx.open and not ctx.be:
+            # BE empty implies no evaluation in flight: truly exhausted.
+            return ImproveOutcome.EXHAUSTED
+        wid = _find_idle_slot(ctx)
+        # With a single worker no evaluation is ever in flight during a pop,
+        # so the independence filter adds no guarantee; popping the minimum
+        # replays the serial repair search exactly.
+        eps = ctx.eps if len(ctx.slots) > 1 else INF
+        edge = None if wid is None else pop_independent(
+            ctx.open, ctx.be, eps, ctx.nodes, ctx.domain)
+        if edge is None:
+            _land(ctx, wait=True)
+            continue
+        ctx.begin_expansion(edge, wid)
+        if edge.action == DUMMY_ACTION:
+            ctx.spill(edge.state, wid)
+        elif ctx.cache.get(edge) is not None:
+            ctx.relax(edge, ctx.evaluate(edge, wid), wid)  # a hit, still logged
+        else:
+            _assign(ctx, wid, edge)
+        if ctx.debug_checks:
+            validate_invariants(ctx)
 
 
 def _find_idle_slot(ctx: EpisodeContext) -> int | None:
@@ -125,84 +119,79 @@ def _find_idle_slot(ctx: EpisodeContext) -> int | None:
     return None
 
 
-def _assign_locked(ctx: EpisodeContext, wid: int, edge: Edge) -> None:
+def _busy(ctx: EpisodeContext) -> bool:
+    return any(slot.pending is not None for slot in ctx.slots)
+
+
+def _assign(ctx: EpisodeContext, wid: int, edge: Edge) -> None:
     slot = ctx.slots[wid]
     if slot.pending is not None:
         raise EngineInvariantError(f"worker {wid} assigned {edge} while expanding {slot.pending}")
     slot.pending = edge
     if slot.thread is None:  # spawned lazily on first assignment
         slot.thread = threading.Thread(
-            target=_worker_loop, args=(ctx, wid),
+            target=_worker_loop, args=(ctx, slot.inbox, wid),
             name=f"anyplan-worker-{wid}", daemon=True)
         slot.thread.start()
-    ctx.cv.notify_all()
+    slot.inbox.put(edge)
 
 
-def _drain_locked(ctx: EpisodeContext) -> None:
-    """Wait (holding cv) until no expansion is in flight."""
-    while any(slot.pending is not None for slot in ctx.slots):
-        ctx.cv.wait(WAIT_SLICE)
+def _land(ctx: EpisodeContext, wait: bool) -> None:
+    """Land every completed evaluation already queued; with ``wait``, first
+    wait up to WAIT_SLICE for one.  A worker's exception is kept in
+    ``worker_error`` (the first one wins) instead of being relaxed."""
+    try:
+        item = ctx.done.get(wait, WAIT_SLICE)
+        while True:
+            wid, edge, result = item
+            ctx.slots[wid].pending = None
+            if isinstance(result, BaseException):
+                if ctx.worker_error is None:
+                    ctx.worker_error = result
+            else:
+                ctx.relax(edge, result, wid)
+                if ctx.debug_checks:
+                    validate_invariants(ctx)
+            item = ctx.done.get_nowait()
+    except queue.Empty:
+        pass
 
 
-def _worker_loop(ctx: EpisodeContext, wid: int) -> None:
-    """Body of one edge-expansion thread (spawned lazily)."""
-    slot = ctx.slots[wid]
-    cv = ctx.cv
-    while True:
-        with cv:
-            while slot.pending is None and not ctx.terminate.is_set():
-                cv.wait(WAIT_SLICE)
-            edge = slot.pending
-        if edge is None:
-            return
+def _drain(ctx: EpisodeContext) -> None:
+    """Land completions until no evaluation is in flight."""
+    while _busy(ctx):
+        _land(ctx, wait=True)
+
+
+def _worker_loop(ctx: EpisodeContext, inbox: queue.SimpleQueue, wid: int) -> None:
+    """Body of one evaluation thread (spawned lazily); None stops it."""
+    while (edge := inbox.get()) is not None:
         try:
-            expand_edge(ctx, edge, wid)
-        except BaseException as exc:  # surfaced to the coordinator
-            with cv:
-                ctx.worker_error = exc
-        finally:
-            with cv:
-                slot.pending = None
-                cv.notify_all()
+            result = expand_edge(ctx, edge, wid)
+        except BaseException as exc:  # re-raised on the coordinator
+            result = exc
+        ctx.done.put((wid, edge, result))
 
 
-def expand_edge(ctx: EpisodeContext, edge: Edge, wid: int) -> None:
-    """Expand one popped edge (runs on a worker thread, unlocked on entry).
-
-    Dummy edges spill the state's real edges into OPEN.  Real edges evaluate
-    outside the critical section, then relax their successor under the lock
-    (see :meth:`SearchState.relax`).
-    """
-    if edge.action == DUMMY_ACTION:
-        with ctx.cv:
-            ctx.spill(edge.state, wid)
-            if ctx.debug_checks:
-                validate_invariants(ctx)
-            ctx.cv.notify_all()
-        return
-
-    outcome = ctx.evaluate(edge, wid)  # the slow part, unlocked
-    with ctx.cv:
-        ctx.relax(edge, outcome, wid)
-        if ctx.debug_checks:
-            validate_invariants(ctx)
-        ctx.cv.notify_all()
+def expand_edge(ctx: EpisodeContext, edge: Edge, wid: int) -> SuccessorOutcome:
+    """Evaluate one real edge, an edge-cache miss, on worker ``wid``.  The
+    coordinator relaxes the outcome when it lands."""
+    return ctx.evaluate(edge, wid)
 
 
 def shutdown(ctx: EpisodeContext, join_timeout: float = 5.0) -> None:
-    """Set the terminate flag once and join every spawned worker."""
-    ctx.terminate.set()
-    with ctx.cv:
-        ctx.cv.notify_all()
-    for slot in ctx.slots:
-        if slot.thread is not None:
-            slot.thread.join(timeout=join_timeout)
-            if slot.thread.is_alive():
-                raise EngineError(f"worker {slot.thread.name} failed to stop")
+    """Stop and join every spawned worker."""
+    spawned = [slot for slot in ctx.slots if slot.thread is not None]
+    for slot in spawned:
+        slot.inbox.put(None)
+    for slot in spawned:
+        slot.thread.join(timeout=join_timeout)
+        if slot.thread.is_alive():
+            raise EngineError(f"worker {slot.thread.name} failed to stop")
 
 
 def validate_invariants(ctx: EpisodeContext) -> None:
-    """Debug-mode consistency audit; call while holding the lock."""
+    """Debug-mode consistency audit, run by the coordinator after every move."""
     ctx.open.check_no_duplicates()
     both = ctx.be & ctx.closed
     if both:

@@ -1,7 +1,8 @@
 """The state of one repair search and every move of the edge-expansion
 discipline on it, without locks.  The serial repair search
-(``baselines.ara_star``) makes these moves from one thread; the parallel
-engine subclasses the state and makes them inside its critical section."""
+(``baselines.ara_star``) makes these moves from one thread.  So does the
+parallel engine: its coordinator owns the state, and its workers only
+evaluate."""
 
 from __future__ import annotations
 
@@ -96,8 +97,9 @@ class SearchState:
             edge.action, g, g + self.w * h, kind))
 
     def evaluate(self, edge: Edge, worker: int) -> SuccessorOutcome:
-        """Evaluate a real edge through the edge cache, logged.  Takes no
-        lock: the engine calls it outside its critical section."""
+        """Evaluate a real edge through the edge cache, logged.  The one
+        call the engine's workers make: it writes only the edge cache and
+        the event log."""
         g = self.nodes[edge.state].g
         self.log(EVENT_EVAL_START, worker, edge, g)
         outcome = self.cache.evaluate(self.domain, edge)
@@ -116,8 +118,8 @@ class SearchState:
 
     def begin_expansion(self, edge: Edge, worker: int) -> None:
         """Pop-time bookkeeping of ``edge``, just taken off OPEN.  A dummy
-        edge's state enters BE at once, so no independence check can miss
-        an expansion on its way to a worker."""
+        edge's state enters BE here and stays there until its last real
+        edge is relaxed, so the independence check sees it throughout."""
         node = self.nodes[edge.state]
         if edge.action == DUMMY_ACTION:
             if node.g >= node.g_expanded:

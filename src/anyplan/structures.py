@@ -1,8 +1,8 @@
 """Shared mutable search state: OPEN queue of edges, per-state records, the
 independence-filtered pop and the INCON fold.
 
-None of these structures are thread safe on their own; the engine mutates
-them only inside its single exclusive critical section.
+None of these structures are thread safe; in the engine only the
+coordinator, which owns the state, changes them.
 """
 
 from __future__ import annotations

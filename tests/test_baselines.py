@@ -28,6 +28,15 @@ def test_serial_search_modules_do_not_import_threading(module):
     assert "threading" not in imported
 
 
+def test_engine_uses_no_lock_condition_or_event():
+    # the coordinator is the only writer of the search state; workers reach
+    # it only through queues and the edge cache's own lock
+    tree = ast.parse((SRC / "engine.py").read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"Condition", "Lock", "RLock", "Event"}
+
+
 def test_dijkstra_two_diagonal_steps_on_3x3():
     problem = grid_problem(open_world(3), (0, 0), (2, 2))
     res = dijkstra_oracle(problem, problem.start)

@@ -1,4 +1,3 @@
-import json
 import math
 from pathlib import Path
 
@@ -17,8 +16,6 @@ from anyplan.bench import (
     run_experiment,
     run_metrics_from_json,
 )
-from anyplan.controller import PlannerConfig
-from anyplan.grid2d import GridDomainConfig
 
 MAPS = Path(__file__).resolve().parents[1] / "maps"
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import threading
+import time
 
 import pytest
 
@@ -73,7 +75,7 @@ def test_dummy_expansion_spills_real_edges_at_g_plus_wh():
     ctx.be.add(problem.start)
     node.n_actions = 8
     node.n_successors_generated = 0
-    expand_edge(ctx, Edge(problem.start, DUMMY_ACTION), 0)
+    ctx.spill(problem.start, 0)
     assert ctx.be == {problem.start}
     assert len(ctx.open) == 8
     expected_f = node.g + 3.0 * node.h
@@ -89,10 +91,11 @@ def test_real_edge_relaxation_routes_fresh_state_to_open():
     node = ctx.nodes[problem.start]
     ctx.be.add(problem.start)
     node.n_actions = 8
-    expand_edge(ctx, Edge(problem.start, DUMMY_ACTION), 0)
+    ctx.spill(problem.start, 0)
     for a in range(8):
-        ctx.open.discard(Edge(problem.start, a))
-        expand_edge(ctx, Edge(problem.start, a), 0)
+        edge = Edge(problem.start, a)
+        ctx.open.discard(edge)
+        ctx.relax(edge, expand_edge(ctx, edge, 0), 0)
     # all 8 successors relaxed: their dummy edges are in OPEN at g + w*h
     assert len(ctx.open) == 8
     for edge, f in ctx.open.entries():
@@ -150,6 +153,22 @@ def test_worker_overlap_with_eight_threads_and_slow_edges():
     assert result.status == "infeasible"  # star has no goal: exhausts
     overlap = max_eval_overlap(result.events)
     assert overlap >= 6, f"peak concurrent evaluations {overlap}"
+    assert_no_leaked_workers()
+
+
+def test_eight_workers_land_every_completion_under_fast_thread_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = plan(PlannerConfig(w0=1.0, n_threads=8, time_budget=30.0),
+                      StarDomain(64), 0, debug_checks=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.status == "infeasible"  # exhausted well inside the budget
+    ctx = result.context
+    assert ctx.cache.misses == 64
+    assert len(ctx.closed) == 65  # the hub closes only once all 64 relaxed
+    assert all(ctx.nodes[s].g == 1.0 for s in range(1, 65))
     assert_no_leaked_workers()
 
 
@@ -312,6 +331,22 @@ def test_evaluate_raising_on_its_kth_call_is_the_engine_error_cause(n_threads):
     assert_no_leaked_workers()
 
 
+def test_evaluate_raising_after_the_deadline_is_still_the_engine_error_cause():
+    from anyplan.engine import EngineError
+
+    error = RuntimeError("evaluate failed after the deadline")
+
+    class LateFailingStar(StarDomain):
+        def evaluate(self, state, action):
+            time.sleep(0.05)
+            raise error
+
+    with pytest.raises(EngineError) as info:
+        plan(PlannerConfig(w0=1.0, time_budget=0.01), LateFailingStar(4), 0)
+    assert info.value.__cause__ is error
+    assert_no_leaked_workers()
+
+
 def test_evaluate_raising_on_its_kth_call_leaves_ara_star_unchanged():
     domain = FailingStar(fail_at=2, hold=False)
     with pytest.raises(RuntimeError) as info:
@@ -345,4 +380,43 @@ def test_infeasible_instance_exhausts_cleanly():
     result = plan(PlannerConfig(w0=3.0, n_threads=2), problem, problem.start)
     assert result.status == "infeasible"
     assert result.records == []
+    assert_no_leaked_workers()
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_only_cache_misses_reach_a_worker(n_threads, monkeypatch):
+    import anyplan.engine
+
+    handed = []
+    original = anyplan.engine.expand_edge
+
+    def recording(ctx, edge, wid):
+        handed.append((edge, threading.current_thread().name))
+        return original(ctx, edge, wid)
+
+    monkeypatch.setattr(anyplan.engine, "expand_edge", recording)
+    world = open_world(18, footprint=2, move=2, cost="random_factor", cost_seed=5)
+    problem = grid_problem(world, (0, 0), (14, 14))
+    result = plan(PlannerConfig(w0=50.0, delta_w=0.5, n_threads=n_threads),
+                  problem, problem.start)
+    assert result.status == "proved_optimal"
+    assert result.context.cache.hits > 0  # the coordinator expanded these itself
+    assert all(edge.action != DUMMY_ACTION for edge, _ in handed)
+    assert all(name.startswith("anyplan-worker-") for _, name in handed)
+    assert len(handed) == result.context.cache.misses
+
+
+def test_deadline_passing_with_evaluations_in_flight_lands_them_all():
+    delay, budget = 0.05, 0.01
+    t0 = time.monotonic()
+    result = plan(PlannerConfig(w0=1.0, n_threads=4, time_budget=budget),
+                  StarDomain(16, delay=delay), 0, log_events=True)
+    elapsed = time.monotonic() - t0
+    assert result.status == "timeout"
+    assert result.context.be == set()
+    starts = [(ev.state, ev.action) for ev in result.events if ev.kind == "eval_start"]
+    ends = [(ev.state, ev.action) for ev in result.events if ev.kind == "eval_end"]
+    assert starts and sorted(starts) == sorted(ends)
+    assert result.context.cache.misses == len(ends)
+    assert elapsed < budget + delay + 0.5
     assert_no_leaked_workers()
