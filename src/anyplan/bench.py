@@ -405,10 +405,10 @@ def emit_outputs(summary: Summary, out_dir: str | FsPath) -> list[FsPath]:
 # ---------------------------------------------------------------------------
 # Flat key=value run-spec files
 
-_SPEC_KEYS = {
+SPEC_KEYS = {
     "algo": str, "map": str, "scale": int, "cost": str, "cost_seed": int,
     "pairs": int, "pair_seed": int, "reps": int, "threads": int,
-    "w0": float, "dw": float, "epsilon": str, "timeout_ms": float, "seed": int,
+    "w0": float, "dw": float, "epsilon": str, "timeout_ms": float,
     "max_iterations": int, "footprint": int, "move": int,
     "collision_step": int, "eval_delay_us": float,
 }
@@ -439,10 +439,10 @@ def parse_spec_values(text: str) -> dict[str, object]:
         key, _, rhs = line.partition("=")
         key = key.strip()
         rhs = rhs.strip()
-        if key not in _SPEC_KEYS:
+        if key not in SPEC_KEYS:
             raise SpecError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _SPEC_KEYS[key](rhs)
+            values[key] = SPEC_KEYS[key](rhs)
         except ValueError as exc:
             raise SpecError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     if "algo" not in values or "map" not in values:
@@ -469,7 +469,6 @@ def build_run_spec(values: dict, base_dir: str | FsPath = ".") -> RunSpec:
             epsilon=epsilon,
             n_threads=int(values.get("threads", 1)),
             time_budget=math.inf if timeout_ms is None else float(timeout_ms) / 1e3,
-            rng_seed=int(values.get("seed", 0)),
             max_iterations=values.get("max_iterations"),
         )
         domain = GridDomainConfig(

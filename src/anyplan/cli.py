@@ -16,6 +16,7 @@ from pathlib import Path as FsPath
 from .baselines import dijkstra_oracle
 from .bench import (
     ALGORITHMS,
+    SPEC_KEYS,
     SpecError,
     aggregate,
     build_run_spec,
@@ -40,7 +41,6 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cost", choices=["euclidean", "random"])
     p.add_argument("--cost-seed", type=int, dest="cost_seed")
     p.add_argument("--threads", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--w0", type=float)
     p.add_argument("--dw", type=float)
     p.add_argument("--timeout-ms", type=float, dest="timeout_ms")
@@ -53,10 +53,7 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    keys = ("map", "algo", "cost", "cost_seed", "threads", "seed", "w0", "dw",
-            "timeout_ms", "eval_delay_us", "pairs", "pair_seed", "reps",
-            "footprint", "move")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    return {k: v for k, v in vars(args).items() if k in SPEC_KEYS and v is not None}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -47,7 +47,6 @@ class PlannerConfig:
     epsilon: float | None = None
     n_threads: int = 1
     time_budget: float = INF
-    rng_seed: int = 0
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:

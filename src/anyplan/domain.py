@@ -43,17 +43,19 @@ INVALID_OUTCOME = SuccessorOutcome(False)
 
 
 class DomainError(Exception):
-    """A domain returned an outcome outside the contract: a valid outcome
-    whose cost is not finite and non-negative, or whose successor is not an
-    int state handle."""
+    """The planner rejected a value a domain gave it: a valid outcome whose
+    cost is not finite and non-negative or whose successor is not an int
+    state handle, or a heuristic that is negative or NaN."""
 
 
 class SearchDomain(ABC):
     """Abstract planning domain.
 
     Implementations must be safe for concurrent ``evaluate`` calls on
-    distinct edges; ``heuristic``/``pairwise_heuristic`` must be cheap
-    (heuristics run on the coordinator).
+    distinct edges, the one call the engine's workers make; the rest runs
+    on the coordinator, and heuristics must be cheap.  An exception raised
+    inside ``evaluate`` (a :class:`DomainError` too) reaches the engine's
+    caller as the ``__cause__`` of its ``EngineError``.
     """
 
     @abstractmethod
@@ -106,50 +108,48 @@ class StateInterner:
 
 
 class EdgeCache:
-    """Per-episode memo of edge evaluations.
+    """Per-episode memo of edge evaluations; single-threaded.
 
-    Guarantees at most one domain evaluation per distinct edge per episode,
-    and checks each new outcome against the domain contract once, raising
-    :class:`DomainError` before it is stored.
-    The engine's workers, which only evaluate, write outcomes through it
-    while its coordinator reads it; concurrent callers present distinct
-    edges (the engine pops each edge exactly once), so no per-key blocking
-    is needed, and the lock only protects the dict itself.
+    Guarantees at most one domain evaluation per distinct edge per episode.
+    :meth:`store` checks each new outcome against the domain contract once,
+    raising :class:`DomainError` before it is kept.  In the engine only the
+    coordinator calls it: it stores each worker's outcome when it lands.
     """
 
     def __init__(self) -> None:
         self._data: dict[Edge, SuccessorOutcome] = {}
-        self._lock = threading.Lock()
         self.hits = 0
-        self.misses = 0
+
+    @property
+    def misses(self) -> int:
+        """Domain evaluations made for this episode: one per stored outcome."""
+        return len(self._data)
 
     def evaluate(self, domain: SearchDomain, edge: Edge) -> SuccessorOutcome:
         if edge.action == DUMMY_ACTION:
             raise ValueError("dummy edges are never evaluated")
-        with self._lock:
-            cached = self._data.get(edge)
-            if cached is not None:
-                self.hits += 1
-                return cached
-        outcome = domain.evaluate(edge.state, edge.action)
+        cached = self._data.get(edge)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        return self.store(edge, domain.evaluate(edge.state, edge.action))
+
+    def store(self, edge: Edge, outcome: SuccessorOutcome) -> SuccessorOutcome:
+        """Check a new outcome against the domain contract and keep it."""
         if outcome.valid:
             successor, cost = outcome.successor, outcome.cost
             if not isinstance(successor, int):
                 raise DomainError(f"edge {edge}: successor {successor!r} is not an int handle")
             if not isinstance(cost, (int, float)) or not 0.0 <= cost < math.inf:
                 raise DomainError(f"edge {edge}: cost {cost!r} is not finite and >= 0")
-        with self._lock:
-            self._data[edge] = outcome
-            self.misses += 1
+        self._data[edge] = outcome
         return outcome
 
     def get(self, edge: Edge) -> SuccessorOutcome | None:
-        with self._lock:
-            return self._data.get(edge)
+        return self._data.get(edge)
 
     def items(self) -> list[tuple[Edge, SuccessorOutcome]]:
-        with self._lock:
-            return list(self._data.items())
+        return list(self._data.items())
 
     def __len__(self) -> int:
         return len(self._data)

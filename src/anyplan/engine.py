@@ -1,13 +1,14 @@
 """Parallel edge-expansion engine: a single-writer coordinator and
 evaluation-only workers.
 
-The coordinator owns the state: the thread in :func:`improve_path` alone
-changes the :class:`~anyplan.search.SearchState`.  It pops independent
-edges, spills dummy edges and relaxes edge-cache hits itself, and hands
-each cache miss to an idle worker.  Workers only evaluate: each takes edges
-from its own inbox and puts the outcomes on one completion queue, which the
-coordinator lands.  It pops only when an idle worker exists, so a popped
-edge never waits and ``n_threads=1`` replays the serial search.
+Only the coordinator, the thread in :func:`improve_path`, touches the
+episode: its :class:`~anyplan.search.SearchState`, edge cache and event log.
+It pops independent edges, spills dummy edges and relaxes edge-cache hits
+itself, and hands each cache miss to an idle worker, which calls
+``domain.evaluate`` and nothing else and puts the outcome on one completion
+queue.  The coordinator lands it: it stores it in the edge cache and relaxes
+it.  It pops only when an idle worker exists, so a popped edge never waits
+and ``n_threads=1`` replays the serial search.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .domain import DUMMY_ACTION, DomainError, Edge, SearchDomain, SuccessorOutcome
-from .search import EngineInvariantError, ImproveOutcome, SearchState
+from .domain import DUMMY_ACTION, Edge, SearchDomain, SuccessorOutcome
+from .search import (EVENT_EVAL_END, EVENT_EVAL_START, EngineInvariantError,
+                     ImproveOutcome, SearchState)
 # The engine's callers also reach these through this module.
 from .search import backtrack, seed_open_with_start, write_expansion_log  # noqa: F401
 from .structures import INF, pop_independent
@@ -44,9 +46,8 @@ class _WorkerSlot:
 
 
 class EpisodeContext(SearchState):
-    """All state of one planning episode.  The coordinator owns the state;
-    workers only evaluate, and touch only the edge cache (through its lock),
-    the event log and the completion queue ``done``."""
+    """All state of one planning episode, touched only by the coordinator.
+    A worker gets the domain, its inbox and the completion queue ``done``."""
 
     def __init__(self, domain: SearchDomain, start: int, n_threads: int, *,
                  log_enabled: bool = True, debug_checks: bool = False) -> None:
@@ -75,8 +76,6 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
             if ctx.worker_error is None:
                 ctx.recollapse()
                 return ImproveOutcome.TIMEOUT
-            if isinstance(ctx.worker_error, DomainError):
-                raise ctx.worker_error  # the domain's fault, named as such
             raise EngineError("edge-expansion worker failed") from ctx.worker_error
         if ctx.goal_found is not None and ctx.goal_g() <= ctx.open.min_f():
             # Declare termination only at a quiescent instant: an in-flight
@@ -130,16 +129,19 @@ def _assign(ctx: EpisodeContext, wid: int, edge: Edge) -> None:
     slot.pending = edge
     if slot.thread is None:  # spawned lazily on first assignment
         slot.thread = threading.Thread(
-            target=_worker_loop, args=(ctx, slot.inbox, wid),
+            target=_worker_loop, args=(ctx.domain, slot.inbox, ctx.done, wid),
             name=f"anyplan-worker-{wid}", daemon=True)
         slot.thread.start()
+    ctx.log(EVENT_EVAL_START, wid, edge, ctx.nodes[edge.state].g)
     slot.inbox.put(edge)
 
 
 def _land(ctx: EpisodeContext, wait: bool) -> None:
     """Land every completed evaluation already queued; with ``wait``, first
-    wait up to WAIT_SLICE for one.  A worker's exception is kept in
-    ``worker_error`` (the first one wins) instead of being relaxed."""
+    wait up to WAIT_SLICE for one.  An outcome is logged, checked and stored
+    in the edge cache (a rejected one raises at once) and relaxed.  A worker's
+    exception is kept in ``worker_error``; after it, landing only frees the
+    slot, so the first error wins."""
     try:
         item = ctx.done.get(wait, WAIT_SLICE)
         while True:
@@ -148,8 +150,9 @@ def _land(ctx: EpisodeContext, wait: bool) -> None:
             if isinstance(result, BaseException):
                 if ctx.worker_error is None:
                     ctx.worker_error = result
-            else:
-                ctx.relax(edge, result, wid)
+            elif ctx.worker_error is None:
+                ctx.log(EVENT_EVAL_END, wid, edge, ctx.nodes[edge.state].g)
+                ctx.relax(edge, ctx.cache.store(edge, result), wid)
                 if ctx.debug_checks:
                     validate_invariants(ctx)
             item = ctx.done.get_nowait()
@@ -163,20 +166,21 @@ def _drain(ctx: EpisodeContext) -> None:
         _land(ctx, wait=True)
 
 
-def _worker_loop(ctx: EpisodeContext, inbox: queue.SimpleQueue, wid: int) -> None:
+def _worker_loop(domain: SearchDomain, inbox: queue.SimpleQueue,
+                 done: queue.SimpleQueue, wid: int) -> None:
     """Body of one evaluation thread (spawned lazily); None stops it."""
     while (edge := inbox.get()) is not None:
         try:
-            result = expand_edge(ctx, edge, wid)
+            result = expand_edge(domain, edge)
         except BaseException as exc:  # re-raised on the coordinator
             result = exc
-        ctx.done.put((wid, edge, result))
+        done.put((wid, edge, result))
 
 
-def expand_edge(ctx: EpisodeContext, edge: Edge, wid: int) -> SuccessorOutcome:
-    """Evaluate one real edge, an edge-cache miss, on worker ``wid``.  The
-    coordinator relaxes the outcome when it lands."""
-    return ctx.evaluate(edge, wid)
+def expand_edge(domain: SearchDomain, edge: Edge) -> SuccessorOutcome:
+    """Evaluate one real edge, an edge-cache miss, on a worker.  The
+    coordinator checks, stores and relaxes the outcome when it lands."""
+    return domain.evaluate(edge.state, edge.action)
 
 
 def shutdown(ctx: EpisodeContext, join_timeout: float = 5.0) -> None:

@@ -1,8 +1,8 @@
 """The state of one repair search and every move of the edge-expansion
 discipline on it, without locks.  The serial repair search
 (``baselines.ara_star``) makes these moves from one thread.  So does the
-parallel engine: its coordinator owns the state, and its workers only
-evaluate."""
+parallel engine: its coordinator owns the state, and its workers only call
+the domain's ``evaluate``."""
 
 from __future__ import annotations
 
@@ -97,9 +97,9 @@ class SearchState:
             edge.action, g, g + self.w * h, kind))
 
     def evaluate(self, edge: Edge, worker: int) -> SuccessorOutcome:
-        """Evaluate a real edge through the edge cache, logged.  The one
-        call the engine's workers make: it writes only the edge cache and
-        the event log."""
+        """Evaluate a real edge through the edge cache, logged.  The serial
+        search calls it for every real edge, the engine's coordinator for
+        each edge-cache hit; the engine's workers never call it."""
         g = self.nodes[edge.state].g
         self.log(EVENT_EVAL_START, worker, edge, g)
         outcome = self.cache.evaluate(self.domain, edge)

@@ -28,13 +28,21 @@ def test_serial_search_modules_do_not_import_threading(module):
     assert "threading" not in imported
 
 
-def test_engine_uses_no_lock_condition_or_event():
-    # the coordinator is the only writer of the search state; workers reach
-    # it only through queues and the edge cache's own lock
-    tree = ast.parse((SRC / "engine.py").read_text())
+def _names(tree: ast.AST) -> set[str]:
     names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert not names & {"Condition", "Lock", "RLock", "Event"}
+    return names | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_engine_uses_no_lock_condition_or_event():
+    # the coordinator is the only thread that touches the episode; workers
+    # reach it only through queues, so neither the engine nor the edge
+    # cache needs a lock
+    sync = {"Condition", "Lock", "RLock", "Event"}
+    assert not _names(ast.parse((SRC / "engine.py").read_text())) & sync
+    domain = ast.parse((SRC / "domain.py").read_text())
+    cache = next(node for node in domain.body
+                 if isinstance(node, ast.ClassDef) and node.name == "EdgeCache")
+    assert not _names(cache) & (sync | {"threading", "_lock"})
 
 
 def test_dijkstra_two_diagonal_steps_on_3x3():

@@ -1,5 +1,4 @@
 import math
-import threading
 
 import pytest
 
@@ -124,28 +123,6 @@ def test_cache_rejects_dummy_edges():
     cache = EdgeCache()
     with pytest.raises(ValueError):
         cache.evaluate(chain_domain(), Edge(0, DUMMY_ACTION))
-
-
-def test_cache_concurrent_distinct_edges_one_invocation_each():
-    world = open_world(12)
-    problem = grid_problem(world, (0, 0), (11, 11))
-    domain = CountingDomain(problem, delay=0.002)
-    cache = EdgeCache()
-    # force state 0's successors to exist so edges are distinct and valid
-    edges = [Edge(problem.start, a) for a in range(8)]
-    results = {}
-
-    def run(edge):
-        results[edge] = cache.evaluate(domain, edge)
-
-    threads = [threading.Thread(target=run, args=(e,)) for e in edges]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert domain.calls == len(edges)
-    assert all(domain.calls_by_edge[(e.state, e.action)] == 1 for e in edges)
-    assert len(results) == len(edges)
 
 
 def test_interner_is_bijective_and_stable():

@@ -8,15 +8,22 @@ import pytest
 
 from anyplan.baselines import ara_star, dijkstra_oracle
 from anyplan.controller import PlannerConfig, plan
-from anyplan.domain import DUMMY_ACTION, Edge, rewalk_cost
+from anyplan.domain import (
+    DUMMY_ACTION,
+    DomainError,
+    Edge,
+    EdgeCache,
+    SuccessorOutcome,
+    rewalk_cost,
+)
 from anyplan.engine import (
     EngineInvariantError,
     EpisodeContext,
     backtrack,
-    expand_edge,
     seed_open_with_start,
 )
 from anyplan.grid2d import sample_start_goal_pairs
+from anyplan.search import SearchState
 
 from _support import (
     StarDomain,
@@ -95,7 +102,7 @@ def test_real_edge_relaxation_routes_fresh_state_to_open():
     for a in range(8):
         edge = Edge(problem.start, a)
         ctx.open.discard(edge)
-        ctx.relax(edge, expand_edge(ctx, edge, 0), 0)
+        ctx.relax(edge, ctx.evaluate(edge, 0), 0)
     # all 8 successors relaxed: their dummy edges are in OPEN at g + w*h
     assert len(ctx.open) == 8
     for edge, f in ctx.open.entries():
@@ -390,9 +397,9 @@ def test_only_cache_misses_reach_a_worker(n_threads, monkeypatch):
     handed = []
     original = anyplan.engine.expand_edge
 
-    def recording(ctx, edge, wid):
+    def recording(domain, edge):
         handed.append((edge, threading.current_thread().name))
-        return original(ctx, edge, wid)
+        return original(domain, edge)
 
     monkeypatch.setattr(anyplan.engine, "expand_edge", recording)
     world = open_world(18, footprint=2, move=2, cost="random_factor", cost_seed=5)
@@ -419,4 +426,71 @@ def test_deadline_passing_with_evaluations_in_flight_lands_them_all():
     assert starts and sorted(starts) == sorted(ends)
     assert result.context.cache.misses == len(ends)
     assert elapsed < budget + delay + 0.5
+    assert_no_leaked_workers()
+
+
+def test_only_the_calling_thread_touches_the_episode(monkeypatch):
+    # workers call the domain's evaluate and nothing else: the edge cache
+    # and the event log are read and written on the coordinator alone
+    callers = []
+    for owner, name in ((EdgeCache, "evaluate"), (EdgeCache, "get"),
+                        (EdgeCache, "store"), (SearchState, "log")):
+        def wrapped(*args, _original=getattr(owner, name), **kwargs):
+            callers.append(threading.get_ident())
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+    world = open_world(18, footprint=2, move=2, cost="random_factor", cost_seed=5)
+    problem = grid_problem(world, (0, 0), (14, 14))
+    result = plan(PlannerConfig(w0=50.0, delta_w=0.5, n_threads=4),
+                  problem, problem.start, log_events=True)
+    assert result.status == "proved_optimal"
+    assert sum(slot.thread is not None for slot in result.context.slots) > 1
+    assert callers and set(callers) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_a_domain_error_raised_inside_evaluate_is_the_engine_error_cause(n_threads):
+    from anyplan.engine import EngineError
+
+    error = DomainError("the domain's own check failed")
+
+    class StrictStar(StarDomain):
+        def evaluate(self, state, action):
+            raise error
+
+    with pytest.raises(EngineError) as info:
+        plan(PlannerConfig(w0=1.0, n_threads=n_threads), StrictStar(4), 0)
+    assert info.value.__cause__ is error
+    assert_no_leaked_workers()
+
+
+def test_the_first_error_wins_over_a_rejected_cost_that_lands_after_it():
+    from anyplan.engine import EngineError
+
+    error = RuntimeError("spoke 0 failed")
+    spoke_1_started = threading.Event()
+
+    class TwoFaults(StarDomain):
+        def evaluate(self, state, action):
+            if action == 0:
+                spoke_1_started.wait(timeout=5.0)
+                raise error
+            spoke_1_started.set()
+            time.sleep(0.05)
+            return SuccessorOutcome(True, action + 1, math.nan)
+
+    with pytest.raises(EngineError) as info:
+        plan(PlannerConfig(w0=1.0, n_threads=2), TwoFaults(2), 0)
+    assert info.value.__cause__ is error
+    assert_no_leaked_workers()
+
+
+def test_a_rejected_cost_with_evaluations_in_flight_is_named_and_stops_every_worker():
+    class NanSpoke(StarDomain):
+        def evaluate(self, state, action):
+            outcome = super().evaluate(state, action)
+            return outcome._replace(cost=math.nan) if action == 5 else outcome
+
+    with pytest.raises(DomainError, match=r"Edge\(state=0, action=5\): cost nan"):
+        plan(PlannerConfig(w0=1.0, n_threads=4), NanSpoke(16, delay=0.02), 0)
     assert_no_leaked_workers()

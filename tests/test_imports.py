@@ -1,0 +1,48 @@
+"""Every name a module imports is used in it.  An ``ast`` stand-in for a
+linter's unused-import rule (F401) over the package, the tests and the
+scripts: ``# noqa: F401`` on an import marks a deliberate re-export, and
+``__future__`` imports are skipped.  The package's ``__init__.py`` only
+re-exports, so it is not scanned."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = sorted(
+    [p for p in (ROOT / "src" / "anyplan").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py"))
+    + list((ROOT / "scripts").glob("*.py")))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name != "*":
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_check_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport sys\nimport json  # noqa: F401\n"
+              "from a.b import c as d, e\n"
+              "print(sys.argv, e)\n")
+    assert unused_imports(source) == ["line 2: os", "line 5: d"]
