@@ -45,53 +45,26 @@ def _reconstruct(cache: EdgeCache, parents: dict[int, Edge], start: int, goal: i
     return Path(edges=tuple(edges), states=tuple(states), cost=cost)
 
 
-def dijkstra_distances(domain: SearchDomain, start: int,
-                       cache: EdgeCache | None = None) -> dict[int, float]:
-    """Exact cost-to-come of every state reachable from ``start``."""
-    if cache is None:
-        cache = EdgeCache()
-    dist = {start: 0.0}
-    settled: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, start)]
-    while heap:
-        d, s = heapq.heappop(heap)
-        if s in settled:
-            continue
-        settled.add(s)
-        for a in domain.actions(s):
-            out = cache.evaluate(domain, Edge(s, a))
-            if not out.valid or out.successor in settled:
-                continue
-            nd = d + out.cost
-            if nd < dist.get(out.successor, INF):
-                dist[out.successor] = nd
-                heapq.heappush(heap, (nd, out.successor))
-    return dist
+def _dijkstra(domain: SearchDomain, start: int, cache: EdgeCache, is_goal
+              ) -> tuple[int | None, dict[int, float], dict[int, Edge], int]:
+    """Settle states in cost order from ``start`` until ``is_goal`` accepts
+    one, or with ``is_goal=None`` until every reachable state is settled.
 
-
-def dijkstra_oracle(domain: SearchDomain, start: int, goal_predicate=None,
-                    cache: EdgeCache | None = None) -> OracleResult:
-    """Exhaustive uniform-cost search; the ground-truth optimal cost.
-
-    No heuristic is consulted.  An unreachable goal region yields cost inf
-    and no path.
+    Returns the goal settled (or None), the cost-to-come of every state
+    reached (exact for the settled ones), the edge that reached each of
+    them and the number of states settled.
     """
-    goal_predicate = goal_predicate or domain.is_goal
-    if cache is None:
-        cache = EdgeCache()
     dist = {start: 0.0}
     parents: dict[int, Edge] = {}
     settled: set[int] = set()
     heap: list[tuple[float, int]] = [(0.0, start)]
-    expansions = 0
     while heap:
         d, s = heapq.heappop(heap)
         if s in settled:
             continue
         settled.add(s)
-        expansions += 1
-        if goal_predicate(s):
-            return OracleResult(d, _reconstruct(cache, parents, start, s), expansions)
+        if is_goal is not None and is_goal(s):
+            return s, dist, parents, len(settled)
         for a in domain.actions(s):
             out = cache.evaluate(domain, Edge(s, a))
             if not out.valid or out.successor in settled:
@@ -101,18 +74,34 @@ def dijkstra_oracle(domain: SearchDomain, start: int, goal_predicate=None,
                 dist[out.successor] = nd
                 parents[out.successor] = Edge(s, a)
                 heapq.heappush(heap, (nd, out.successor))
-    return OracleResult(INF, None, expansions)
+    return None, dist, parents, len(settled)
 
 
-def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0,
-                   goal_predicate=None, cache: EdgeCache | None = None) -> OracleResult:
+def dijkstra_distances(domain: SearchDomain, start: int,
+                       cache: EdgeCache | None = None) -> dict[int, float]:
+    """Exact cost-to-come of every state reachable from ``start``."""
+    return _dijkstra(domain, start, EdgeCache() if cache is None else cache, None)[1]
+
+
+def dijkstra_oracle(domain: SearchDomain, start: int) -> OracleResult:
+    """Exhaustive uniform-cost search; the ground-truth optimal cost.
+
+    No heuristic is consulted.  An unreachable goal region yields cost inf
+    and no path.
+    """
+    cache = EdgeCache()
+    goal, dist, parents, expansions = _dijkstra(domain, start, cache, domain.is_goal)
+    if goal is None:
+        return OracleResult(INF, None, expansions)
+    return OracleResult(dist[goal], _reconstruct(cache, parents, start, goal), expansions)
+
+
+def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleResult:
     """Classic state-based weighted A*: f = g + w*h, closed states are
     never re-expanded, ties break on (f, h, state)."""
     if w < 1.0:
         raise ValueError(f"w must be >= 1, got {w}")
-    goal_predicate = goal_predicate or domain.is_goal
-    if cache is None:
-        cache = EdgeCache()
+    cache = EdgeCache()
     g = {start: 0.0}
     parents: dict[int, Edge] = {}
     closed: set[int] = set()
@@ -125,7 +114,7 @@ def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0,
             continue
         closed.add(s)
         expansions += 1
-        if goal_predicate(s):
+        if domain.is_goal(s):
             return OracleResult(g[s], _reconstruct(cache, parents, start, s), expansions)
         gs = g[s]
         for a in domain.actions(s):

@@ -36,6 +36,16 @@ OPT_REL_TOL = 1e-9
 #: Number of time buckets per optimality-ratio curve.
 CURVE_BUCKETS = 200
 
+#: The algorithm every other one is paired against in ``speedup.csv``.
+SPEEDUP_TARGET = "aepase"
+
+#: Column order of ``table1.csv`` and ``speedup.csv``; each row is a dict
+#: keyed by these names.
+TABLE1_COLUMNS = ("cost_kind", "algorithm", "n_runs", "mean_t_init_ms", "mean_init_ratio",
+                  "mean_t_opt_ms", "mean_t_term_ms")
+SPEEDUP_COLUMNS = ("cost_kind", "baseline", "target", "n_pairs", "speedup_init",
+                   "speedup_opt", "speedup_term")
+
 
 class SpecError(ValueError):
     """Malformed run-spec file or inconsistent run parameters."""
@@ -116,7 +126,8 @@ def _ratio(oracle: float, cost: float) -> float:
 
 
 def _metrics_from_records(records: list[SolutionRecord], status: str, duration: float,
-                          oracle: float, base: RunMetrics) -> RunMetrics:
+                          base: RunMetrics) -> RunMetrics:
+    oracle = base.oracle_cost
     base.status = status
     base.duration = duration
     base.published_costs = [r.cost for r in records]
@@ -136,18 +147,31 @@ def _metrics_from_records(records: list[SolutionRecord], status: str, duration: 
     return base
 
 
-def _run_single(spec: RunSpec, world: GridWorld, start: tuple[int, int],
-                goal: tuple[int, int], oracle: float,
-                pair_index: int, repetition: int) -> RunMetrics:
-    base = RunMetrics(
-        algorithm=spec.algorithm, map_name=world.grid.name, cost_kind=spec.cost_kind,
-        pair_index=pair_index, repetition=repetition,
-        n_threads=spec.planner.n_threads, start=start, goal=goal,
-        oracle_cost=oracle, status="pending", duration=0.0)
+def build_instances(map_path: str, map_scale: int, domain: GridDomainConfig,
+                    cost: CostModel, pair_count: int, pair_seed: int
+                    ) -> tuple[GridWorld, list[tuple[tuple[int, int], tuple[int, int], float]]]:
+    """Load the map and return the world the runs plan on and its sampled
+    ``(start, goal, optimal cost)`` instances.
+
+    Pairs are sampled and Dijkstra runs on a world without the edge delay:
+    its outcomes are the same, and only the timed runs should pay it.
+    """
+    grid = load_map(map_path, map_scale)
+    probe = GridWorld(grid, replace(domain, eval_delay=0.0), cost)
+    world = GridWorld(grid, domain, cost) if domain.eval_delay > 0 else probe
+    instances = []
+    for start, goal in sample_start_goal_pairs(probe, pair_count, pair_seed):
+        problem = GridPlanningProblem(probe, start, goal)
+        instances.append((start, goal, dijkstra_oracle(problem, problem.start).cost))
+    return world, instances
+
+
+def _run_single(spec: RunSpec, world: GridWorld, base: RunMetrics) -> RunMetrics:
+    """Run one instance and fill in ``base``, which holds its identity."""
     cfg = spec.planner
+    problem = GridPlanningProblem(world, base.start, base.goal)
 
     if spec.algorithm == "wastar":
-        problem = GridPlanningProblem(world, start, goal)
         t0 = time.monotonic()
         res = weighted_astar(problem, problem.start, w=cfg.w0)
         duration = time.monotonic() - t0
@@ -160,28 +184,24 @@ def _run_single(spec: RunSpec, world: GridWorld, start: tuple[int, int],
                                 bound_lambda=cfg.w0, t_since_plan_start=duration,
                                 iteration_index=0)
         base.expansions_per_iteration = [res.expansions]
-        return _metrics_from_records([record], status, duration, oracle, base)
+        return _metrics_from_records([record], status, duration, base)
 
     if spec.algorithm == "arastar":
-        problem = GridPlanningProblem(world, start, goal)
         result = ara_star(cfg, problem, problem.start)
     elif spec.algorithm == "epase":
-        problem = GridPlanningProblem(world, start, goal)
         result = plan(replace(cfg, max_iterations=1), problem, problem.start)
     elif spec.algorithm == "aepase":
-        problem = GridPlanningProblem(world, start, goal)
         result = plan(cfg, problem, problem.start)
     elif spec.algorithm == "aepase_naive":
         def factory():
-            fresh = GridPlanningProblem(world, start, goal)
+            fresh = GridPlanningProblem(world, base.start, base.goal)
             return fresh, fresh.start
         result = plan_naive(cfg, factory)
     else:  # pragma: no cover - guarded by RunSpec validation
         raise SpecError(f"unknown algorithm {spec.algorithm!r}")
 
     base.expansions_per_iteration = result.expansions_per_iteration
-    return _metrics_from_records(result.records, result.status, result.wall_time,
-                                 oracle, base)
+    return _metrics_from_records(result.records, result.status, result.wall_time, base)
 
 
 def run_experiment(spec: RunSpec, progress=None) -> list[RunMetrics]:
@@ -191,30 +211,22 @@ def run_experiment(spec: RunSpec, progress=None) -> list[RunMetrics]:
     Per-run failures are recorded in the run's status; the experiment
     continues.
     """
-    grid = load_map(spec.map_path, spec.map_scale)
-    world = GridWorld(grid, spec.domain, CostModel(spec.cost_kind, spec.cost_seed))
-    if spec.domain.eval_delay > 0:
-        # sampling and oracles see identical outcomes without the simulated
-        # latency; only the timed runs should pay it
-        probe_world = GridWorld(grid, replace(spec.domain, eval_delay=0.0),
-                                CostModel(spec.cost_kind, spec.cost_seed))
-    else:
-        probe_world = world
-    pairs = sample_start_goal_pairs(probe_world, spec.pair_count, spec.pair_seed)
+    world, instances = build_instances(
+        spec.map_path, spec.map_scale, spec.domain, CostModel(spec.cost_kind, spec.cost_seed),
+        spec.pair_count, spec.pair_seed)
     metrics: list[RunMetrics] = []
-    for pair_index, (start, goal) in enumerate(pairs):
-        probe = GridPlanningProblem(probe_world, start, goal)
-        oracle = dijkstra_oracle(probe, probe.start).cost
+    for pair_index, (start, goal, oracle) in enumerate(instances):
         for repetition in range(spec.repetitions):
+            identity = dict(
+                algorithm=spec.algorithm, map_name=world.grid.name, cost_kind=spec.cost_kind,
+                pair_index=pair_index, repetition=repetition,
+                n_threads=spec.planner.n_threads, start=start, goal=goal, oracle_cost=oracle)
             try:
-                m = _run_single(spec, world, start, goal, oracle, pair_index, repetition)
+                m = _run_single(spec, world, RunMetrics(**identity, status="pending",
+                                                        duration=0.0))
             except Exception as exc:
-                m = RunMetrics(
-                    algorithm=spec.algorithm, map_name=world.grid.name,
-                    cost_kind=spec.cost_kind, pair_index=pair_index,
-                    repetition=repetition, n_threads=spec.planner.n_threads,
-                    start=start, goal=goal, oracle_cost=oracle,
-                    status="error", duration=0.0, error=f"{type(exc).__name__}: {exc}")
+                m = RunMetrics(**identity, status="error", duration=0.0,
+                               error=f"{type(exc).__name__}: {exc}")
             metrics.append(m)
             if progress is not None:
                 progress(m)
@@ -237,10 +249,10 @@ def _algo_order(algo: str) -> int:
     return ALGORITHMS.index(algo) if algo in ALGORITHMS else len(ALGORITHMS)
 
 
-def aggregate(metrics: list[RunMetrics], speedup_baselines: tuple[str, ...] = ALGORITHMS,
-              speedup_target: str = "aepase") -> Summary:
-    """Fold raw runs into the mean-time table, per-run-averaged speedups and
-    the time-discretized best-so-far optimality curves."""
+def aggregate(metrics: list[RunMetrics]) -> Summary:
+    """Fold raw runs into the mean-time table, per-run-averaged speedups of
+    :data:`SPEEDUP_TARGET` over every other algorithm and the
+    time-discretized best-so-far optimality curves."""
     ok = [m for m in metrics if m.status not in ("error", "infeasible")]
     for m in ok:
         if m.status == STATUS_PROVED_OPTIMAL and m.t_init is not None:
@@ -269,10 +281,10 @@ def aggregate(metrics: list[RunMetrics], speedup_baselines: tuple[str, ...] = AL
     speedup_rows = []
     cost_kinds = sorted({m.cost_kind for m in ok})
     for cost_kind in cost_kinds:
-        for algo in speedup_baselines:
-            if algo == speedup_target:
+        for algo in ALGORITHMS:
+            if algo == SPEEDUP_TARGET:
                 continue
-            rows = paired_speedups(ok, algo, speedup_target, cost_kind)
+            rows = paired_speedups(ok, algo, SPEEDUP_TARGET, cost_kind)
             if rows is not None:
                 speedup_rows.append(rows)
 
@@ -361,24 +373,14 @@ def emit_outputs(summary: Summary, out_dir: str | FsPath) -> list[FsPath]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    table = out / "table1.csv"
-    with table.open("w", newline="") as fp:
-        fp.write("cost_kind,algorithm,n_runs,mean_t_init_ms,mean_init_ratio,"
-                 "mean_t_opt_ms,mean_t_term_ms\n")
-        for row in summary.table_rows:
-            fp.write(",".join(_fmt(row[k]) for k in (
-                "cost_kind", "algorithm", "n_runs", "mean_t_init_ms",
-                "mean_init_ratio", "mean_t_opt_ms", "mean_t_term_ms")) + "\n")
-    written.append(table)
-
-    speedup = out / "speedup.csv"
-    with speedup.open("w", newline="") as fp:
-        fp.write("cost_kind,baseline,target,n_pairs,speedup_init,speedup_opt,speedup_term\n")
-        for row in summary.speedup_rows:
-            fp.write(",".join(_fmt(row[k]) for k in (
-                "cost_kind", "baseline", "target", "n_pairs",
-                "speedup_init", "speedup_opt", "speedup_term")) + "\n")
-    written.append(speedup)
+    for name, columns, rows in (("table1.csv", TABLE1_COLUMNS, summary.table_rows),
+                                ("speedup.csv", SPEEDUP_COLUMNS, summary.speedup_rows)):
+        path = out / name
+        with path.open("w", newline="") as fp:
+            fp.write(",".join(columns) + "\n")
+            for row in rows:
+                fp.write(",".join(_fmt(row[k]) for k in columns) + "\n")
+        written.append(path)
 
     for cost_kind in sorted(summary.curves):
         curve = summary.curves[cost_kind]
@@ -413,8 +415,8 @@ SPEC_KEYS = {
     "collision_step": int, "eval_delay_us": float,
 }
 
-_COST_ALIASES = {"euclidean": "euclidean", "random": "random_factor",
-                 "random_factor": "random_factor"}
+COST_ALIASES = {"euclidean": "euclidean", "random": "random_factor",
+                "random_factor": "random_factor"}
 
 
 def parse_run_spec(text: str, base_dir: str | FsPath = ".") -> RunSpec:
@@ -451,7 +453,7 @@ def parse_spec_values(text: str) -> dict[str, object]:
 
 
 def build_run_spec(values: dict, base_dir: str | FsPath = ".") -> RunSpec:
-    cost = _COST_ALIASES.get(str(values.get("cost", "euclidean")))
+    cost = COST_ALIASES.get(str(values.get("cost", "euclidean")))
     if cost is None:
         raise SpecError(f"unknown cost model {values.get('cost')!r}")
     epsilon_raw = values.get("epsilon", "w")

@@ -13,26 +13,20 @@ import subprocess
 import sys
 from pathlib import Path as FsPath
 
-from .baselines import dijkstra_oracle
 from .bench import (
     ALGORITHMS,
+    COST_ALIASES,
     SPEC_KEYS,
     SpecError,
     aggregate,
+    build_instances,
     build_run_spec,
     emit_outputs,
     parse_spec_values,
     run_experiment,
     run_metrics_from_json,
 )
-from .grid2d import (
-    CostModel,
-    GridDomainConfig,
-    GridPlanningProblem,
-    GridWorld,
-    load_map,
-    sample_start_goal_pairs,
-)
+from .grid2d import CostModel, GridDomainConfig
 
 
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
@@ -92,24 +86,18 @@ def _progress(metric) -> None:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
-        grid = load_map(args.map, args.scale)
-        cost_kind = {"euclidean": "euclidean", "random": "random_factor"}[args.cost]
-        world = GridWorld(
-            grid,
+        _world, instances = build_instances(
+            args.map, args.scale,
             GridDomainConfig(footprint_side=args.footprint, move_length=args.move),
-            CostModel(cost_kind, args.cost_seed or 0))
-        pairs = sample_start_goal_pairs(world, args.pairs or 10, args.pair_seed or 0)
+            CostModel(COST_ALIASES[args.cost], args.cost_seed), args.pairs, args.pair_seed)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = FsPath(args.out)
     with out.open("w", newline="") as fp:
         fp.write("pair_index,start_x,start_y,goal_x,goal_y,optimal_cost\n")
-        for i, (start, goal) in enumerate(pairs):
-            problem = GridPlanningProblem(world, start, goal)
-            res = dijkstra_oracle(problem, problem.start)
-            fp.write(f"{i},{start[0]},{start[1]},{goal[0]},{goal[1]},"
-                     f"{format(res.cost, '.9g')}\n")
+        for i, (start, goal, cost) in enumerate(instances):
+            fp.write(f"{i},{start[0]},{start[1]},{goal[0]},{goal[1]},{format(cost, '.9g')}\n")
     print(out)
     return 0
 
@@ -155,11 +143,11 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--map", required=True)
     p_oracle.add_argument("--scale", type=int, default=1)
     p_oracle.add_argument("--cost", choices=["euclidean", "random"], default="euclidean")
-    p_oracle.add_argument("--cost-seed", type=int, dest="cost_seed")
+    p_oracle.add_argument("--cost-seed", type=int, dest="cost_seed", default=0)
     p_oracle.add_argument("--footprint", type=int, default=32)
     p_oracle.add_argument("--move", type=int, default=25)
-    p_oracle.add_argument("--pairs", type=int)
-    p_oracle.add_argument("--pair-seed", type=int, dest="pair_seed")
+    p_oracle.add_argument("--pairs", type=int, default=10)
+    p_oracle.add_argument("--pair-seed", type=int, dest="pair_seed", default=0)
     p_oracle.add_argument("--out", required=True)
 
     p_agg = sub.add_parser("aggregate", help="re-aggregate a runs.ndjson file")

@@ -50,16 +50,13 @@ class PlannerConfig:
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
-        if self.w0 < 1.0:
-            raise ValueError(f"w0 must be >= 1, got {self.w0}")
-        if self.delta_w <= 0.0:
-            raise ValueError(f"delta_w must be > 0, got {self.delta_w}")
-        if self.epsilon is not None and self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be >= 1, got {self.epsilon}")
+        _check_schedule(self.w0, self.delta_w)
+        if self.epsilon is not None and not self.epsilon >= 1.0:
+            raise ValueError(f"epsilon must be >= 1 or inf, got {self.epsilon}")
         if self.n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
-        if self.time_budget < 0.0:
-            raise ValueError("time_budget must be non-negative")
+        if not self.time_budget >= 0.0:
+            raise ValueError(f"time_budget must be >= 0 or inf, got {self.time_budget}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1 when given")
 
@@ -114,14 +111,20 @@ class PlanResult:
         return [it.n_dummy_expansions + it.n_real_expansions for it in self.iterations]
 
 
+def _check_schedule(w0: float, delta_w: float) -> None:
+    # ``not`` so that NaN fails too: with a NaN w0 or delta_w, or an
+    # infinite w0, the schedule would never reach 1 and grow without end
+    if not 1.0 <= w0 < INF:
+        raise ValueError(f"w0 must be finite and >= 1, got {w0}")
+    if not 0.0 < delta_w < INF:
+        raise ValueError(f"delta_w must be finite and > 0, got {delta_w}")
+
+
 def weight_schedule(w0: float, delta_w: float) -> list[float]:
     """Decreasing weights w0, w0 - delta_w, ...; the first step at or below
     1 (within float tolerance) is clamped to exactly 1 and ends the
     schedule, so a final uninflated pass always runs."""
-    if w0 < 1.0:
-        raise ValueError(f"w0 must be >= 1, got {w0}")
-    if delta_w <= 0.0:
-        raise ValueError(f"delta_w must be > 0, got {delta_w}")
+    _check_schedule(w0, delta_w)
     weights: list[float] = []
     k = 0
     while True:

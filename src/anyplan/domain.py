@@ -189,11 +189,12 @@ def rewalk_cost(domain: SearchDomain, path: Path) -> float:
     return total
 
 
-def audit_consistency(domain: SearchDomain, cache: EdgeCache, slack: float = 1e-9) -> int:
+def audit_consistency(domain: SearchDomain, cache: EdgeCache) -> int:
     """Check h(s) <= c(s,a) + h(s') over every evaluated edge in ``cache``.
 
     Returns the number of edges audited; raises AssertionError on the first
-    violation.  ``slack`` absorbs float rounding of exact-equality cases.
+    violation.  A slack of 1e-9 absorbs float rounding of exact-equality
+    cases.
     """
     n = 0
     for edge, out in cache.items():
@@ -201,13 +202,10 @@ def audit_consistency(domain: SearchDomain, cache: EdgeCache, slack: float = 1e-
             continue
         hs = domain.heuristic(edge.state)
         hs2 = domain.heuristic(out.successor)
-        if hs > out.cost + hs2 + slack:
+        if hs > out.cost + hs2 + 1e-9:
             raise AssertionError(
                 f"inconsistent heuristic on {edge}: h={hs} > c={out.cost} + h'={hs2}"
             )
         n += 1
     return n
 
-
-def euclidean(ax: float, ay: float, bx: float, by: float) -> float:
-    return math.hypot(ax - bx, ay - by)

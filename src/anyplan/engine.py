@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from .domain import DUMMY_ACTION, Edge, SearchDomain, SuccessorOutcome
 from .search import (EVENT_EVAL_END, EVENT_EVAL_START, EngineInvariantError,
                      ImproveOutcome, SearchState)
-# The engine's callers also reach these through this module.
-from .search import backtrack, seed_open_with_start, write_expansion_log  # noqa: F401
 from .structures import INF, pop_independent
 
 #: How long the coordinator waits for a completion before it re-checks the
@@ -183,13 +181,13 @@ def expand_edge(domain: SearchDomain, edge: Edge) -> SuccessorOutcome:
     return domain.evaluate(edge.state, edge.action)
 
 
-def shutdown(ctx: EpisodeContext, join_timeout: float = 5.0) -> None:
-    """Stop and join every spawned worker."""
+def shutdown(ctx: EpisodeContext) -> None:
+    """Stop and join every spawned worker, waiting up to 5 s for each."""
     spawned = [slot for slot in ctx.slots if slot.thread is not None]
     for slot in spawned:
         slot.inbox.put(None)
     for slot in spawned:
-        slot.thread.join(timeout=join_timeout)
+        slot.thread.join(timeout=5.0)
         if slot.thread.is_alive():
             raise EngineError(f"worker {slot.thread.name} failed to stop")
 

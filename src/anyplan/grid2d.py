@@ -147,8 +147,8 @@ class GridDomainConfig:
             raise ValueError("footprint_side, move_length and collision_step must be >= 1")
         if self.collision_step > self.move_length:
             raise ValueError("collision_step must not exceed move_length")
-        if self.eval_delay < 0:
-            raise ValueError("eval_delay must be non-negative")
+        if not 0.0 <= self.eval_delay < math.inf:
+            raise ValueError(f"eval_delay must be finite and >= 0, got {self.eval_delay}")
 
 
 @dataclass(frozen=True)
@@ -354,15 +354,18 @@ class GridPlanningProblem(SearchDomain):
         return [self.coord_of(s) for s in states]
 
 
-def sample_start_goal_pairs(world: GridWorld, count: int, seed: int,
-                            max_attempts_per_pair: int = 10_000
+#: Start draws per sampled pair before :func:`sample_start_goal_pairs` gives up.
+MAX_ATTEMPTS_PER_PAIR = 10_000
+
+
+def sample_start_goal_pairs(world: GridWorld, count: int, seed: int
                             ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Sample ``count`` connected start/goal pairs, deterministic in ``seed``.
 
     A start anchor is drawn uniformly from the free placements; the goal is
     drawn uniformly from the start's reachable set (a graph search over the
     move graph), which guarantees connectivity.  Starts whose reachable set
-    is empty are rejected, up to ``max_attempts_per_pair`` draws per pair.
+    is empty are rejected, up to :data:`MAX_ATTEMPTS_PER_PAIR` draws per pair.
     """
     anchors = world.free_anchors()
     if len(anchors) < 2:
@@ -371,7 +374,7 @@ def sample_start_goal_pairs(world: GridWorld, count: int, seed: int,
     pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
     reachable_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for _ in range(count):
-        for attempt in range(max_attempts_per_pair):
+        for attempt in range(MAX_ATTEMPTS_PER_PAIR):
             start = anchors[rng.randrange(len(anchors))]
             others = reachable_cache.get(start)
             if others is None:
@@ -382,7 +385,7 @@ def sample_start_goal_pairs(world: GridWorld, count: int, seed: int,
                 break
         else:
             raise SamplingError(
-                f"no connected pair found within {max_attempts_per_pair} attempts"
+                f"no connected pair found within {MAX_ATTEMPTS_PER_PAIR} attempts"
             )
     return pairs
 

@@ -16,6 +16,8 @@ from anyplan.bench import (
     run_experiment,
     run_metrics_from_json,
 )
+from anyplan.controller import PlannerConfig, weight_schedule
+from anyplan.grid2d import GridDomainConfig
 
 MAPS = Path(__file__).resolve().parents[1] / "maps"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -129,6 +131,34 @@ def test_run_experiment_naive_and_aepase_share_first_cost():
                                       cost="random", cost_seed=5))
     for ma, mn in zip(run_experiment(spec_a), run_experiment(spec_n)):
         assert ma.published_costs[0] == mn.published_costs[0]
+
+
+IDENTITY_FIELDS = ("algorithm", "map_name", "cost_kind", "pair_index", "repetition",
+                   "n_threads", "start", "goal", "oracle_cost")
+
+
+def test_a_run_that_raises_leaves_an_error_record(tmp_path, monkeypatch):
+    import anyplan.bench as bench
+    from anyplan.cli import main
+
+    spec = parse_run_spec(spec_text(reps=2))
+    good = run_experiment(spec)
+
+    def boom(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bench, "plan", boom)
+    failed = run_experiment(spec)
+    assert len(failed) == len(good) == 4
+    for bad, ok in zip(failed, good):
+        identity = {k: getattr(ok, k) for k in IDENTITY_FIELDS}
+        assert {k: getattr(bad, k) for k in IDENTITY_FIELDS} == identity
+        assert bad == RunMetrics(**identity, status="error", duration=0.0,
+                                 error="RuntimeError: boom")
+    assert [(m.pair_index, m.repetition) for m in failed] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    spec_file = tmp_path / "run.spec"
+    spec_file.write_text(spec_text())
+    assert main(["run", "--spec", str(spec_file), "--out", str(tmp_path / "out")]) == 1
 
 
 # -- aggregation --------------------------------------------------------------
@@ -316,3 +346,69 @@ def test_cli_oracle_writes_costs(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "pair_index,start_x,start_y,goal_x,goal_y,optimal_cost"
     assert len(lines) == 3
+
+
+def test_cli_oracle_zero_pairs_writes_only_the_header(tmp_path):
+    from anyplan.cli import main
+
+    out = tmp_path / "oracle.csv"
+    rc = main(["oracle", "--map", str(MAPS / "cross32.map"), "--footprint", "4",
+               "--move", "4", "--pairs", "0", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text() == "pair_index,start_x,start_y,goal_x,goal_y,optimal_cost\n"
+
+
+def test_cli_oracle_costs_are_the_run_records_oracle_costs(tmp_path):
+    from anyplan.cli import main
+
+    out = tmp_path / "oracle.csv"
+    rc = main(["oracle", "--map", str(MAPS / "cross32.map"), "--footprint", "4",
+               "--move", "4", "--pairs", "3", "--pair-seed", "1", "--cost", "random",
+               "--cost-seed", "5", "--out", str(out)])
+    assert rc == 0
+    spec = parse_run_spec(spec_text(algo="wastar", threads=1, pairs=3, cost="random",
+                                    cost_seed=5, eval_delay_us=100))
+    written = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
+    assert written == [[str(c) for c in (*m.start, *m.goal)] + [format(m.oracle_cost, ".9g")]
+                       for m in run_experiment(spec)]
+
+
+# -- non-finite configuration -------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+
+NON_FINITE_ARGUMENTS = [
+    (PlannerConfig, {"w0": NAN}), (PlannerConfig, {"w0": INF}),
+    (PlannerConfig, {"delta_w": NAN}), (PlannerConfig, {"delta_w": INF}),
+    (PlannerConfig, {"epsilon": NAN}), (PlannerConfig, {"time_budget": NAN}),
+    (GridDomainConfig, {"eval_delay": NAN}), (GridDomainConfig, {"eval_delay": INF}),
+    (weight_schedule, {"w0": NAN, "delta_w": 0.5}), (weight_schedule, {"w0": INF, "delta_w": 0.5}),
+    (weight_schedule, {"w0": 3.0, "delta_w": NAN}), (weight_schedule, {"w0": 3.0, "delta_w": INF}),
+]
+
+NON_FINITE_SPEC_VALUES = [("w0", "nan"), ("w0", "inf"), ("dw", "nan"), ("dw", "inf"),
+                          ("epsilon", "nan"), ("timeout_ms", "nan"),
+                          ("eval_delay_us", "nan"), ("eval_delay_us", "inf")]
+
+
+@pytest.mark.parametrize("make,kwargs", NON_FINITE_ARGUMENTS,
+                         ids=[f"{make.__name__}-" + ",".join(f"{k}={v}" for k, v in kw.items())
+                              for make, kw in NON_FINITE_ARGUMENTS])
+def test_non_finite_configuration_raises_value_error(make, kwargs):
+    with pytest.raises(ValueError):
+        make(**kwargs)
+
+
+@pytest.mark.parametrize("key,value", NON_FINITE_SPEC_VALUES)
+def test_non_finite_spec_value_is_a_spec_error(key, value):
+    with pytest.raises(SpecError):
+        build_run_spec({"algo": "aepase", "map": "x", key: value})
+
+
+@pytest.mark.parametrize("key,value", NON_FINITE_SPEC_VALUES)
+def test_cli_run_with_a_non_finite_spec_value_exits_2(key, value, tmp_path):
+    from anyplan.cli import main
+
+    spec_file = tmp_path / "run.spec"
+    spec_file.write_text(spec_text(algo="aepase", **{key: value}))
+    assert main(["run", "--spec", str(spec_file), "--out", str(tmp_path / "out")]) == 2

@@ -16,14 +16,9 @@ from anyplan.domain import (
     SuccessorOutcome,
     rewalk_cost,
 )
-from anyplan.engine import (
-    EngineInvariantError,
-    EpisodeContext,
-    backtrack,
-    seed_open_with_start,
-)
+from anyplan.engine import EngineInvariantError, EpisodeContext
 from anyplan.grid2d import sample_start_goal_pairs
-from anyplan.search import SearchState
+from anyplan.search import SearchState, backtrack, seed_open_with_start
 
 from _support import (
     StarDomain,
@@ -267,7 +262,7 @@ def test_expansion_log_export_round_trips_as_ndjson():
     import io
     import json
 
-    from anyplan.engine import write_expansion_log
+    from anyplan.search import write_expansion_log
 
     problem = grid_problem(open_world(5), (0, 0), (4, 4))
     result = plan(PlannerConfig(w0=1.0), problem, problem.start, log_events=True)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyplan.baselines import ara_star, dijkstra_oracle
+from anyplan.baselines import ara_star, dijkstra_distances, dijkstra_oracle
 from anyplan.controller import STATUS_INFEASIBLE, STATUS_PROVED_OPTIMAL, PlannerConfig, plan
 
 from _support import ToyGraphDomain, assert_no_leaked_workers
@@ -34,6 +34,7 @@ def euclidean_graphs(draw):
 def test_anytime_search_keeps_its_bounds_on_random_graphs(domain, n_threads, epsilon,
                                                           w0, delta_w):
     optimum = dijkstra_oracle(domain, 0).cost
+    assert min(dijkstra_distances(domain, 0).get(g, math.inf) for g in domain.goals) == optimum
     cfg = PlannerConfig(w0=w0, delta_w=delta_w, epsilon=epsilon, n_threads=n_threads)
     result = plan(cfg, domain, 0)
     assert_no_leaked_workers()
