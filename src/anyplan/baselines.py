@@ -98,9 +98,10 @@ def dijkstra_oracle(domain: SearchDomain, start: int) -> OracleResult:
 
 def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleResult:
     """Classic state-based weighted A*: f = g + w*h, closed states are
-    never re-expanded, ties break on (f, h, state)."""
-    if w < 1.0:
-        raise ValueError(f"w must be >= 1, got {w}")
+    never re-expanded, ties break on (f, h, state).  ``w`` must be finite
+    and >= 1."""
+    if not 1.0 <= w < INF:
+        raise ValueError(f"w must be finite and >= 1, got {w}")
     cache = EdgeCache()
     g = {start: 0.0}
     parents: dict[int, Edge] = {}

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Sequence
@@ -199,7 +200,12 @@ def sample_offsets(dx: int, dy: int, step: int) -> list[tuple[int, int]]:
 class GridWorld:
     """Immutable map + motion/cost parameters with precomputed placement
     and move validity.  Read-only after construction; safe for concurrent
-    callers."""
+    callers.
+
+    The per-edge path works on plain Python values: move validity is a
+    lookup in flat per-action byte tables, and edge costs are ``float``
+    read from the flat array that ``factor_map`` views.
+    """
 
     def __init__(self, grid: GridMap, config: GridDomainConfig | None = None,
                  cost_model: CostModel | None = None) -> None:
@@ -220,18 +226,24 @@ class GridWorld:
             window = (integral[side:, side:] - integral[:ph, side:]
                       - integral[side:, :pw] + integral[:ph, :pw])
             self.placement_ok = window == 0
+        self._ph, self._pw = self.placement_ok.shape
         self._move_tables = self._build_move_tables()
         if self.cost_model.kind == "random_factor":
-            self.factor_map = build_factor_map(self.cost_model.rng_seed, grid.width, grid.height)
+            factors = build_factor_map(self.cost_model.rng_seed, grid.width, grid.height)
+            # one row-major buffer: indexing the array yields a float, not a
+            # numpy scalar, and factor_map is a numpy view of it
+            self._factors: array | None = array("d", factors.tobytes())
+            self.factor_map = np.frombuffer(self._factors).reshape(grid.height, grid.width)
         else:
             self.factor_map = None
+            self._factors = None
 
     def _build_move_tables(self) -> tuple[bytes, ...]:
         """Per action, one byte per anchor in raster order: 1 iff the move
         from that anchor passes :meth:`segment_clear` and ends on a free
         placement.  Each table is ``placement_ok`` ANDed over the move's
         sample offsets, with out of bounds solid."""
-        ph, pw = self.placement_ok.shape
+        ph, pw = self._ph, self._pw
         m = self.config.move_length  # no sample lies further from the anchor
         padded = np.zeros((ph + 2 * m, pw + 2 * m), dtype=bool)
         padded[m:m + ph, m:m + pw] = self.placement_ok
@@ -248,9 +260,10 @@ class GridWorld:
         return 0 <= y < ok.shape[0] and 0 <= x < ok.shape[1] and bool(ok[y, x])
 
     def free_anchors(self) -> list[tuple[int, int]]:
-        """All collision-free footprint placements, in (x, y) raster order."""
+        """All collision-free footprint placements as ``(x, y)`` ints, in
+        raster order (row by row), which is the order ``np.nonzero`` yields."""
         ys, xs = np.nonzero(self.placement_ok)
-        return [(int(x), int(y)) for y, x in sorted(zip(ys.tolist(), xs.tolist()))]
+        return list(zip(xs.tolist(), ys.tolist()))
 
     def segment_clear(self, frm: tuple[int, int], to: tuple[int, int]) -> bool:
         """Footprint collision check along the straight from->to segment.
@@ -268,8 +281,8 @@ class GridWorld:
         construction, equal to ``placement_free(target) and
         segment_clear(xy, target)``.  No delay."""
         x, y = xy
-        ph, pw = self.placement_ok.shape
-        return 0 <= x < pw and 0 <= y < ph and self._move_tables[action][y * pw + x] == 1
+        pw = self._pw
+        return 0 <= x < pw and 0 <= y < self._ph and self._move_tables[action][y * pw + x] == 1
 
     def move_target(self, xy: tuple[int, int], action: int) -> tuple[int, int]:
         ux, uy = DIRECTIONS[action]
@@ -277,12 +290,15 @@ class GridWorld:
         return xy[0] + ux * length, xy[1] + uy * length
 
     def edge_cost(self, frm: tuple[int, int], to: tuple[int, int]) -> float:
+        """Cost of the move between two on-map anchors, as a Python ``float``:
+        its euclidean length, scaled under ``random_factor`` by the mean of
+        the factors at its two ends."""
         length = math.hypot(to[0] - frm[0], to[1] - frm[1])
-        if self.factor_map is None:
+        factors = self._factors
+        if factors is None:
             return length
-        f0 = self.factor_map[frm[1], frm[0]]
-        f1 = self.factor_map[to[1], to[0]]
-        return length * (f0 + f1) / 2.0
+        width = self.grid.width
+        return length * (factors[frm[1] * width + frm[0]] + factors[to[1] * width + to[0]]) / 2.0
 
     def evaluate_move(self, xy: tuple[int, int], action: int
                       ) -> tuple[bool, tuple[int, int] | None, float | None]:
@@ -366,7 +382,10 @@ def sample_start_goal_pairs(world: GridWorld, count: int, seed: int
     drawn uniformly from the start's reachable set (a graph search over the
     move graph), which guarantees connectivity.  Starts whose reachable set
     is empty are rejected, up to :data:`MAX_ATTEMPTS_PER_PAIR` draws per pair.
+    A negative ``count`` is a :class:`ValueError`.
     """
+    if count < 0:
+        raise ValueError("pair count must be >= 0")
     anchors = world.free_anchors()
     if len(anchors) < 2:
         raise SamplingError("map has fewer than two free footprint placements")
@@ -391,16 +410,30 @@ def sample_start_goal_pairs(world: GridWorld, count: int, seed: int
 
 
 def reachable_anchors(world: GridWorld, start: tuple[int, int]) -> set[tuple[int, int]]:
-    """Every anchor reachable from ``start`` by valid moves, ``start`` included."""
-    seen = {start}
-    frontier = [start]
-    actions = range(len(DIRECTIONS))
-    while frontier:
-        xy = frontier.pop()
-        for a in actions:
-            if world.move_ok(xy, a):
-                nxt = world.move_target(xy, a)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return seen
+    """Every anchor reachable from ``start`` by valid moves, ``start`` included.
+
+    A graph search on flat anchor indices ``y * pw + x``: a move is valid
+    iff its byte in the per-action move table is set, and its target is the
+    index plus a per-action step.  A set byte means the target is a free
+    placement on the map, so a step never wraps into another row.  A start
+    off the map or blocked has no valid move and reaches only itself.
+    """
+    x, y = start
+    pw, ph = world._pw, world._ph
+    if not (0 <= x < pw and 0 <= y < ph):
+        return {start}
+    m = world.config.move_length
+    moves = [(table, (uy * pw + ux) * m)
+             for table, (ux, uy) in zip(world._move_tables, DIRECTIONS)]
+    first = y * pw + x
+    seen = bytearray(pw * ph)
+    seen[first] = 1
+    found = [first]
+    for i in found:  # visits each index appended below, in turn
+        for table, step in moves:
+            if table[i]:
+                j = i + step
+                if not seen[j]:
+                    seen[j] = 1
+                    found.append(j)
+    return {(i % pw, i // pw) for i in found}

@@ -138,6 +138,15 @@ def test_wastar_rejects_w_below_one():
         weighted_astar(problem, problem.start, w=0.5)
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf, 0.5])
+def test_wastar_rejects_a_weight_that_is_not_finite_and_at_least_one(w):
+    # a NaN weight once passed a ``w < 1`` check and returned a path with no
+    # bound: cost 17.31 against the optimum 13.90 on this instance
+    problem = grid_problem(open_world(12), (0, 0), (11, 7))
+    with pytest.raises(ValueError, match="finite and >= 1"):
+        weighted_astar(problem, problem.start, w=w)
+
+
 def test_ara_w0_1_single_iteration_optimal():
     problem = grid_problem(open_world(9), (0, 0), (8, 8))
     oracle = dijkstra_oracle(problem, problem.start).cost

@@ -358,6 +358,22 @@ def test_cli_oracle_zero_pairs_writes_only_the_header(tmp_path):
     assert out.read_text() == "pair_index,start_x,start_y,goal_x,goal_y,optimal_cost\n"
 
 
+def test_cli_oracle_negative_pairs_exits_2_like_run(tmp_path, capsys):
+    from anyplan.cli import main
+
+    out = tmp_path / "oracle.csv"
+    rc = main(["oracle", "--map", str(MAPS / "cross32.map"), "--footprint", "4",
+               "--move", "4", "--pairs", "-1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    oracle_err = capsys.readouterr().err
+    assert "pair count must be >= 0" in oracle_err
+    rc = main(["run", "--algo", "wastar", "--map", str(MAPS / "cross32.map"),
+               "--pairs", "-1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == oracle_err
+
+
 def test_cli_oracle_costs_are_the_run_records_oracle_costs(tmp_path):
     from anyplan.cli import main
 

@@ -198,20 +198,85 @@ def test_move_table_matches_reference_check_randomized():
     assert valid > 1000
 
 
-@pytest.mark.parametrize("map_name,footprint,move", [("maze64.map", 4, 6),
-                                                     ("cross32.map", 4, 4)])
-def test_reachable_anchors_equal_dijkstra_settled_set(map_name, footprint, move):
+@pytest.mark.parametrize("map_name,footprint,move,step", [
+    ("maze64.map", 4, 6, 1), ("cross32.map", 4, 4, 1),
+    # samples at offsets 0, 4, 6 one way and 0, 2, 6 back: a directed graph
+    ("maze64.map", 4, 6, 4),
+], ids=["maze64.map-4-6", "cross32.map-4-4", "maze64.map-4-6-step4"])
+def test_reachable_anchors_equal_dijkstra_settled_set(map_name, footprint, move, step):
     import random
 
     from anyplan.baselines import dijkstra_distances
 
     world = GridWorld(load_map(MAPS_DIR / map_name),
-                      GridDomainConfig(footprint_side=footprint, move_length=move))
+                      GridDomainConfig(footprint_side=footprint, move_length=move,
+                                       collision_step=step))
     anchors = world.free_anchors()
     for start in random.Random(3).sample(anchors, 6):
         probe = GridPlanningProblem(world, start, start)
         dist = dijkstra_distances(probe, probe.start)
         assert reachable_anchors(world, start) == {probe.coord_of(s) for s in dist}
+
+
+def reference_reachable_anchors(world, start):
+    """The search on (x, y) tuples through ``move_ok``/``move_target``."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        xy = frontier.pop()
+        for a in range(8):
+            if world.move_ok(xy, a):
+                nxt = world.move_target(xy, a)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
+
+
+def test_reachable_anchors_match_reference_search_randomized():
+    import random
+
+    rng = random.Random(7)
+    directed = 0
+    for case in range(60):
+        width, height = rng.randint(2, 12), rng.randint(2, 12)
+        density = 0.0 if case % 5 == 0 else rng.uniform(0.0, 0.3)
+        text = random_obstacle_map_text(width, height, density, seed=case)
+        footprint = rng.randint(1, 3)
+        move = rng.randint(1, 4)
+        world = make_world(text, footprint=footprint, move=move,
+                           collision_step=rng.randint(1, move))
+        ph, pw = world.placement_ok.shape
+        # every anchor in range, the last column and row among them, whether
+        # blocked or free, and starts just off each side
+        starts = [(x, y) for y in range(-1, ph + 1) for x in range(-1, pw + 1)]
+        for start in starts:
+            got = reachable_anchors(world, start)
+            assert got == reference_reachable_anchors(world, start), (case, start)
+            assert all(type(x) is int and type(y) is int for x, y in got)
+        directed += any(world.move_ok(xy, a)
+                        and not world.move_ok(world.move_target(xy, a), (a + 4) % 8)
+                        for xy in world.free_anchors() for a in range(8))
+    assert directed > 0
+
+
+def test_flat_steps_never_wrap_into_the_next_row():
+    # from the last column, the flat index one step E, NE or SE is a free
+    # anchor of the first column, on the far side of the wall
+    walled = make_world("type octile\nheight 4\nwidth 4\nmap\n..@.\n..@.\n..@.\n..@.\n")
+    assert reachable_anchors(walled, (1, 0)) == {(x, y) for x in (0, 1) for y in range(4)}
+    assert reachable_anchors(walled, (3, 1)) == {(3, y) for y in range(4)}
+
+
+def test_free_anchors_are_raster_ordered_ints():
+    world = GridWorld(load_map(MAPS_DIR / "maze64.map"),
+                      GridDomainConfig(footprint_side=4, move_length=6))
+    anchors = world.free_anchors()
+    assert anchors == sorted(anchors, key=lambda xy: (xy[1], xy[0]))
+    ph, pw = world.placement_ok.shape
+    assert anchors == [(x, y) for y in range(ph) for x in range(pw)
+                       if world.placement_free(x, y)]
+    assert all(type(x) is int and type(y) is int for x, y in anchors)
 
 
 def test_sampled_maze128_pairs_are_pinned():
@@ -265,6 +330,30 @@ def test_random_factor_cost_is_length_times_endpoint_mean():
     assert ok and target == (7, 3)
     expected = 4.0 * (fm[3, 3] + fm[3, 7]) / 2.0
     assert cost == pytest.approx(expected, rel=1e-12)
+
+
+def test_costs_are_python_floats_through_a_random_factor_episode():
+    # numpy scalars must not leak from the factor map into g, published or
+    # oracle costs
+    from anyplan.baselines import dijkstra_oracle
+    from anyplan.controller import PlannerConfig, plan
+
+    world = GridWorld(load_map(MAPS_DIR / "maze64.map"),
+                      GridDomainConfig(footprint_side=4, move_length=6),
+                      CostModel("random_factor", rng_seed=5))
+    (start, goal), = sample_start_goal_pairs(world, 1, seed=1)
+    ok, target, cost = world.evaluate_move(*next(
+        (start, a) for a in range(8) if world.move_ok(start, a)))
+    assert ok and type(cost) is float
+    assert type(world.edge_cost(start, target)) is float
+    problem = GridPlanningProblem(world, start, goal)
+    assert type(dijkstra_oracle(problem, problem.start).cost) is float
+    problem = GridPlanningProblem(world, start, goal)
+    result = plan(PlannerConfig(w0=3.0, delta_w=1.0, n_threads=2), problem, problem.start)
+    assert result.records and result.context.nodes
+    assert all(type(node.g) is float for node in result.context.nodes.values())
+    assert all(type(rec.cost) is float and type(rec.path.cost) is float
+               for rec in result.records)
 
 
 def test_successors_pure_function_bit_identical():
