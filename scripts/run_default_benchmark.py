@@ -71,7 +71,7 @@ def main() -> int:
     t0 = time.monotonic()
     for values in cells(args.quick):
         spec = build_run_spec(values)
-        label = (f"{Path(spec.map_path).stem}/{spec.cost_kind}/{spec.algorithm}"
+        label = (f"{Path(spec.map_path).stem}/{spec.cost.kind}/{spec.algorithm}"
                  f"/t{spec.planner.n_threads}"
                  f"{'/slow' if spec.domain.eval_delay else ''}")
         cell_t0 = time.monotonic()

@@ -60,8 +60,7 @@ class RunSpec:
     algorithm: str
     map_path: str
     map_scale: int = 1
-    cost_kind: str = "euclidean"
-    cost_seed: int = 0
+    cost: CostModel = field(default_factory=CostModel)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     domain: GridDomainConfig = field(default_factory=GridDomainConfig)
     pair_count: int = 10
@@ -147,20 +146,20 @@ def _metrics_from_records(records: list[SolutionRecord], status: str, duration: 
     return base
 
 
-def build_instances(map_path: str, map_scale: int, domain: GridDomainConfig,
-                    cost: CostModel, pair_count: int, pair_seed: int
+def build_instances(spec: RunSpec
                     ) -> tuple[GridWorld, list[tuple[tuple[int, int], tuple[int, int], float]]]:
-    """Load the map and return the world the runs plan on and its sampled
-    ``(start, goal, optimal cost)`` instances.
+    """Load ``spec``'s map and return the world its runs plan on and its
+    sampled ``(start, goal, optimal cost)`` instances; only the
+    :data:`INSTANCE_KEYS` fields of ``spec`` and its edge delay matter.
 
     Pairs are sampled and Dijkstra runs on a world without the edge delay:
     its outcomes are the same, and only the timed runs should pay it.
     """
-    grid = load_map(map_path, map_scale)
-    probe = GridWorld(grid, replace(domain, eval_delay=0.0), cost)
-    world = GridWorld(grid, domain, cost) if domain.eval_delay > 0 else probe
+    grid = load_map(spec.map_path, spec.map_scale)
+    probe = GridWorld(grid, replace(spec.domain, eval_delay=0.0), spec.cost)
+    world = GridWorld(grid, spec.domain, spec.cost) if spec.domain.eval_delay > 0 else probe
     instances = []
-    for start, goal in sample_start_goal_pairs(probe, pair_count, pair_seed):
+    for start, goal in sample_start_goal_pairs(probe, spec.pair_count, spec.pair_seed):
         problem = GridPlanningProblem(probe, start, goal)
         instances.append((start, goal, dijkstra_oracle(problem, problem.start).cost))
     return world, instances
@@ -211,14 +210,12 @@ def run_experiment(spec: RunSpec, progress=None) -> list[RunMetrics]:
     Per-run failures are recorded in the run's status; the experiment
     continues.
     """
-    world, instances = build_instances(
-        spec.map_path, spec.map_scale, spec.domain, CostModel(spec.cost_kind, spec.cost_seed),
-        spec.pair_count, spec.pair_seed)
+    world, instances = build_instances(spec)
     metrics: list[RunMetrics] = []
     for pair_index, (start, goal, oracle) in enumerate(instances):
         for repetition in range(spec.repetitions):
             identity = dict(
-                algorithm=spec.algorithm, map_name=world.grid.name, cost_kind=spec.cost_kind,
+                algorithm=spec.algorithm, map_name=world.grid.name, cost_kind=spec.cost.kind,
                 pair_index=pair_index, repetition=repetition,
                 n_threads=spec.planner.n_threads, start=start, goal=goal, oracle_cost=oracle)
             try:
@@ -407,16 +404,36 @@ def emit_outputs(summary: Summary, out_dir: str | FsPath) -> list[FsPath]:
 # ---------------------------------------------------------------------------
 # Flat key=value run-spec files
 
+#: Every run parameter: spec key -> (type, the dataclass that holds it, its
+#: field there).  Spec files, ``anyplan run`` flags and the scripts all set
+#: a run through these keys; an absent key keeps its dataclass default.
 SPEC_KEYS = {
-    "algo": str, "map": str, "scale": int, "cost": str, "cost_seed": int,
-    "pairs": int, "pair_seed": int, "reps": int, "threads": int,
-    "w0": float, "dw": float, "epsilon": str, "timeout_ms": float,
-    "max_iterations": int, "footprint": int, "move": int,
-    "collision_step": int, "eval_delay_us": float,
+    "algo": (str, RunSpec, "algorithm"),
+    "map": (str, RunSpec, "map_path"),
+    "scale": (int, RunSpec, "map_scale"),
+    "cost": (str, CostModel, "kind"),
+    "cost_seed": (int, CostModel, "rng_seed"),
+    "pairs": (int, RunSpec, "pair_count"),
+    "pair_seed": (int, RunSpec, "pair_seed"),
+    "reps": (int, RunSpec, "repetitions"),
+    "threads": (int, PlannerConfig, "n_threads"),
+    "w0": (float, PlannerConfig, "w0"),
+    "dw": (float, PlannerConfig, "delta_w"),
+    "epsilon": (str, PlannerConfig, "epsilon"),
+    "timeout_ms": (float, PlannerConfig, "time_budget"),
+    "max_iterations": (int, PlannerConfig, "max_iterations"),
+    "footprint": (int, GridDomainConfig, "footprint_side"),
+    "move": (int, GridDomainConfig, "move_length"),
+    "collision_step": (int, GridDomainConfig, "collision_step"),
+    "eval_delay_us": (float, GridDomainConfig, "eval_delay"),
 }
 
-COST_ALIASES = {"euclidean": "euclidean", "random": "random_factor",
-                "random_factor": "random_factor"}
+#: The keys :func:`build_instances` reads: the flags of ``anyplan oracle``.
+INSTANCE_KEYS = ("map", "scale", "cost", "cost_seed", "pairs", "pair_seed",
+                 "footprint", "move", "collision_step")
+
+#: Spec spellings of a :class:`CostModel` kind other than the kind itself.
+COST_ALIASES = {"random": "random_factor"}
 
 
 def parse_run_spec(text: str, base_dir: str | FsPath = ".") -> RunSpec:
@@ -427,9 +444,8 @@ def parse_run_spec(text: str, base_dir: str | FsPath = ".") -> RunSpec:
 
 def parse_spec_values(text: str) -> dict[str, object]:
     """Parse the flat ``key = value`` spec format ('#' comments allowed)
-    into typed values, keyed as :func:`build_run_spec` reads them.
-
-    Required keys: ``algo`` and ``map``.  Unknown keys are errors.
+    into values typed by :data:`SPEC_KEYS`, keyed as :func:`build_run_spec`
+    reads them.  Unknown keys are errors.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -444,53 +460,43 @@ def parse_spec_values(text: str) -> dict[str, object]:
         if key not in SPEC_KEYS:
             raise SpecError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = SPEC_KEYS[key](rhs)
+            values[key] = SPEC_KEYS[key][0](rhs)
         except ValueError as exc:
             raise SpecError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    if "algo" not in values or "map" not in values:
-        raise SpecError("spec must define at least 'algo' and 'map'")
     return values
 
 
 def build_run_spec(values: dict, base_dir: str | FsPath = ".") -> RunSpec:
-    cost = COST_ALIASES.get(str(values.get("cost", "euclidean")))
-    if cost is None:
-        raise SpecError(f"unknown cost model {values.get('cost')!r}")
-    epsilon_raw = values.get("epsilon", "w")
-    if str(epsilon_raw) == "w":
-        epsilon = None
-    elif str(epsilon_raw) == "inf":
-        epsilon = math.inf
-    else:
-        epsilon = float(epsilon_raw)
-    timeout_ms = values.get("timeout_ms")
+    """Build a validated :class:`RunSpec` from spec-key values; ``algo`` and
+    ``map`` are required, and ``map`` is relative to ``base_dir``.
+
+    Each value is converted once by its :data:`SPEC_KEYS` type into its
+    dataclass field, and an absent key keeps that field's default.  Only
+    ``cost`` (an alias), ``epsilon`` (``w`` tracks the weight), ``timeout_ms``
+    and ``eval_delay_us`` (to seconds) change beyond that.  A bad key or
+    value is a :class:`SpecError`.
+    """
+    unknown = sorted(values.keys() - SPEC_KEYS.keys())
+    if unknown:
+        raise SpecError(f"unknown key(s): {', '.join(unknown)}")
+    missing = [key for key in ("algo", "map") if key not in values]
+    if missing:
+        raise SpecError(f"required key(s) missing: {', '.join(missing)}")
+    convert = {
+        "map": lambda v: str(FsPath(base_dir) / v),
+        "cost": lambda v: COST_ALIASES.get(v, v),
+        "epsilon": lambda v: None if v == "w" else float(v),
+        "timeout_ms": lambda v: v / 1e3,
+        "eval_delay_us": lambda v: v / 1e6,
+    }
+    fields: dict[type, dict] = {holder: {} for _, holder, _ in SPEC_KEYS.values()}
     try:
-        planner = PlannerConfig(
-            w0=float(values.get("w0", 1.0)),
-            delta_w=float(values.get("dw", 0.5)),
-            epsilon=epsilon,
-            n_threads=int(values.get("threads", 1)),
-            time_budget=math.inf if timeout_ms is None else float(timeout_ms) / 1e3,
-            max_iterations=values.get("max_iterations"),
-        )
-        domain = GridDomainConfig(
-            footprint_side=int(values.get("footprint", 32)),
-            move_length=int(values.get("move", 25)),
-            collision_step=int(values.get("collision_step", 1)),
-            eval_delay=float(values.get("eval_delay_us", 0.0)) / 1e6,
-        )
-        map_path = FsPath(base_dir) / str(values["map"])
-        return RunSpec(
-            algorithm=str(values["algo"]),
-            map_path=str(map_path),
-            map_scale=int(values.get("scale", 1)),
-            cost_kind=cost,
-            cost_seed=int(values.get("cost_seed", 0)),
-            planner=planner,
-            domain=domain,
-            pair_count=int(values.get("pairs", 10)),
-            pair_seed=int(values.get("pair_seed", 0)),
-            repetitions=int(values.get("reps", 1)),
-        )
+        for key, value in values.items():
+            kind, holder, name = SPEC_KEYS[key]
+            value = kind(value)
+            fields[holder][name] = convert[key](value) if key in convert else value
+        return RunSpec(**fields[RunSpec], cost=CostModel(**fields[CostModel]),
+                       planner=PlannerConfig(**fields[PlannerConfig]),
+                       domain=GridDomainConfig(**fields[GridDomainConfig]))
     except (ValueError, TypeError) as exc:
         raise SpecError(str(exc)) from exc

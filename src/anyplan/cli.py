@@ -14,10 +14,8 @@ import sys
 from pathlib import Path as FsPath
 
 from .bench import (
-    ALGORITHMS,
-    COST_ALIASES,
+    INSTANCE_KEYS,
     SPEC_KEYS,
-    SpecError,
     aggregate,
     build_instances,
     build_run_spec,
@@ -26,27 +24,22 @@ from .bench import (
     run_experiment,
     run_metrics_from_json,
 )
-from .grid2d import CostModel, GridDomainConfig
+from .grid2d import SamplingError
+
+#: What a bad spec, map or instance request raises while a command builds
+#: its spec and instances (``SpecError`` and ``MapFormatError`` are
+#: ``ValueError``s): each is an ``error:`` line and exit code 2.
+_BAD_INPUT = (ValueError, OSError, SamplingError)
 
 
-def _add_override_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--map", help="map file (MovingAI .map)")
-    p.add_argument("--algo", choices=ALGORITHMS)
-    p.add_argument("--cost", choices=["euclidean", "random"])
-    p.add_argument("--cost-seed", type=int, dest="cost_seed")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--w0", type=float)
-    p.add_argument("--dw", type=float)
-    p.add_argument("--timeout-ms", type=float, dest="timeout_ms")
-    p.add_argument("--eval-delay-us", type=float, dest="eval_delay_us")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--pair-seed", type=int, dest="pair_seed")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--footprint", type=int)
-    p.add_argument("--move", type=int)
+def _add_spec_flags(p: argparse.ArgumentParser, keys) -> None:
+    """One ``--key-with-dashes`` flag per spec key, typed by :data:`SPEC_KEYS`
+    and with no default of its own: an absent flag leaves the key unset."""
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), type=SPEC_KEYS[key][0])
 
 
-def _collect_overrides(args: argparse.Namespace) -> dict:
+def _flag_values(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k in SPEC_KEYS and v is not None}
 
 
@@ -56,17 +49,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.spec:
             spec_path = FsPath(args.spec)
             values = parse_spec_values(spec_path.read_text())
-            # the spec's map is relative to the spec file, --map to the cwd
-            values["map"] = str(spec_path.parent / values["map"])
-        values.update(_collect_overrides(args))
-        if "algo" not in values or "map" not in values:
-            raise SpecError("either --spec or both --algo and --map are required")
+            if "map" in values:
+                # the spec's map is relative to the spec file, --map to the cwd
+                values["map"] = str(spec_path.parent / values["map"])
+        values.update(_flag_values(args))
         spec = build_run_spec(values)
-    except (SpecError, OSError, ValueError) as exc:
+        metrics = run_experiment(spec, progress=_progress if args.verbose else None)
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    metrics = run_experiment(spec, progress=_progress if args.verbose else None)
     summary = aggregate(metrics)
     out_dir = FsPath(args.out)
     written = emit_outputs(summary, out_dir)
@@ -86,11 +78,10 @@ def _progress(metric) -> None:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
-        _world, instances = build_instances(
-            args.map, args.scale,
-            GridDomainConfig(footprint_side=args.footprint, move_length=args.move),
-            CostModel(COST_ALIASES[args.cost], args.cost_seed), args.pairs, args.pair_seed)
-    except Exception as exc:
+        # the oracle runs no algorithm, but a spec names one
+        spec = build_run_spec({"algo": "wastar", **_flag_values(args)})
+        _world, instances = build_instances(spec)
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = FsPath(args.out)
@@ -128,7 +119,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return subprocess.call(cmd)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="anyplan",
                                      description="anytime parallel search benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -137,17 +128,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--spec", help="flat key=value spec file")
     p_run.add_argument("--out", default="bench_out", help="output directory")
     p_run.add_argument("--verbose", action="store_true")
-    _add_override_flags(p_run)
+    _add_spec_flags(p_run, SPEC_KEYS)
 
     p_oracle = sub.add_parser("oracle", help="precompute optimal costs for sampled pairs")
-    p_oracle.add_argument("--map", required=True)
-    p_oracle.add_argument("--scale", type=int, default=1)
-    p_oracle.add_argument("--cost", choices=["euclidean", "random"], default="euclidean")
-    p_oracle.add_argument("--cost-seed", type=int, dest="cost_seed", default=0)
-    p_oracle.add_argument("--footprint", type=int, default=32)
-    p_oracle.add_argument("--move", type=int, default=25)
-    p_oracle.add_argument("--pairs", type=int, default=10)
-    p_oracle.add_argument("--pair-seed", type=int, dest="pair_seed", default=0)
+    _add_spec_flags(p_oracle, INSTANCE_KEYS)
     p_oracle.add_argument("--out", required=True)
 
     p_agg = sub.add_parser("aggregate", help="re-aggregate a runs.ndjson file")
@@ -156,7 +140,11 @@ def main(argv=None) -> int:
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
     p_self.add_argument("-k", help="pytest -k filter")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)

@@ -31,6 +31,7 @@ from .domain import (
 
 FREE_GLYPHS = frozenset(".G")
 OBSTACLE_GLYPHS = frozenset("@OT")
+MAP_GLYPHS = FREE_GLYPHS | OBSTACLE_GLYPHS
 
 #: Compass-ordered unit moves (dx, dy): N, NE, E, SE, S, SW, W, NW.
 DIRECTIONS: tuple[tuple[int, int], ...] = (
@@ -96,19 +97,21 @@ def parse_map(text: str, name: str = "<memory>") -> GridMap:
     if len(rows) > height:
         raise MapFormatError(f"{name}: line {5 + height}: trailing content after map rows")
 
-    occupancy = np.zeros((height, width), dtype=bool)
     for y, row in enumerate(rows):
         if len(row) != width:
             raise MapFormatError(
                 f"{name}: line {5 + y}: row has {len(row)} glyphs, expected {width}"
             )
-        for x, glyph in enumerate(row):
-            if glyph in OBSTACLE_GLYPHS:
-                occupancy[y, x] = True
-            elif glyph not in FREE_GLYPHS:
-                raise MapFormatError(
-                    f"{name}: line {5 + y}, col {x + 1}: unknown glyph {glyph!r}"
-                )
+        if not MAP_GLYPHS.issuperset(row):
+            x, glyph = next((x, g) for x, g in enumerate(row) if g not in MAP_GLYPHS)
+            raise MapFormatError(
+                f"{name}: line {5 + y}, col {x + 1}: unknown glyph {glyph!r}"
+            )
+    # every glyph is now one ASCII byte: look each up in a byte -> obstacle table
+    is_obstacle = np.zeros(128, dtype=bool)
+    is_obstacle[[ord(glyph) for glyph in OBSTACLE_GLYPHS]] = True
+    cells = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    occupancy = is_obstacle[cells].reshape(height, width)
     return GridMap(width=width, height=height, occupancy=occupancy, name=name)
 
 

@@ -1,9 +1,12 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from anyplan.bench import (
+    INSTANCE_KEYS,
+    SPEC_KEYS,
     AggregationError,
     RunMetrics,
     RunSpec,
@@ -19,7 +22,8 @@ from anyplan.bench import (
 from anyplan.controller import PlannerConfig, weight_schedule
 from anyplan.grid2d import GridDomainConfig
 
-MAPS = Path(__file__).resolve().parents[1] / "maps"
+ROOT = Path(__file__).resolve().parents[1]
+MAPS = ROOT / "maps"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -89,6 +93,15 @@ def test_run_spec_validation():
         RunSpec(algorithm="epase", map_path="x", repetitions=0)
     with pytest.raises(SpecError):
         build_run_spec({"algo": "epase", "map": "x", "cost": "manhattan"})
+
+
+def test_build_run_spec_rejects_a_mistyped_key():
+    with pytest.raises(SpecError, match="unknown key.*thread"):
+        build_run_spec({"algo": "epase", "map": "x", "thread": 4})
+
+
+def test_build_run_spec_defaults_are_the_dataclass_defaults():
+    assert build_run_spec({"algo": "epase", "map": "m"}) == RunSpec("epase", "m")
 
 
 # -- running ------------------------------------------------------------------
@@ -428,3 +441,59 @@ def test_cli_run_with_a_non_finite_spec_value_exits_2(key, value, tmp_path):
     spec_file = tmp_path / "run.spec"
     spec_file.write_text(spec_text(algo="aepase", **{key: value}))
     assert main(["run", "--spec", str(spec_file), "--out", str(tmp_path / "out")]) == 2
+
+
+# -- one table of run parameters ----------------------------------------------
+
+def test_oracle_matches_run_at_a_collision_step_above_one(tmp_path):
+    from anyplan.cli import main
+
+    instance = ["--map", str(MAPS / "maze64.map"), "--footprint", "4", "--move", "6",
+                "--pairs", "2", "--pair-seed", "11", "--cost", "random", "--cost-seed", "7"]
+    costs = {}
+    for step in ("1", "4"):
+        out = tmp_path / f"oracle{step}.csv"
+        assert main(["oracle", *instance, "--collision-step", step, "--out", str(out)]) == 0
+        costs[step] = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
+    assert costs["1"] != costs["4"]
+    spec = build_run_spec({"algo": "wastar", "map": str(MAPS / "maze64.map"), "footprint": 4,
+                           "move": 6, "pairs": 2, "pair_seed": 11, "cost": "random",
+                           "cost_seed": 7, "collision_step": 4})
+    assert costs["4"] == [[str(c) for c in (*m.start, *m.goal)]
+                          + [format(m.oracle_cost, ".9g")] for m in run_experiment(spec)]
+
+
+@pytest.mark.parametrize("instance", [
+    ["--map", str(MAPS / "nope.map")],
+    ["--map", str(MAPS / "cross32.map"), "--footprint", "40"],
+], ids=["missing-map", "no-free-placement"])
+def test_run_and_oracle_report_a_bad_instance_alike(instance, tmp_path, capsys):
+    from anyplan.cli import main
+
+    assert main(["run", "--algo", "wastar", *instance, "--out", str(tmp_path / "out")]) == 2
+    run_err = capsys.readouterr().err
+    assert main(["oracle", *instance, "--out", str(tmp_path / "oracle.csv")]) == 2
+    assert capsys.readouterr().err == run_err
+    assert run_err.startswith("error: ") and run_err.count("\n") == 1
+    assert not (tmp_path / "out").exists() and not (tmp_path / "oracle.csv").exists()
+
+
+def test_readme_spec_table_lists_exactly_the_spec_keys():
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| key | meaning | default |", 1)[1].split("\n\n", 1)[0]
+    listed = [key for row in table.splitlines()[2:]
+              for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(listed) == sorted(SPEC_KEYS)
+
+
+def test_cli_flags_are_the_spec_keys_with_no_default():
+    from anyplan.cli import build_parser
+
+    parser = build_parser()
+    for command, keys in (("run", SPEC_KEYS), ("oracle", INSTANCE_KEYS)):
+        unset = vars(parser.parse_args([command, "--out", "o"]))
+        assert {k: v for k, v in unset.items() if k in SPEC_KEYS} == dict.fromkeys(keys)
+        for key in keys:
+            kind = SPEC_KEYS[key][0]
+            args = parser.parse_args([command, "--out", "o", "--" + key.replace("_", "-"), "3"])
+            assert getattr(args, key) == kind("3") and type(getattr(args, key)) is kind

@@ -60,6 +60,22 @@ def test_parse_row_width_mismatch():
         parse_map("type octile\nheight 2\nwidth 3\nmap\n..\n...\n")
 
 
+@pytest.mark.parametrize("rows,message", [
+    (".x.\n..\n...\n", "m: line 5, col 2: unknown glyph 'x'"),
+    ("...\n..\n.x.\n", "m: line 6: row has 2 glyphs, expected 3"),
+    ("...\n.@é\n..\n", "m: line 6, col 3: unknown glyph 'é'"),
+], ids=["glyph-before-short-row", "short-row-before-glyph", "non-ascii-glyph"])
+def test_parse_reports_the_first_bad_row_in_row_order(rows, message):
+    with pytest.raises(MapFormatError) as info:
+        parse_map("type octile\nheight 3\nwidth 3\nmap\n" + rows, name="m")
+    assert str(info.value) == message
+
+
+def test_parse_marks_every_obstacle_glyph():
+    grid = parse_map("type octile\nheight 2\nwidth 3\nmap\n.GT\nO@.\n")
+    assert grid.occupancy.tolist() == [[False, False, True], [True, True, False]]
+
+
 def test_parse_bad_header():
     with pytest.raises(MapFormatError, match="height"):
         parse_map("type octile\nwidth 2\nheight 2\nmap\n..\n..\n")
