@@ -41,9 +41,10 @@ SPEEDUP_TARGET = "aepase"
 
 #: Column order of ``table1.csv`` and ``speedup.csv``; each row is a dict
 #: keyed by these names.
-TABLE1_COLUMNS = ("cost_kind", "algorithm", "n_runs", "mean_t_init_ms", "mean_init_ratio",
-                  "mean_t_opt_ms", "mean_t_term_ms")
-SPEEDUP_COLUMNS = ("cost_kind", "baseline", "target", "n_pairs", "speedup_init",
+TABLE1_COLUMNS = ("cost_kind", "algorithm", "n_threads", "eval_delay_us", "n_runs",
+                  "mean_t_init_ms", "mean_init_ratio", "mean_t_opt_ms", "mean_t_term_ms")
+SPEEDUP_COLUMNS = ("cost_kind", "baseline", "target", "baseline_n_threads",
+                   "target_n_threads", "eval_delay_us", "n_pairs", "speedup_init",
                    "speedup_opt", "speedup_term")
 
 
@@ -76,6 +77,8 @@ class RunSpec:
             raise SpecError("pair count must be >= 0")
         if self.map_scale < 1:
             raise SpecError("map scale must be >= 1")
+        if self.algorithm == "wastar" and self.planner.time_budget < math.inf:
+            raise SpecError("timeout_ms: wastar has no deadline; leave the key out")
 
 
 @dataclass
@@ -91,6 +94,7 @@ class RunMetrics:
     oracle_cost: float
     status: str
     duration: float
+    eval_delay: float = 0.0  # the world's simulated edge delay, in seconds
     t_init: float | None = None
     t_opt: float | None = None
     t_term: float | None = None
@@ -165,11 +169,9 @@ def build_instances(spec: RunSpec
     return world, instances
 
 
-def _run_single(spec: RunSpec, world: GridWorld, base: RunMetrics) -> RunMetrics:
+def _run_single(spec: RunSpec, problem: GridPlanningProblem, base: RunMetrics) -> RunMetrics:
     """Run one instance and fill in ``base``, which holds its identity."""
     cfg = spec.planner
-    problem = GridPlanningProblem(world, base.start, base.goal)
-
     if spec.algorithm == "wastar":
         t0 = time.monotonic()
         res = weighted_astar(problem, problem.start, w=cfg.w0)
@@ -185,20 +187,10 @@ def _run_single(spec: RunSpec, world: GridWorld, base: RunMetrics) -> RunMetrics
         base.expansions_per_iteration = [res.expansions]
         return _metrics_from_records([record], status, duration, base)
 
-    if spec.algorithm == "arastar":
-        result = ara_star(cfg, problem, problem.start)
-    elif spec.algorithm == "epase":
-        result = plan(replace(cfg, max_iterations=1), problem, problem.start)
-    elif spec.algorithm == "aepase":
-        result = plan(cfg, problem, problem.start)
-    elif spec.algorithm == "aepase_naive":
-        def factory():
-            fresh = GridPlanningProblem(world, base.start, base.goal)
-            return fresh, fresh.start
-        result = plan_naive(cfg, factory)
-    else:  # pragma: no cover - guarded by RunSpec validation
-        raise SpecError(f"unknown algorithm {spec.algorithm!r}")
-
+    # looked up per call, so a driver patched on this module is the one run
+    driver, cfg = {"arastar": (ara_star, cfg), "epase": (plan, replace(cfg, max_iterations=1)),
+                   "aepase": (plan, cfg), "aepase_naive": (plan_naive, cfg)}[spec.algorithm]
+    result = driver(cfg, problem, problem.start)
     base.expansions_per_iteration = result.expansions_per_iteration
     return _metrics_from_records(result.records, result.status, result.wall_time, base)
 
@@ -213,14 +205,16 @@ def run_experiment(spec: RunSpec, progress=None) -> list[RunMetrics]:
     world, instances = build_instances(spec)
     metrics: list[RunMetrics] = []
     for pair_index, (start, goal, oracle) in enumerate(instances):
+        problem = GridPlanningProblem(world, start, goal)
         for repetition in range(spec.repetitions):
             identity = dict(
                 algorithm=spec.algorithm, map_name=world.grid.name, cost_kind=spec.cost.kind,
                 pair_index=pair_index, repetition=repetition,
-                n_threads=spec.planner.n_threads, start=start, goal=goal, oracle_cost=oracle)
+                n_threads=spec.planner.n_threads, start=start, goal=goal, oracle_cost=oracle,
+                eval_delay=spec.domain.eval_delay)
             try:
-                m = _run_single(spec, world, RunMetrics(**identity, status="pending",
-                                                        duration=0.0))
+                m = _run_single(spec, problem, RunMetrics(**identity, status="pending",
+                                                          duration=0.0))
             except Exception as exc:
                 m = RunMetrics(**identity, status="error", duration=0.0,
                                error=f"{type(exc).__name__}: {exc}")
@@ -242,6 +236,16 @@ class Summary:
     runs: list[RunMetrics]
 
 
+def _cell(m: RunMetrics) -> tuple[str, float, str, int]:
+    """What a table row and a curve column are keyed on."""
+    return m.cost_kind, m.eval_delay, m.algorithm, m.n_threads
+
+
+def _cell_order(cell: tuple[str, float, str, int]) -> tuple:
+    cost_kind, delay, algo, n_threads = cell
+    return cost_kind, delay, _algo_order(algo), n_threads
+
+
 def _algo_order(algo: str) -> int:
     return ALGORITHMS.index(algo) if algo in ALGORITHMS else len(ALGORITHMS)
 
@@ -249,7 +253,9 @@ def _algo_order(algo: str) -> int:
 def aggregate(metrics: list[RunMetrics]) -> Summary:
     """Fold raw runs into the mean-time table, per-run-averaged speedups of
     :data:`SPEEDUP_TARGET` over every other algorithm and the
-    time-discretized best-so-far optimality curves."""
+    time-discretized best-so-far optimality curves.  Table rows and curve
+    columns are one (cost kind, edge delay, algorithm, worker count) each;
+    a speedup pairs one worker count of each side at one delay."""
     ok = [m for m in metrics if m.status not in ("error", "infeasible")]
     for m in ok:
         if m.status == STATUS_PROVED_OPTIMAL and m.t_init is not None:
@@ -259,15 +265,16 @@ def aggregate(metrics: list[RunMetrics]) -> Summary:
                     f"init={m.t_init} opt={m.t_opt} term={m.t_term}")
 
     table_rows = []
-    keys = sorted({(m.cost_kind, m.algorithm) for m in ok},
-                  key=lambda k: (k[0], _algo_order(k[1])))
-    for cost_kind, algo in keys:
-        runs = [m for m in ok if m.cost_kind == cost_kind and m.algorithm == algo]
+    for cell in sorted({_cell(m) for m in ok}, key=_cell_order):
+        cost_kind, delay, algo, n_threads = cell
+        runs = [m for m in ok if _cell(m) == cell]
         init_ratios = [m.optimality_ratio_series[0][1] for m in runs
                        if m.optimality_ratio_series]
         table_rows.append({
             "cost_kind": cost_kind,
             "algorithm": algo,
+            "n_threads": n_threads,
+            "eval_delay_us": delay * 1e6,
             "n_runs": len(runs),
             "mean_t_init_ms": _scale_ms(_mean([m.t_init for m in runs if m.t_init is not None])),
             "mean_init_ratio": _mean(init_ratios),
@@ -276,16 +283,18 @@ def aggregate(metrics: list[RunMetrics]) -> Summary:
         })
 
     speedup_rows = []
-    cost_kinds = sorted({m.cost_kind for m in ok})
-    for cost_kind in cost_kinds:
-        for algo in ALGORITHMS:
-            if algo == SPEEDUP_TARGET:
-                continue
-            rows = paired_speedups(ok, algo, SPEEDUP_TARGET, cost_kind)
-            if rows is not None:
-                speedup_rows.append(rows)
+    for cost_kind, delay in sorted({(m.cost_kind, m.eval_delay) for m in ok}):
+        runs = [m for m in ok if (m.cost_kind, m.eval_delay) == (cost_kind, delay)]
+        sides = sorted({(m.algorithm, m.n_threads) for m in runs},
+                       key=lambda side: (_algo_order(side[0]), side[1]))
+        for target in (side for side in sides if side[0] == SPEEDUP_TARGET):
+            for baseline in (side for side in sides if side[0] != SPEEDUP_TARGET):
+                pair_runs = [m for m in runs if (m.algorithm, m.n_threads) in (baseline, target)]
+                row = paired_speedups(pair_runs, baseline[0], SPEEDUP_TARGET, cost_kind)
+                if row is not None:
+                    speedup_rows.append(row)
 
-    curves = {kind: _curve_for(ok, kind) for kind in cost_kinds}
+    curves = {kind: _curve_for(ok, kind) for kind in sorted({m.cost_kind for m in ok})}
     return Summary(table_rows=table_rows, speedup_rows=speedup_rows,
                    curves=curves, runs=list(metrics))
 
@@ -297,19 +306,37 @@ def _scale_ms(value: float | None) -> float | None:
 def paired_speedups(metrics: list[RunMetrics], baseline: str, target: str,
                     cost_kind: str) -> dict | None:
     """Mean of per-run baseline/target time ratios, paired on the same
-    (map, pair, repetition) instance.  Ratios first, then the average."""
+    (map, pair, repetition) instance.  Ratios first, then the average.
+
+    The paired runs must share one edge delay, and each side one worker
+    count; two runs of one side on one instance, or pairs that mix delays
+    or worker counts, are an :class:`AggregationError`.
+    """
     def index(algo):
-        return {(m.map_name, m.pair_index, m.repetition): m
-                for m in metrics if m.algorithm == algo and m.cost_kind == cost_kind}
+        runs: dict[tuple, RunMetrics] = {}
+        for m in metrics:
+            if m.algorithm == algo and m.cost_kind == cost_kind:
+                key = (m.map_name, m.pair_index, m.repetition)
+                if key in runs:
+                    raise AggregationError(f"two {algo} runs on (map, pair, repetition) {key}")
+                runs[key] = m
+        return runs
 
     base_runs = index(baseline)
     target_runs = index(target)
     shared = sorted(base_runs.keys() & target_runs.keys())
     if not shared:
         return None
+    pairs = [(base_runs[key], target_runs[key]) for key in shared]
+    threads = {(b.n_threads, t.n_threads) for b, t in pairs}
+    delays = {m.eval_delay for pair in pairs for m in pair}
+    if len(threads) > 1 or len(delays) > 1:
+        raise AggregationError(f"{baseline}/{target} pairs mix worker counts {sorted(threads)} "
+                               f"or edge delays {sorted(delays)}")
+    (b_threads, t_threads), = threads
+    delay, = delays
     ratios: dict[str, list[float]] = {"init": [], "opt": [], "term": []}
-    for key in shared:
-        b, t = base_runs[key], target_runs[key]
+    for b, t in pairs:
         for phase, bt, tt in (("init", b.t_init, t.t_init),
                               ("opt", b.t_opt, t.t_opt),
                               ("term", b.t_term, t.t_term)):
@@ -319,6 +346,9 @@ def paired_speedups(metrics: list[RunMetrics], baseline: str, target: str,
         "cost_kind": cost_kind,
         "baseline": baseline,
         "target": target,
+        "baseline_n_threads": b_threads,
+        "target_n_threads": t_threads,
+        "eval_delay_us": delay * 1e6,
         "n_pairs": len(shared),
         "speedup_init": _mean(ratios["init"]),
         "speedup_opt": _mean(ratios["opt"]),
@@ -338,20 +368,21 @@ def _best_ratio_at(m: RunMetrics, t: float) -> float:
 
 
 def _curve_for(metrics: list[RunMetrics], cost_kind: str) -> dict:
+    """The mean best-so-far optimality ratio of each cell's runs over time;
+    one column per cell, named ``<algorithm>_t<workers>_d<delay in us>``."""
     runs = [m for m in metrics if m.cost_kind == cost_kind]
-    algos = sorted({m.algorithm for m in runs}, key=_algo_order)
+    cells = sorted({_cell(m) for m in runs}, key=_cell_order)
+    names = [f"{algo}_t{n_threads}_d{_fmt(delay * 1e6)}" for _, delay, algo, n_threads in cells]
     horizon = max((m.t_term if m.t_term is not None else m.duration for m in runs),
                   default=0.0)
     if horizon <= 0.0:
-        return {"times": [], "columns": {a: [] for a in algos}}
+        return {"times": [], "columns": {name: [] for name in names}}
     width = horizon / CURVE_BUCKETS
     times = [width * (k + 1) for k in range(CURVE_BUCKETS)]
     columns = {}
-    for algo in algos:
-        mine = [m for m in runs if m.algorithm == algo]
-        columns[algo] = [
-            sum(_best_ratio_at(m, t) for m in mine) / len(mine) for t in times
-        ] if mine else []
+    for name, cell in zip(names, cells):
+        mine = [m for m in runs if _cell(m) == cell]
+        columns[name] = [sum(_best_ratio_at(m, t) for m in mine) / len(mine) for t in times]
     return {"times": times, "columns": columns}
 
 
@@ -382,14 +413,11 @@ def emit_outputs(summary: Summary, out_dir: str | FsPath) -> list[FsPath]:
     for cost_kind in sorted(summary.curves):
         curve = summary.curves[cost_kind]
         path = out / f"anytime_curve_{cost_kind}.csv"
-        algos = sorted(curve["columns"], key=_algo_order)
+        columns = curve["columns"]
         with path.open("w", newline="") as fp:
-            fp.write(",".join(["time_ms"] + [f"ratio_{a}" for a in algos]) + "\n")
+            fp.write(",".join(["time_ms"] + [f"ratio_{name}" for name in columns]) + "\n")
             for k, t in enumerate(curve["times"]):
-                cells = [_fmt(t * 1e3)]
-                for a in algos:
-                    col = curve["columns"][a]
-                    cells.append(_fmt(col[k]) if col else "")
+                cells = [_fmt(t * 1e3)] + [_fmt(col[k]) for col in columns.values()]
                 fp.write(",".join(cells) + "\n")
         written.append(path)
 

@@ -244,20 +244,19 @@ def plan(config: PlannerConfig, domain: SearchDomain, start: int, *,
                    unjustified_reexpansions=ctx.unjustified_reexpansions, context=ctx)
 
 
-def plan_naive(config: PlannerConfig, problem_factory: Callable[[], tuple[SearchDomain, int]],
-               *, sink=None) -> PlanResult:
+def plan_naive(config: PlannerConfig, domain: SearchDomain, start: int, *,
+               sink=None) -> PlanResult:
     """Anytime-by-restart reference: run one fresh bounded-suboptimal search
     per schedule weight, without reusing any earlier search effort.
 
-    ``problem_factory`` must build an independent episode (fresh domain
-    instance and start handle) per call, so edge evaluations are not shared
-    between restarts.  Publishes the best-so-far incumbent per weight.
+    Each restart is a :func:`plan` call with its own episode and edge cache,
+    so restarts share no evaluations.  Publishes the best-so-far incumbent
+    per weight.
     """
     outcomes = {STATUS_TIMEOUT: ImproveOutcome.TIMEOUT,
                 STATUS_INFEASIBLE: ImproveOutcome.EXHAUSTED}
 
     def run_pass(index: int, w: float, eps: float, deadline: float):
-        domain, start = problem_factory()
         sub = replace(config, w0=w, max_iterations=1,
                       time_budget=max(0.0, deadline - time.monotonic()))
         result = plan(sub, domain, start)

@@ -1,10 +1,12 @@
 """Planning-domain contract shared by every search engine in this package.
 
-A domain exposes a lazily generated graph: states are dense integer handles,
-each state has a small ordered action set, and evaluating a (state, action)
-edge may be arbitrarily slow (simulation, collision checking, ...).  The
-engines never touch domain coordinates directly; interning coordinates into
-handles is the domain's job (see :class:`StateInterner`).
+A domain exposes a lazily generated graph: states are integer handles, each
+state has a small ordered action set, and evaluating a (state, action) edge
+may be arbitrarily slow (simulation, collision checking, ...).  The engines
+never touch domain coordinates directly; mapping coordinates to handles is
+the domain's job.  A domain with a dense index uses it (a grid state is its
+raster anchor index); one without interns its coordinates with
+:class:`StateInterner`.
 """
 
 from __future__ import annotations

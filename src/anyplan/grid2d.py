@@ -22,12 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import (
-    INVALID_OUTCOME,
-    SearchDomain,
-    StateInterner,
-    SuccessorOutcome,
-)
+from .domain import INVALID_OUTCOME, SearchDomain, SuccessorOutcome
 
 FREE_GLYPHS = frozenset(".G")
 OBSTACLE_GLYPHS = frozenset("@OT")
@@ -117,10 +112,11 @@ def parse_map(text: str, name: str = "<memory>") -> GridMap:
 
 def serialize_map(grid: GridMap) -> str:
     """Render a map back to MovingAI text ('.' free, '@' obstacle)."""
-    rows = ["".join("@" if grid.occupancy[y, x] else "." for x in range(grid.width))
-            for y in range(grid.height)]
+    # one byte per cell and a newline ending each row, in one array pass
+    glyphs = np.full((grid.height, grid.width + 1), ord("\n"), dtype=np.uint8)
+    glyphs[:, :-1] = np.where(grid.occupancy, ord("@"), ord("."))
     head = f"type octile\nheight {grid.height}\nwidth {grid.width}\nmap\n"
-    return head + "\n".join(rows) + "\n"
+    return head + glyphs.tobytes().decode("ascii")
 
 
 def load_map(path: str | FsPath, scale: int = 1) -> GridMap:
@@ -331,10 +327,11 @@ def grid_successors(world: GridWorld, xy: tuple[int, int]
 
 
 class GridPlanningProblem(SearchDomain):
-    """One start/goal planning episode on a :class:`GridWorld`.
+    """One start/goal query on a :class:`GridWorld`.
 
-    Owns the state interner, so handles are stable for the episode; build a
-    fresh problem per independent run.
+    A state's handle is its anchor's raster index ``y * pw + x`` on the
+    placement grid (``pw`` placements per row).  The problem holds no
+    per-episode state, so one problem serves any number of episodes.
     """
 
     def __init__(self, world: GridWorld, start: tuple[int, int], goal: tuple[int, int]) -> None:
@@ -343,13 +340,19 @@ class GridPlanningProblem(SearchDomain):
         if not world.placement_free(*goal):
             raise ValueError(f"goal {goal} is not a free footprint placement")
         self.world = world
+        self._pw = world._pw
         self.goal_xy = (int(goal[0]), int(goal[1]))
-        self._interner = StateInterner()
-        self.start = self._interner.key_for((int(start[0]), int(start[1])))
+        self._goal = self.state_of(self.goal_xy)
+        self.start = self.state_of((int(start[0]), int(start[1])))
         self._action_ids = tuple(range(len(DIRECTIONS)))
 
+    def state_of(self, xy: tuple[int, int]) -> int:
+        """The handle of an on-map anchor; the inverse of :meth:`coord_of`."""
+        return xy[1] * self._pw + xy[0]
+
     def coord_of(self, state: int) -> tuple[int, int]:
-        return self._interner.coord_of(state)
+        y, x = divmod(state, self._pw)
+        return x, y
 
     def actions(self, state: int) -> Sequence[int]:
         return self._action_ids
@@ -358,7 +361,7 @@ class GridPlanningProblem(SearchDomain):
         valid, target, cost = self.world.evaluate_move(self.coord_of(state), action)
         if not valid:
             return INVALID_OUTCOME
-        return SuccessorOutcome(True, self._interner.key_for(target), cost)
+        return SuccessorOutcome(True, self.state_of(target), cost)
 
     def heuristic(self, state: int) -> float:
         return self.world.heuristic_between(self.coord_of(state), self.goal_xy)
@@ -367,7 +370,7 @@ class GridPlanningProblem(SearchDomain):
         return self.world.heuristic_between(self.coord_of(a), self.coord_of(b))
 
     def is_goal(self, state: int) -> bool:
-        return self.coord_of(state) == self.goal_xy
+        return state == self._goal
 
     def path_coords(self, states: Sequence[int]) -> list[tuple[int, int]]:
         return [self.coord_of(s) for s in states]

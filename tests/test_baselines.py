@@ -45,6 +45,15 @@ def test_engine_uses_no_lock_condition_or_event():
     assert not _names(cache) & (sync | {"threading", "_lock"})
 
 
+def test_grid_problem_interns_nothing_and_locks_nothing():
+    # a grid state is its raster anchor index, so the problem keeps no
+    # per-episode coordinate map and its evaluate takes no lock
+    tree = ast.parse((SRC / "grid2d.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not (_names(tree) | imported) & {"StateInterner", "Lock", "RLock", "threading"}
+
+
 def test_dijkstra_two_diagonal_steps_on_3x3():
     problem = grid_problem(open_world(3), (0, 0), (2, 2))
     res = dijkstra_oracle(problem, problem.start)

@@ -100,6 +100,20 @@ def test_build_run_spec_rejects_a_mistyped_key():
         build_run_spec({"algo": "epase", "map": "x", "thread": 4})
 
 
+def test_wastar_with_a_timeout_is_a_spec_error_naming_the_key(tmp_path):
+    from anyplan.cli import main
+
+    # weighted A* has no deadline; a budget it would ignore is refused
+    with pytest.raises(SpecError, match="timeout_ms"):
+        build_run_spec({"algo": "wastar", "map": "x", "timeout_ms": 100.0})
+    assert build_run_spec({"algo": "arastar", "map": "x", "timeout_ms": 100.0})
+    rc = main(["run", "--algo", "wastar", "--map", str(MAPS / "cross32.map"),
+               "--footprint", "4", "--move", "4", "--pairs", "1", "--timeout-ms", "100",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "runs.ndjson").exists()
+
+
 def test_build_run_spec_defaults_are_the_dataclass_defaults():
     assert build_run_spec({"algo": "epase", "map": "m"}) == RunSpec("epase", "m")
 
@@ -147,7 +161,7 @@ def test_run_experiment_naive_and_aepase_share_first_cost():
 
 
 IDENTITY_FIELDS = ("algorithm", "map_name", "cost_kind", "pair_index", "repetition",
-                   "n_threads", "start", "goal", "oracle_cost")
+                   "n_threads", "start", "goal", "oracle_cost", "eval_delay")
 
 
 def test_a_run_that_raises_leaves_an_error_record(tmp_path, monkeypatch):
@@ -210,6 +224,50 @@ def test_speedup_per_run_ratios_then_mean():
     assert row["speedup_term"] == pytest.approx(2.5)
 
 
+def test_paired_speedups_rejects_two_runs_on_one_instance():
+    runs = [mk_metrics("arastar", 0, t_init=0.04, t_opt=0.04, t_term=0.04, cost_init=110.0),
+            mk_metrics("aepase", 0, t_init=0.01, t_opt=0.01, t_term=0.01, cost_init=105.0),
+            mk_metrics("aepase", 0, t_init=0.02, t_opt=0.02, t_term=0.02, cost_init=105.0)]
+    runs[2].n_threads = 8
+    with pytest.raises(AggregationError, match="two aepase runs"):
+        paired_speedups(runs, "arastar", "aepase", "euclidean")
+
+
+def test_paired_speedups_rejects_pairs_across_delays():
+    runs = [mk_metrics(algo, i, t_init=0.04, t_opt=0.04, t_term=0.04, cost_init=110.0)
+            for algo in ("arastar", "aepase") for i in range(2)]
+    runs[3].eval_delay = 0.002
+    with pytest.raises(AggregationError, match="mix"):
+        paired_speedups(runs, "arastar", "aepase", "euclidean")
+
+
+def test_aggregate_keys_rows_curves_and_speedups_on_workers_and_delay():
+    # serial arastar at zero delay; aepase at 4 workers at zero delay and
+    # at 8 workers on 2 ms edges, on the same instance
+    runs = [mk_metrics("arastar", 0, t_init=0.04, t_opt=0.04, t_term=0.04, cost_init=110.0),
+            mk_metrics("aepase", 0, t_init=0.02, t_opt=0.02, t_term=0.02, cost_init=105.0),
+            mk_metrics("aepase", 0, t_init=0.50, t_opt=0.50, t_term=0.50, cost_init=105.0)]
+    runs[0].n_threads = 1
+    runs[2].n_threads, runs[2].eval_delay = 8, 0.002
+    summary = aggregate(runs)
+    assert [(r["algorithm"], r["n_threads"], r["eval_delay_us"], r["n_runs"])
+            for r in summary.table_rows] == [("arastar", 1, 0.0, 1), ("aepase", 4, 0.0, 1),
+                                             ("aepase", 8, 2000.0, 1)]
+    # the slow 8-worker run has no serial partner at its delay
+    (row,) = summary.speedup_rows
+    assert (row["baseline_n_threads"], row["target_n_threads"], row["eval_delay_us"],
+            row["n_pairs"], row["speedup_term"]) == (1, 4, 0.0, 1, pytest.approx(2.0))
+    assert list(summary.curves["euclidean"]["columns"]) == [
+        "arastar_t1_d0", "aepase_t4_d0", "aepase_t8_d2000"]
+
+
+def test_run_metrics_record_the_edge_delay():
+    spec = parse_run_spec(spec_text(pairs=1, eval_delay_us=10))
+    (m,) = run_experiment(spec)
+    assert m.eval_delay == pytest.approx(1e-5)
+    assert run_metrics_from_json(m.to_json()).eval_delay == m.eval_delay
+
+
 def test_aggregate_rejects_out_of_order_phase_times():
     bad = mk_metrics("aepase", 0, t_init=0.05, t_opt=0.01, t_term=0.040,
                      cost_init=120.0)
@@ -226,7 +284,7 @@ def test_curves_are_non_decreasing_and_bucketed():
     summary = aggregate(runs)
     curve = summary.curves["euclidean"]
     assert len(curve["times"]) == 200
-    col = curve["columns"]["aepase"]
+    col = curve["columns"]["aepase_t4_d0"]
     assert all(a <= b + 1e-12 for a, b in zip(col, col[1:]))
     assert col[-1] == pytest.approx(1.0)
     assert col[0] <= 0.5  # before the first publications the ratio is 0
@@ -238,8 +296,8 @@ def test_emit_headers_only_for_empty_summary(tmp_path):
     summary = aggregate([])
     written = emit_outputs(summary, tmp_path)
     table = (tmp_path / "table1.csv").read_text()
-    assert table == ("cost_kind,algorithm,n_runs,mean_t_init_ms,mean_init_ratio,"
-                     "mean_t_opt_ms,mean_t_term_ms\n")
+    assert table == ("cost_kind,algorithm,n_threads,eval_delay_us,n_runs,mean_t_init_ms,"
+                     "mean_init_ratio,mean_t_opt_ms,mean_t_term_ms\n")
     speedup = (tmp_path / "speedup.csv").read_text()
     assert speedup.startswith("cost_kind,baseline,target,")
     assert (tmp_path / "runs.ndjson").read_text() == ""

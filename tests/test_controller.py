@@ -20,7 +20,7 @@ from anyplan.controller import (
 )
 from anyplan.search import ImproveOutcome
 
-from _support import grid_problem, make_world, open_world
+from _support import CountingDomain, grid_problem, make_world, open_world
 
 # -- weight schedule ----------------------------------------------------------
 
@@ -187,18 +187,15 @@ def test_plan_closed_and_be_empty_at_each_pass_entry():
 
 def test_plan_naive_restarts_do_not_share_evaluations():
     world = open_world(9, cost="random_factor", cost_seed=21)
-    calls = []
+    problem = CountingDomain(grid_problem(world, (0, 0), (8, 8)))
+    start = problem.inner.start
 
-    def factory():
-        problem = grid_problem(world, (0, 0), (8, 8))
-        calls.append(problem)
-        return problem, problem.start
-
-    result = plan_naive(PlannerConfig(w0=2.0, delta_w=0.5, n_threads=2), factory)
+    result = plan_naive(PlannerConfig(w0=2.0, delta_w=0.5, n_threads=2), problem, start)
     assert result.status == STATUS_PROVED_OPTIMAL
-    assert len(calls) == len(weight_schedule(2.0, 0.5))  # one fresh episode per w
-    oracle = dijkstra_oracle(grid_problem(world, (0, 0), (8, 8)),
-                             calls[0].start).cost
+    assert len(result.iterations) == len(weight_schedule(2.0, 0.5))  # one restart per w
+    # each restart has its own edge cache: some edge is evaluated again
+    assert max(problem.calls_by_edge.values()) > 1
+    oracle = dijkstra_oracle(problem.inner, start).cost
     assert result.final_cost == pytest.approx(oracle, rel=1e-9)
     costs = result.published_costs
     assert all(a >= b for a, b in zip(costs, costs[1:]))
@@ -207,13 +204,9 @@ def test_plan_naive_restarts_do_not_share_evaluations():
 def test_plan_naive_first_record_matches_full_anytime_first_record():
     world = open_world(15, footprint=2, move=2, cost="random_factor", cost_seed=8)
 
-    def factory():
-        problem = grid_problem(world, (0, 0), (12, 12))
-        return problem, problem.start
-
-    cfg = PlannerConfig(w0=50.0, delta_w=0.5, n_threads=1)
-    naive = plan_naive(cfg, factory)
     problem = grid_problem(world, (0, 0), (12, 12))
+    cfg = PlannerConfig(w0=50.0, delta_w=0.5, n_threads=1)
+    naive = plan_naive(cfg, problem, problem.start)
     full = plan(cfg, problem, problem.start)
     assert naive.records[0].cost == full.records[0].cost  # same first search
 
@@ -258,11 +251,7 @@ def walled_off_world():
     return make_world("type octile\nheight 5\nwidth 5\nmap\n" + "\n".join(rows) + "\n")
 
 
-DRIVERS = {
-    "plan": lambda cfg, factory: plan(cfg, *factory()),
-    "plan_naive": plan_naive,
-    "ara_star": lambda cfg, factory: ara_star(cfg, *factory()),
-}
+DRIVERS = {"plan": plan, "plan_naive": plan_naive, "ara_star": ara_star}
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
@@ -279,11 +268,8 @@ def test_drivers_agree_on_each_terminal_status(driver, case):
     else:
         cfg = PlannerConfig(w0=1.0, n_threads=2)
 
-    def factory():
-        problem = grid_problem(world, (0, 0), goal)
-        return problem, problem.start
-
-    result = DRIVERS[driver](cfg, factory)
+    problem = grid_problem(world, (0, 0), goal)
+    result = DRIVERS[driver](cfg, problem, problem.start)
     if case == "zero_budget":
         assert result.status == STATUS_TIMEOUT
         assert result.records == [] and result.iterations == []
@@ -295,4 +281,5 @@ def test_drivers_agree_on_each_terminal_status(driver, case):
         assert result.records == []
     else:
         assert result.status == STATUS_PROVED_OPTIMAL
-        assert result.final_cost == pytest.approx(dijkstra_oracle(*factory()).cost, rel=1e-12)
+        assert result.final_cost == pytest.approx(
+            dijkstra_oracle(problem, problem.start).cost, rel=1e-12)

@@ -190,7 +190,7 @@ def test_backtrack_broken_chain_is_invariant_violation():
     problem = grid_problem(open_world(4), (0, 0), (3, 3))
     ctx = EpisodeContext(problem, problem.start, 1)
     seed_open_with_start(ctx, 1.0)
-    stray = problem._interner.key_for((2, 2))
+    stray = problem.state_of((2, 2))
     ctx.ensure_node(stray).g = 1.0  # reachable-looking state with no parent
     with pytest.raises(EngineInvariantError):
         backtrack(ctx, stray)

@@ -372,6 +372,40 @@ def test_costs_are_python_floats_through_a_random_factor_episode():
                for rec in result.records)
 
 
+def test_state_of_and_coord_of_round_trip_on_every_maze128_anchor():
+    world = GridWorld(load_map(MAPS_DIR / "maze128.map"),
+                      GridDomainConfig(footprint_side=8, move_length=12))
+    anchors = world.free_anchors()
+    problem = GridPlanningProblem(world, anchors[0], anchors[-1])
+    states = [problem.state_of(xy) for xy in anchors]
+    assert [problem.coord_of(s) for s in states] == anchors
+    # raster indices: plain ints, distinct and increasing in raster order
+    assert all(type(s) is int for s in states) and states == sorted(set(states))
+    assert problem.start == states[0] and problem.is_goal(states[-1])
+
+
+def test_one_problem_serves_many_episodes():
+    # the problem keeps no per-episode state: planning on it again gives
+    # the records a fresh problem gives
+    from anyplan.controller import PlannerConfig, plan
+
+    world = GridWorld(load_map(MAPS_DIR / "maze64.map"),
+                      GridDomainConfig(footprint_side=4, move_length=6),
+                      CostModel("random_factor", rng_seed=5))
+    (start, goal), = sample_start_goal_pairs(world, 1, seed=1)
+    cfg = PlannerConfig(w0=3.0, delta_w=0.5, n_threads=1)
+
+    def records(problem):
+        result = plan(cfg, problem, problem.start)
+        return [(r.path, r.cost, r.w_at_publish, r.bound_lambda, r.iteration_index)
+                for r in result.records]
+
+    fresh = records(GridPlanningProblem(world, start, goal))
+    shared = GridPlanningProblem(world, start, goal)
+    assert len(fresh) > 1
+    assert [records(shared) for _ in range(3)] == [fresh] * 3
+
+
 def test_successors_pure_function_bit_identical():
     world = open_world(40, footprint=3, move=5, cost="random_factor", cost_seed=4)
     a = grid_successors(world, (11, 7))
@@ -398,7 +432,7 @@ def test_heuristic_zero_at_goal_and_345_triangle():
     world = open_world(10)
     problem = GridPlanningProblem(world, (0, 0), (3, 4))
     assert problem.heuristic(problem.start) == pytest.approx(5.0)
-    goal_key = problem._interner.key_for((3, 4))
+    goal_key = problem.state_of((3, 4))
     assert problem.heuristic(goal_key) == 0.0
     assert problem.pairwise_heuristic(problem.start, problem.start) == 0.0
 
