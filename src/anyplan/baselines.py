@@ -1,5 +1,5 @@
 """Serial reference searches: an exhaustive Dijkstra oracle, classic
-weighted A*, and a serial anytime-repair search.
+weighted A* (also run as ``wastar``), and a serial anytime-repair search.
 
 These double as experiment baselines and as correctness oracles for the
 parallel engine.  Dijkstra and weighted A* share only the domain contract
@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .controller import PlannerConfig, PlanResult, repair_passes, run_anytime
+from .controller import IterationStats, PlannerConfig, PlanResult, repair_passes, run_anytime
 from .domain import DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain
 from .search import ImproveOutcome, SearchState, seed_open_with_start
 from .structures import INF
@@ -77,10 +77,9 @@ def _dijkstra(domain: SearchDomain, start: int, cache: EdgeCache, is_goal
     return None, dist, parents, len(settled)
 
 
-def dijkstra_distances(domain: SearchDomain, start: int,
-                       cache: EdgeCache | None = None) -> dict[int, float]:
+def dijkstra_distances(domain: SearchDomain, start: int) -> dict[int, float]:
     """Exact cost-to-come of every state reachable from ``start``."""
-    return _dijkstra(domain, start, EdgeCache() if cache is None else cache, None)[1]
+    return _dijkstra(domain, start, EdgeCache(), None)[1]
 
 
 def dijkstra_oracle(domain: SearchDomain, start: int) -> OracleResult:
@@ -131,6 +130,22 @@ def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleRe
     return OracleResult(INF, None, expansions)
 
 
+def wastar(config: PlannerConfig, domain: SearchDomain, start: int, *,
+           sink=None) -> PlanResult:
+    """:func:`weighted_astar` at ``config.w0`` as a one-pass anytime run,
+    timed and given its status as every driver is.  A state expansion counts
+    as a dummy expansion; the published cost is the goal's cost-to-come."""
+    def run_pass(index: int, w: float, eps: float, deadline: float):
+        t0 = time.monotonic()
+        res = weighted_astar(domain, start, w)
+        outcome = ImproveOutcome.EXHAUSTED if res.path is None else ImproveOutcome.SOLVED
+        stats = IterationStats(w, eps, res.expansions, 0, 0, time.monotonic() - t0,
+                               outcome.value)
+        return outcome, [stats], None if res.path is None else replace(res.path, cost=res.cost)
+
+    return run_anytime(replace(config, max_iterations=1), run_pass, sink=sink)
+
+
 def ara_star(config: PlannerConfig, domain: SearchDomain, start: int, *,
              sink=None, log_events: bool = False) -> PlanResult:
     """Serial anytime repairing search over the same edge-expansion
@@ -162,7 +177,4 @@ def ara_star(config: PlannerConfig, domain: SearchDomain, start: int, *,
             else:
                 state.relax(edge, state.evaluate(edge, 0), 0)
 
-    result = run_anytime(config, repair_passes(state, improve), sink=sink)
-    result.unjustified_reexpansions = state.unjustified_reexpansions
-    result.events = state.events
-    return result
+    return run_anytime(config, repair_passes(state, improve), sink=sink, context=state)

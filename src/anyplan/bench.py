@@ -6,19 +6,11 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path as FsPath
 
-from .baselines import ara_star, dijkstra_oracle, weighted_astar
-from .controller import (
-    STATUS_COMPLETED_BOUNDED,
-    STATUS_PROVED_OPTIMAL,
-    PlannerConfig,
-    SolutionRecord,
-    plan,
-    plan_naive,
-)
+from .baselines import ara_star, dijkstra_oracle, wastar
+from .controller import STATUS_PROVED_OPTIMAL, PlannerConfig, PlanResult, plan, plan_naive
 from .grid2d import (
     CostModel,
     GridDomainConfig,
@@ -79,6 +71,8 @@ class RunSpec:
             raise SpecError("map scale must be >= 1")
         if self.algorithm == "wastar" and self.planner.time_budget < math.inf:
             raise SpecError("timeout_ms: wastar has no deadline; leave the key out")
+        if self.algorithm == "wastar" and self.planner.epsilon is not None:
+            raise SpecError("epsilon: wastar's bound is its weight w0; leave the key out")
 
 
 @dataclass
@@ -128,11 +122,12 @@ def _ratio(oracle: float, cost: float) -> float:
     return min(1.0, oracle / cost) if cost > 0 else 1.0
 
 
-def _metrics_from_records(records: list[SolutionRecord], status: str, duration: float,
-                          base: RunMetrics) -> RunMetrics:
+def _metrics_from_result(result: PlanResult, base: RunMetrics) -> RunMetrics:
     oracle = base.oracle_cost
-    base.status = status
-    base.duration = duration
+    records = result.records
+    base.status = result.status
+    base.duration = result.wall_time
+    base.expansions_per_iteration = result.expansions_per_iteration
     base.published_costs = [r.cost for r in records]
     base.published_times = [r.t_since_plan_start for r in records]
     if records:
@@ -145,8 +140,8 @@ def _metrics_from_records(records: list[SolutionRecord], status: str, duration: 
                 break
         base.optimality_ratio_series = [
             (r.t_since_plan_start, _ratio(oracle, r.cost)) for r in records]
-    if status == STATUS_PROVED_OPTIMAL:
-        base.t_term = duration
+    if result.status == STATUS_PROVED_OPTIMAL:
+        base.t_term = result.wall_time
     return base
 
 
@@ -171,28 +166,12 @@ def build_instances(spec: RunSpec
 
 def _run_single(spec: RunSpec, problem: GridPlanningProblem, base: RunMetrics) -> RunMetrics:
     """Run one instance and fill in ``base``, which holds its identity."""
-    cfg = spec.planner
-    if spec.algorithm == "wastar":
-        t0 = time.monotonic()
-        res = weighted_astar(problem, problem.start, w=cfg.w0)
-        duration = time.monotonic() - t0
-        if res.path is None:
-            base.status = "infeasible"
-            base.duration = duration
-            return base
-        status = STATUS_PROVED_OPTIMAL if cfg.w0 == 1.0 else STATUS_COMPLETED_BOUNDED
-        record = SolutionRecord(path=res.path, cost=res.cost, w_at_publish=cfg.w0,
-                                bound_lambda=cfg.w0, t_since_plan_start=duration,
-                                iteration_index=0)
-        base.expansions_per_iteration = [res.expansions]
-        return _metrics_from_records([record], status, duration, base)
-
     # looked up per call, so a driver patched on this module is the one run
-    driver, cfg = {"arastar": (ara_star, cfg), "epase": (plan, replace(cfg, max_iterations=1)),
-                   "aepase": (plan, cfg), "aepase_naive": (plan_naive, cfg)}[spec.algorithm]
-    result = driver(cfg, problem, problem.start)
-    base.expansions_per_iteration = result.expansions_per_iteration
-    return _metrics_from_records(result.records, result.status, result.wall_time, base)
+    driver, overrides = {"wastar": (wastar, {}), "arastar": (ara_star, {}),
+                         "epase": (plan, {"max_iterations": 1}), "aepase": (plan, {}),
+                         "aepase_naive": (plan_naive, {})}[spec.algorithm]
+    result = driver(replace(spec.planner, **overrides), problem, problem.start)
+    return _metrics_from_result(result, base)
 
 
 def run_experiment(spec: RunSpec, progress=None) -> list[RunMetrics]:
@@ -243,19 +222,17 @@ def _cell(m: RunMetrics) -> tuple[str, float, str, int]:
 
 def _cell_order(cell: tuple[str, float, str, int]) -> tuple:
     cost_kind, delay, algo, n_threads = cell
-    return cost_kind, delay, _algo_order(algo), n_threads
-
-
-def _algo_order(algo: str) -> int:
-    return ALGORITHMS.index(algo) if algo in ALGORITHMS else len(ALGORITHMS)
+    order = ALGORITHMS.index(algo) if algo in ALGORITHMS else len(ALGORITHMS)
+    return cost_kind, delay, order, n_threads
 
 
 def aggregate(metrics: list[RunMetrics]) -> Summary:
     """Fold raw runs into the mean-time table, per-run-averaged speedups of
     :data:`SPEEDUP_TARGET` over every other algorithm and the
-    time-discretized best-so-far optimality curves.  Table rows and curve
-    columns are one (cost kind, edge delay, algorithm, worker count) each;
-    a speedup pairs one worker count of each side at one delay."""
+    time-discretized best-so-far optimality curves.  The ok runs are grouped
+    once into (cost kind, edge delay, algorithm, workers) cells: a cell is a
+    table row and a curve column, and a speedup pairs two cells of one kind
+    and delay."""
     ok = [m for m in metrics if m.status not in ("error", "infeasible")]
     for m in ok:
         if m.status == STATUS_PROVED_OPTIMAL and m.t_init is not None:
@@ -264,10 +241,13 @@ def aggregate(metrics: list[RunMetrics]) -> Summary:
                     f"phase times out of order for {m.algorithm} pair {m.pair_index}: "
                     f"init={m.t_init} opt={m.t_opt} term={m.t_term}")
 
+    groups: dict[tuple, list[RunMetrics]] = {}
+    for m in ok:
+        groups.setdefault(_cell(m), []).append(m)
+    cells = sorted(groups.items(), key=lambda item: _cell_order(item[0]))
+
     table_rows = []
-    for cell in sorted({_cell(m) for m in ok}, key=_cell_order):
-        cost_kind, delay, algo, n_threads = cell
-        runs = [m for m in ok if _cell(m) == cell]
+    for (cost_kind, delay, algo, n_threads), runs in cells:
         init_ratios = [m.optimality_ratio_series[0][1] for m in runs
                        if m.optimality_ratio_series]
         table_rows.append({
@@ -283,18 +263,17 @@ def aggregate(metrics: list[RunMetrics]) -> Summary:
         })
 
     speedup_rows = []
-    for cost_kind, delay in sorted({(m.cost_kind, m.eval_delay) for m in ok}):
-        runs = [m for m in ok if (m.cost_kind, m.eval_delay) == (cost_kind, delay)]
-        sides = sorted({(m.algorithm, m.n_threads) for m in runs},
-                       key=lambda side: (_algo_order(side[0]), side[1]))
-        for target in (side for side in sides if side[0] == SPEEDUP_TARGET):
-            for baseline in (side for side in sides if side[0] != SPEEDUP_TARGET):
-                pair_runs = [m for m in runs if (m.algorithm, m.n_threads) in (baseline, target)]
-                row = paired_speedups(pair_runs, baseline[0], SPEEDUP_TARGET, cost_kind)
+    for (kind, delay, algo, _), target_runs in cells:
+        if algo != SPEEDUP_TARGET:
+            continue
+        for (b_kind, b_delay, b_algo, _), base_runs in cells:
+            if (b_kind, b_delay) == (kind, delay) and b_algo != SPEEDUP_TARGET:
+                row = paired_speedups(base_runs + target_runs, b_algo, SPEEDUP_TARGET, kind)
                 if row is not None:
                     speedup_rows.append(row)
 
-    curves = {kind: _curve_for(ok, kind) for kind in sorted({m.cost_kind for m in ok})}
+    curves = {kind: _curve_for([(cell, runs) for cell, runs in cells if cell[0] == kind])
+              for kind in sorted({cell[0] for cell in groups})}
     return Summary(table_rows=table_rows, speedup_rows=speedup_rows,
                    curves=curves, runs=list(metrics))
 
@@ -306,28 +285,32 @@ def _scale_ms(value: float | None) -> float | None:
 def paired_speedups(metrics: list[RunMetrics], baseline: str, target: str,
                     cost_kind: str) -> dict | None:
     """Mean of per-run baseline/target time ratios, paired on the same
-    (map, pair, repetition) instance.  Ratios first, then the average.
+    (map, start, goal, repetition) instance.  Ratios first, then the average.
 
     The paired runs must share one edge delay, and each side one worker
-    count; two runs of one side on one instance, or pairs that mix delays
-    or worker counts, are an :class:`AggregationError`.
+    count; two runs of one side on one instance, a pair with two optimal
+    costs, or pairs that mix delays or worker counts, are an
+    :class:`AggregationError`.
     """
     def index(algo):
         runs: dict[tuple, RunMetrics] = {}
-        for m in metrics:
+        # in (map, pair, repetition) order: the order the ratios are summed in
+        for m in sorted(metrics, key=lambda m: (m.map_name, m.pair_index, m.repetition)):
             if m.algorithm == algo and m.cost_kind == cost_kind:
-                key = (m.map_name, m.pair_index, m.repetition)
+                key = (m.map_name, m.start, m.goal, m.repetition)
                 if key in runs:
-                    raise AggregationError(f"two {algo} runs on (map, pair, repetition) {key}")
+                    raise AggregationError(f"two {algo} runs on one instance {key}")
                 runs[key] = m
         return runs
 
-    base_runs = index(baseline)
     target_runs = index(target)
-    shared = sorted(base_runs.keys() & target_runs.keys())
-    if not shared:
+    pairs = [(b, target_runs[key]) for key, b in index(baseline).items() if key in target_runs]
+    if not pairs:
         return None
-    pairs = [(base_runs[key], target_runs[key]) for key in shared]
+    for b, t in pairs:
+        if b.oracle_cost != t.oracle_cost:
+            raise AggregationError(f"{baseline}/{target} pair on {b.map_name} {b.start}->{b.goal}"
+                                   f" has two optimal costs: {b.oracle_cost}, {t.oracle_cost}")
     threads = {(b.n_threads, t.n_threads) for b, t in pairs}
     delays = {m.eval_delay for pair in pairs for m in pair}
     if len(threads) > 1 or len(delays) > 1:
@@ -349,7 +332,7 @@ def paired_speedups(metrics: list[RunMetrics], baseline: str, target: str,
         "baseline_n_threads": b_threads,
         "target_n_threads": t_threads,
         "eval_delay_us": delay * 1e6,
-        "n_pairs": len(shared),
+        "n_pairs": len(pairs),
         "speedup_init": _mean(ratios["init"]),
         "speedup_opt": _mean(ratios["opt"]),
         "speedup_term": _mean(ratios["term"]),
@@ -367,22 +350,18 @@ def _best_ratio_at(m: RunMetrics, t: float) -> float:
     return best
 
 
-def _curve_for(metrics: list[RunMetrics], cost_kind: str) -> dict:
-    """The mean best-so-far optimality ratio of each cell's runs over time;
-    one column per cell, named ``<algorithm>_t<workers>_d<delay in us>``."""
-    runs = [m for m in metrics if m.cost_kind == cost_kind]
-    cells = sorted({_cell(m) for m in runs}, key=_cell_order)
-    names = [f"{algo}_t{n_threads}_d{_fmt(delay * 1e6)}" for _, delay, algo, n_threads in cells]
-    horizon = max((m.t_term if m.t_term is not None else m.duration for m in runs),
-                  default=0.0)
+def _curve_for(cells: list[tuple[tuple, list[RunMetrics]]]) -> dict:
+    """Each cell's mean best-so-far optimality ratio over time, for the cells
+    of one cost kind; columns are named ``<algorithm>_t<workers>_d<delay in us>``."""
+    names = [f"{algo}_t{n}_d{_fmt(delay * 1e6)}" for (_, delay, algo, n), _ in cells]
+    horizon = max(m.t_term if m.t_term is not None else m.duration
+                  for _, runs in cells for m in runs)
     if horizon <= 0.0:
         return {"times": [], "columns": {name: [] for name in names}}
     width = horizon / CURVE_BUCKETS
     times = [width * (k + 1) for k in range(CURVE_BUCKETS)]
-    columns = {}
-    for name, cell in zip(names, cells):
-        mine = [m for m in runs if _cell(m) == cell]
-        columns[name] = [sum(_best_ratio_at(m, t) for m in mine) / len(mine) for t in times]
+    columns = {name: [sum(_best_ratio_at(m, t) for m in runs) / len(runs) for t in times]
+               for name, (_, runs) in zip(names, cells)}
     return {"times": times, "columns": columns}
 
 
@@ -464,10 +443,9 @@ INSTANCE_KEYS = ("map", "scale", "cost", "cost_seed", "pairs", "pair_seed",
 COST_ALIASES = {"random": "random_factor"}
 
 
-def parse_run_spec(text: str, base_dir: str | FsPath = ".") -> RunSpec:
-    """Parse a spec file's text into a :class:`RunSpec`; ``map`` is relative
-    to ``base_dir``."""
-    return build_run_spec(parse_spec_values(text), base_dir)
+def parse_run_spec(text: str) -> RunSpec:
+    """Parse a spec file's text into a :class:`RunSpec`."""
+    return build_run_spec(parse_spec_values(text))
 
 
 def parse_spec_values(text: str) -> dict[str, object]:
@@ -494,9 +472,9 @@ def parse_spec_values(text: str) -> dict[str, object]:
     return values
 
 
-def build_run_spec(values: dict, base_dir: str | FsPath = ".") -> RunSpec:
+def build_run_spec(values: dict) -> RunSpec:
     """Build a validated :class:`RunSpec` from spec-key values; ``algo`` and
-    ``map`` are required, and ``map`` is relative to ``base_dir``.
+    ``map`` are required.
 
     Each value is converted once by its :data:`SPEC_KEYS` type into its
     dataclass field, and an absent key keeps that field's default.  Only
@@ -511,7 +489,7 @@ def build_run_spec(values: dict, base_dir: str | FsPath = ".") -> RunSpec:
     if missing:
         raise SpecError(f"required key(s) missing: {', '.join(missing)}")
     convert = {
-        "map": lambda v: str(FsPath(base_dir) / v),
+        "map": lambda v: str(FsPath(v)),
         "cost": lambda v: COST_ALIASES.get(v, v),
         "epsilon": lambda v: None if v == "w" else float(v),
         "timeout_ms": lambda v: v / 1e3,

@@ -16,6 +16,7 @@ from pathlib import Path as FsPath
 from .bench import (
     INSTANCE_KEYS,
     SPEC_KEYS,
+    AggregationError,
     aggregate,
     build_instances,
     build_run_spec,
@@ -94,13 +95,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
+    # an unreadable file, a line that is not a run record (JSON errors are
+    # ValueErrors; a missing or wrongly typed field is a KeyError or a
+    # TypeError), or runs that cannot be aggregated together
     try:
         lines = FsPath(args.runs).read_text().splitlines()
         metrics = [run_metrics_from_json(line) for line in lines if line.strip()]
-    except Exception as exc:
+        summary = aggregate(metrics)
+    except (OSError, ValueError, KeyError, TypeError, AggregationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = aggregate(metrics)
     for path in emit_outputs(summary, args.out):
         print(path)
     return 0

@@ -1,13 +1,14 @@
 """Outer anytime control loop: weight schedule, per-iteration reset, INCON
 merge, OPEN rebalance, solution publication and termination.  One driver,
 :func:`run_anytime`, runs the passes of :func:`plan`, :func:`plan_naive`
-and the serial ``baselines.ara_star``."""
+and the serial ``baselines.ara_star`` and ``baselines.wastar``."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from itertools import count, islice
+from typing import Callable, Iterator
 
 from .domain import Path, SearchDomain
 from .engine import EpisodeContext, improve_path, shutdown
@@ -93,10 +94,17 @@ class PlanResult:
     records: list[SolutionRecord]
     status: str
     iterations: list[IterationStats] = field(default_factory=list)
-    events: list[ExpansionEvent] = field(default_factory=list)
+    #: the anytime loop's time, on the clock of every ``t_since_plan_start``
     wall_time: float = 0.0
-    unjustified_reexpansions: int = 0
     context: SearchState | None = None  # white-box access for audits
+
+    @property
+    def events(self) -> list[ExpansionEvent]:
+        return self.context.events if self.context is not None else []
+
+    @property
+    def unjustified_reexpansions(self) -> int:
+        return self.context.unjustified_reexpansions if self.context is not None else 0
 
     @property
     def final_cost(self) -> float:
@@ -124,16 +132,17 @@ def weight_schedule(w0: float, delta_w: float) -> list[float]:
     """Decreasing weights w0, w0 - delta_w, ...; the first step at or below
     1 (within float tolerance) is clamped to exactly 1 and ends the
     schedule, so a final uninflated pass always runs."""
+    return list(_weights(w0, delta_w))
+
+
+def _weights(w0: float, delta_w: float) -> Iterator[float]:
     _check_schedule(w0, delta_w)
-    weights: list[float] = []
-    k = 0
-    while True:
+    for k in count():
         w = w0 - k * delta_w
         if w <= 1.0 + _CLAMP_TOL:
-            weights.append(1.0)
-            return weights
-        weights.append(w)
-        k += 1
+            yield 1.0
+            return
+        yield w
 
 
 def publish(sink, record: SolutionRecord) -> None:
@@ -148,19 +157,21 @@ def publish(sink, record: SolutionRecord) -> None:
         sink(record)
 
 
-def run_anytime(config: PlannerConfig, run_pass: Callable, *, sink=None) -> PlanResult:
-    """The anytime loop of :func:`plan`, :func:`plan_naive` and ``ara_star``.
+def run_anytime(config: PlannerConfig, run_pass: Callable, *, sink=None,
+                context: SearchState | None = None) -> PlanResult:
+    """The anytime loop of every driver, and the only code that builds a
+    :class:`PlanResult` or a record, reads the run clock or decides a status.
 
     ``run_pass(index, w, eps, deadline)`` runs one pass of the (truncated)
     weight schedule and returns its :class:`ImproveOutcome`, its
     :class:`IterationStats` list and the path it found, or None when the
-    incumbent stands.  Each solved pass publishes one record.
+    incumbent stands.  Each solved pass publishes one record.  ``context``,
+    the passes' search state, is kept on the result.
     """
     t0 = time.monotonic()
     deadline = t0 + config.time_budget
-    schedule = weight_schedule(config.w0, config.delta_w)[: config.max_iterations]
-    result = PlanResult(records=[], status=STATUS_TIMEOUT)
-    for i, w in enumerate(schedule):
+    result = PlanResult(records=[], status=STATUS_TIMEOUT, context=context)
+    for i, w in enumerate(islice(_weights(config.w0, config.delta_w), config.max_iterations)):
         if time.monotonic() >= deadline:
             break
         eps = config.epsilon_for(w)
@@ -177,12 +188,8 @@ def run_anytime(config: PlannerConfig, run_pass: Callable, *, sink=None) -> Plan
             t_since_plan_start=time.monotonic() - t0, iteration_index=i)
         result.records.append(record)
         publish(sink, record)
-    else:
-        last_w = schedule[-1]
-        if last_w == 1.0 and config.epsilon_for(last_w) == 1.0:
-            result.status = STATUS_PROVED_OPTIMAL
-        else:
-            result.status = STATUS_COMPLETED_BOUNDED
+    else:  # the last pass ran at this w and eps
+        result.status = STATUS_PROVED_OPTIMAL if w == eps == 1.0 else STATUS_COMPLETED_BOUNDED
     result.wall_time = time.monotonic() - t0
     return result
 
@@ -221,10 +228,11 @@ def plan(config: PlannerConfig, domain: SearchDomain, start: int, *,
 
     Emits one :class:`SolutionRecord` per completed pass that holds a
     solution (the incumbent is kept between passes and only improved).
-    Workers are joined before this function returns.  ``log_events`` keeps
-    the per-event expansion log in ``PlanResult.events``; it is off by
-    default because it adds about a quarter to the plan time of a large
-    zero-delay instance.
+    Workers are joined before this function returns; ``wall_time``, like
+    the records' times, leaves out the episode build and the join.
+    ``log_events`` keeps the per-event expansion log in ``PlanResult.events``;
+    it is off by default because it adds about a quarter to the plan time
+    of a large zero-delay instance.
 
     Deadline: once ``config.time_budget`` has passed, the running pass pops
     no more edges and waits for the evaluations in flight, so ``plan``
@@ -232,16 +240,13 @@ def plan(config: PlannerConfig, domain: SearchDomain, start: int, *,
     flight (and the sink's and the coordinator's own time).  An
     ``evaluate`` that never returns keeps ``plan`` from returning.
     """
-    t0 = time.monotonic()
     ctx = EpisodeContext(domain, start, config.n_threads,
                          log_enabled=log_events, debug_checks=debug_checks)
     seed_open_with_start(ctx, config.w0)
     try:
-        result = run_anytime(config, repair_passes(ctx, improve_path), sink=sink)
+        return run_anytime(config, repair_passes(ctx, improve_path), sink=sink, context=ctx)
     finally:
         shutdown(ctx)
-    return replace(result, events=ctx.events, wall_time=time.monotonic() - t0,
-                   unjustified_reexpansions=ctx.unjustified_reexpansions, context=ctx)
 
 
 def plan_naive(config: PlannerConfig, domain: SearchDomain, start: int, *,

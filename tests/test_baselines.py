@@ -4,9 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from anyplan.baselines import ara_star, dijkstra_distances, dijkstra_oracle, weighted_astar
-from anyplan.controller import STATUS_INFEASIBLE, STATUS_PROVED_OPTIMAL, PlannerConfig
+from anyplan.baselines import ara_star, dijkstra_distances, dijkstra_oracle, wastar, weighted_astar
+from anyplan.controller import (
+    STATUS_COMPLETED_BOUNDED,
+    STATUS_INFEASIBLE,
+    STATUS_PROVED_OPTIMAL,
+    PlannerConfig,
+)
 from anyplan.domain import rewalk_cost
+from anyplan.search import SearchState
 
 from _support import grid_problem, make_world, open_world, random_obstacle_map_text
 
@@ -154,6 +160,38 @@ def test_wastar_rejects_a_weight_that_is_not_finite_and_at_least_one(w):
     problem = grid_problem(open_world(12), (0, 0), (11, 7))
     with pytest.raises(ValueError, match="finite and >= 1"):
         weighted_astar(problem, problem.start, w=w)
+
+
+@pytest.mark.parametrize("w0,goal,status", [(1.0, (9, 9), STATUS_PROVED_OPTIMAL),
+                                           (2.0, (9, 9), STATUS_COMPLETED_BOUNDED),
+                                           (2.0, (11, 7), STATUS_INFEASIBLE)],
+                         ids=["w1", "w2", "unreachable"])
+def test_wastar_driver_publishes_what_weighted_astar_finds(w0, goal, status):
+    # on this instance the goal's cost-to-come and its path's re-summed
+    # edge costs differ in the last bits; the driver publishes the former
+    world = open_world(12, move=3, cost="random_factor", cost_seed=0)
+    problem = grid_problem(world, (0, 0), goal)
+    direct = weighted_astar(problem, problem.start, w=w0)
+    result = wastar(PlannerConfig(w0=w0), problem, problem.start)
+    assert result.status == status
+    assert result.expansions_per_iteration == [direct.expansions]
+    if direct.path is None:
+        assert result.records == []
+        return
+    assert direct.path.cost != direct.cost
+    (record,) = result.records
+    assert record.cost.hex() == direct.cost.hex()
+    assert (record.path.edges, record.path.states) == (direct.path.edges, direct.path.states)
+    assert (record.w_at_publish, record.bound_lambda) == (w0, w0)
+    assert record.t_since_plan_start <= result.wall_time
+
+
+def test_ara_star_result_carries_its_search_state():
+    problem = grid_problem(open_world(9), (0, 0), (8, 8))
+    res = ara_star(PlannerConfig(w0=3.0), problem, problem.start, log_events=True)
+    assert type(res.context) is SearchState
+    assert res.events is res.context.events and res.events
+    assert res.unjustified_reexpansions == res.context.unjustified_reexpansions == 0
 
 
 def test_ara_w0_1_single_iteration_optimal():

@@ -35,7 +35,7 @@ def mk_metrics(algorithm, pair_index, *, t_init, t_opt, t_term, cost_init,
         series.append((t_opt, 1.0))
     return RunMetrics(
         algorithm=algorithm, map_name="synthetic", cost_kind=cost_kind,
-        pair_index=pair_index, repetition=0, n_threads=4, start=(0, 0),
+        pair_index=pair_index, repetition=0, n_threads=4, start=(pair_index, 0),
         goal=(9, 9), oracle_cost=oracle, status=status, duration=duration,
         t_init=t_init, t_opt=t_opt, t_term=t_term, cost_init=cost_init,
         cost_final=oracle if t_opt is not None else cost_init,
@@ -109,6 +109,22 @@ def test_wastar_with_a_timeout_is_a_spec_error_naming_the_key(tmp_path):
     assert build_run_spec({"algo": "arastar", "map": "x", "timeout_ms": 100.0})
     rc = main(["run", "--algo", "wastar", "--map", str(MAPS / "cross32.map"),
                "--footprint", "4", "--move", "4", "--pairs", "1", "--timeout-ms", "100",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "runs.ndjson").exists()
+
+
+def test_wastar_with_an_epsilon_is_a_spec_error_naming_the_key(tmp_path):
+    from anyplan.cli import main
+
+    # weighted A*'s bound is its weight; a fixed epsilon would change the
+    # bound and the status of its one pass
+    for value in ("2.0", "inf"):
+        with pytest.raises(SpecError, match="epsilon"):
+            build_run_spec({"algo": "wastar", "map": "x", "epsilon": value})
+    assert build_run_spec({"algo": "wastar", "map": "x", "epsilon": "w"})
+    rc = main(["run", "--algo", "wastar", "--map", str(MAPS / "cross32.map"),
+               "--footprint", "4", "--move", "4", "--pairs", "1", "--epsilon", "2",
                "--out", str(tmp_path)])
     assert rc == 2
     assert not (tmp_path / "runs.ndjson").exists()
@@ -233,6 +249,21 @@ def test_paired_speedups_rejects_two_runs_on_one_instance():
         paired_speedups(runs, "arastar", "aepase", "euclidean")
 
 
+def test_paired_speedups_pair_runs_on_the_instance_not_the_pair_index():
+    # two specs whose pair seeds sampled the same instances in another order
+    runs = [mk_metrics("arastar", 0, t_init=0.04, t_opt=0.04, t_term=0.04, cost_init=110.0),
+            mk_metrics("aepase", 0, t_init=0.01, t_opt=0.01, t_term=0.01, cost_init=105.0),
+            mk_metrics("aepase", 1, t_init=0.02, t_opt=0.02, t_term=0.02, cost_init=105.0)]
+    runs[1].start, runs[2].start = runs[2].start, runs[1].start
+    row = paired_speedups(runs, "arastar", "aepase", "euclidean")
+    assert row["n_pairs"] == 1
+    assert row["speedup_term"] == pytest.approx(2.0)
+    # one instance has one optimum: runs that disagree on it are not one instance
+    runs[2].oracle_cost = 90.0
+    with pytest.raises(AggregationError, match="two optimal costs"):
+        paired_speedups(runs, "arastar", "aepase", "euclidean")
+
+
 def test_paired_speedups_rejects_pairs_across_delays():
     runs = [mk_metrics(algo, i, t_init=0.04, t_opt=0.04, t_term=0.04, cost_init=110.0)
             for algo in ("arastar", "aepase") for i in range(2)]
@@ -322,6 +353,19 @@ def test_emit_golden_files(tmp_path):
         assert path.read_bytes() == golden.read_bytes(), path.name
 
 
+def test_aggregate_mixed_cells_golden(tmp_path):
+    # tests/golden/mixed/runs.ndjson: two maps, both cost kinds, two edge
+    # delays, 1 to 4 workers and every algorithm; the other files are what
+    # ``anyplan aggregate`` wrote for it before cells were grouped once
+    fixture = GOLDEN / "mixed"
+    runs = [run_metrics_from_json(line)
+            for line in (fixture / "runs.ndjson").read_text().splitlines()]
+    written = emit_outputs(aggregate(runs), tmp_path)
+    assert sorted(p.name for p in written) == sorted(p.name for p in fixture.iterdir())
+    for path in written:
+        assert path.read_bytes() == (fixture / path.name).read_bytes(), path.name
+
+
 def test_emit_overwrite_is_byte_identical(tmp_path):
     emit_outputs(golden_summary(), tmp_path)
     first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -352,6 +396,46 @@ def test_cli_run_and_aggregate(tmp_path):
     out2 = tmp_path / "out2"
     assert main(["aggregate", "--runs", str(runs_file), "--out", str(out2)]) == 0
     assert (out2 / "table1.csv").read_bytes() == (out_dir / "table1.csv").read_bytes()
+
+
+def test_cli_aggregate_of_runs_that_cannot_be_paired_exits_2(tmp_path, capsys):
+    from anyplan.cli import main
+
+    # two concatenated runs.ndjson files that both hold a paired side
+    runs_file = tmp_path / "runs.ndjson"
+    runs_file.write_text((GOLDEN / "runs.ndjson").read_text() * 2)
+    assert main(["aggregate", "--runs", str(runs_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: two ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", [None, "not json\n", "[1, 2]\n", '{"algorithm": "x"}\n',
+                                     '{"start": [0, 0], "goal": [1, 1], '
+                                     '"optimality_ratio_series": []}\n'],
+                         ids=["missing", "not-json", "not-an-object", "no-start",
+                              "missing-fields"])
+def test_cli_aggregate_malformed_runs_file_exits_2(content, tmp_path, capsys):
+    from anyplan.cli import main
+
+    runs_file = tmp_path / "runs.ndjson"
+    if content is not None:
+        runs_file.write_text(content)
+    assert main(["aggregate", "--runs", str(runs_file), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_aggregate_lets_a_program_error_through(tmp_path, monkeypatch):
+    import anyplan.cli as cli
+
+    # only a malformed file is a bad-input exit; a fault in the program is not
+    def broken(line):
+        raise ZeroDivisionError("a fault")
+
+    monkeypatch.setattr(cli, "run_metrics_from_json", broken)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["aggregate", "--runs", str(GOLDEN / "runs.ndjson"),
+                  "--out", str(tmp_path / "out")])
 
 
 def test_cli_bad_spec_exits_2(tmp_path):

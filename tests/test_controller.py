@@ -1,12 +1,15 @@
+import ast
 import math
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyplan import controller
-from anyplan.baselines import ara_star, dijkstra_oracle
+from anyplan.baselines import ara_star, dijkstra_oracle, wastar
 from anyplan.controller import (
     STATUS_COMPLETED_BOUNDED,
     STATUS_INFEASIBLE,
@@ -21,6 +24,8 @@ from anyplan.controller import (
 from anyplan.search import ImproveOutcome
 
 from _support import CountingDomain, grid_problem, make_world, open_world
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "anyplan"
 
 # -- weight schedule ----------------------------------------------------------
 
@@ -47,6 +52,25 @@ def test_schedule_rejects_bad_arguments():
         weight_schedule(0.9, 0.5)
     with pytest.raises(ValueError):
         weight_schedule(3.0, 0.0)
+
+
+def test_run_anytime_computes_no_weight_past_max_iterations():
+    # one pass at w0 = 1e6, dw = 1 needs one weight, not a million
+    weights = []
+
+    def run_pass(index, w, eps, deadline):
+        weights.append(w)
+        return ImproveOutcome.EXHAUSTED, [], None
+
+    config = PlannerConfig(w0=1e6, delta_w=1.0, max_iterations=1)
+    tracemalloc.start()
+    try:
+        result = controller.run_anytime(config, run_pass)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert weights == [1e6] and result.status == STATUS_INFEASIBLE
+    assert peak < 100_000
 
 
 @settings(max_examples=200, deadline=None)
@@ -241,6 +265,39 @@ def test_pass_without_expansions_skips_backtrack_and_keeps_the_incumbent(monkeyp
     assert [(r.path, r.cost) for r in result.records] == [(p, p.cost) for p in always]
 
 
+def test_plan_wall_time_leaves_out_the_worker_join(monkeypatch):
+    # wall_time (the harness's t_term) is on the clock of the records' times
+    real_shutdown = controller.shutdown
+
+    def slow_shutdown(ctx):
+        time.sleep(0.05)
+        real_shutdown(ctx)
+
+    monkeypatch.setattr(controller, "shutdown", slow_shutdown)
+    problem = grid_problem(open_world(7), (0, 0), (6, 6))
+    t0 = time.monotonic()
+    result = plan(PlannerConfig(w0=1.0, n_threads=2), problem, problem.start)
+    elapsed = time.monotonic() - t0
+    assert result.status == STATUS_PROVED_OPTIMAL
+    assert result.records[-1].t_since_plan_start <= result.wall_time <= elapsed - 0.05
+
+
+def test_only_run_anytime_builds_results_and_records():
+    # one function reads the run clock, builds the records and decides the
+    # status for every driver
+    builders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "attr", None) or getattr(func, "id", None)
+                    if name in ("PlanResult", "SolutionRecord"):
+                        builders.add((path.name, getattr(top, "name", "<module>"), name))
+    assert builders == {("controller.py", "run_anytime", "PlanResult"),
+                        ("controller.py", "run_anytime", "SolutionRecord")}
+
+
 def walled_off_world():
     rows = ["..@..",
             "..@..",
@@ -251,7 +308,7 @@ def walled_off_world():
     return make_world("type octile\nheight 5\nwidth 5\nmap\n" + "\n".join(rows) + "\n")
 
 
-DRIVERS = {"plan": plan, "plan_naive": plan_naive, "ara_star": ara_star}
+DRIVERS = {"plan": plan, "plan_naive": plan_naive, "ara_star": ara_star, "wastar": wastar}
 
 
 @pytest.mark.parametrize("driver", DRIVERS)

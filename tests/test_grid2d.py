@@ -452,10 +452,13 @@ def test_heuristic_consistent_under_random_factor_costs():
     world = open_world(12, move=3, cost="random_factor", cost_seed=11)
     problem = GridPlanningProblem(world, (0, 0), (9, 9))
     from anyplan.baselines import dijkstra_distances
-    from anyplan.domain import EdgeCache, audit_consistency
+    from anyplan.domain import Edge, EdgeCache, audit_consistency
 
+    # every edge out of every reachable state
     cache = EdgeCache()
-    dijkstra_distances(problem, problem.start, cache)
+    for state in dijkstra_distances(problem, problem.start):
+        for action in problem.actions(state):
+            cache.evaluate(problem, Edge(state, action))
     assert audit_consistency(problem, cache) > 0
 
 
