@@ -2,8 +2,9 @@
 weighted A* (also run as ``wastar``), and a serial anytime-repair search.
 
 These double as experiment baselines and as correctness oracles for the
-parallel engine.  Dijkstra and weighted A* share only the domain contract
-and the edge cache with it, so they stay independent checks of its costs.
+parallel engine.  Dijkstra and weighted A* share only the domain contract,
+the edge cache and the parent walk with it, and each publishes its own
+cost-to-come, so they stay independent checks of its costs.
 ``ara_star`` is the serial, lock-free driver over the engine's
 :class:`~anyplan.search.SearchState`: it checks the parallel machinery.
 """
@@ -15,8 +16,8 @@ import time
 from dataclasses import dataclass, replace
 
 from .controller import IterationStats, PlannerConfig, PlanResult, repair_passes, run_anytime
-from .domain import DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain
-from .search import ImproveOutcome, SearchState, seed_open_with_start
+from .domain import DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain, checked_heuristic
+from .search import ImproveOutcome, SearchState, walk_parents
 from .structures import INF
 
 
@@ -25,24 +26,6 @@ class OracleResult:
     cost: float
     path: Path | None
     expansions: int
-
-
-def _reconstruct(cache: EdgeCache, parents: dict[int, Edge], start: int, goal: int) -> Path:
-    edges: list[Edge] = []
-    states: list[int] = [goal]
-    cost = 0.0
-    current = goal
-    while current != start:
-        edge = parents[current]
-        outcome = cache.get(edge)
-        assert outcome is not None and outcome.valid and outcome.successor == current
-        cost += outcome.cost
-        edges.append(edge)
-        current = edge.state
-        states.append(current)
-    edges.reverse()
-    states.reverse()
-    return Path(edges=tuple(edges), states=tuple(states), cost=cost)
 
 
 def _dijkstra(domain: SearchDomain, start: int, cache: EdgeCache, is_goal
@@ -92,7 +75,7 @@ def dijkstra_oracle(domain: SearchDomain, start: int) -> OracleResult:
     goal, dist, parents, expansions = _dijkstra(domain, start, cache, domain.is_goal)
     if goal is None:
         return OracleResult(INF, None, expansions)
-    return OracleResult(dist[goal], _reconstruct(cache, parents, start, goal), expansions)
+    return OracleResult(dist[goal], walk_parents(cache, parents.get, start, goal), expansions)
 
 
 def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleResult:
@@ -105,7 +88,7 @@ def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleRe
     g = {start: 0.0}
     parents: dict[int, Edge] = {}
     closed: set[int] = set()
-    h0 = domain.heuristic(start)
+    h0 = checked_heuristic(domain, start)
     heap: list[tuple[float, float, int]] = [(w * h0, h0, start)]
     expansions = 0
     while heap:
@@ -115,7 +98,7 @@ def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleRe
         closed.add(s)
         expansions += 1
         if domain.is_goal(s):
-            return OracleResult(g[s], _reconstruct(cache, parents, start, s), expansions)
+            return OracleResult(g[s], walk_parents(cache, parents.get, start, s), expansions)
         gs = g[s]
         for a in domain.actions(s):
             out = cache.evaluate(domain, Edge(s, a))
@@ -125,7 +108,7 @@ def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleRe
             if ng < g.get(out.successor, INF):
                 g[out.successor] = ng
                 parents[out.successor] = Edge(s, a)
-                hs = domain.heuristic(out.successor)
+                hs = checked_heuristic(domain, out.successor)
                 heapq.heappush(heap, (ng + w * hs, hs, out.successor))
     return OracleResult(INF, None, expansions)
 
@@ -141,7 +124,7 @@ def wastar(config: PlannerConfig, domain: SearchDomain, start: int, *,
         outcome = ImproveOutcome.EXHAUSTED if res.path is None else ImproveOutcome.SOLVED
         stats = IterationStats(w, eps, res.expansions, 0, 0, time.monotonic() - t0,
                                outcome.value)
-        return outcome, [stats], None if res.path is None else replace(res.path, cost=res.cost)
+        return outcome, stats, None if res.path is None else replace(res.path, cost=res.cost)
 
     return run_anytime(replace(config, max_iterations=1), run_pass, sink=sink)
 
@@ -159,7 +142,6 @@ def ara_star(config: PlannerConfig, domain: SearchDomain, start: int, *,
     ``plan``; a one-worker ``plan`` logs the same event sequence.
     """
     state = SearchState(domain, start, log_enabled=log_events)
-    seed_open_with_start(state, config.w0)
 
     def improve(state: SearchState) -> ImproveOutcome:
         while True:

@@ -6,19 +6,13 @@ and the serial ``baselines.ara_star`` and ``baselines.wastar``."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Callable, Iterator
 
 from .domain import Path, SearchDomain
 from .engine import EpisodeContext, improve_path, shutdown
-from .search import (
-    ExpansionEvent,
-    ImproveOutcome,
-    SearchState,
-    backtrack,
-    seed_open_with_start,
-)
+from .search import ExpansionEvent, ImproveOutcome, SearchState, backtrack
 from .structures import INF, merge_incons
 
 STATUS_PROVED_OPTIMAL = "proved_optimal"
@@ -145,28 +139,19 @@ def _weights(w0: float, delta_w: float) -> Iterator[float]:
         yield w
 
 
-def publish(sink, record: SolutionRecord) -> None:
-    """Deliver a record to a callback or collection sink (ordered, before
-    the next iteration starts).  Sinks must be fast or copy-and-defer."""
-    if sink is None:
-        return
-    append = getattr(sink, "append", None)
-    if append is not None:
-        append(record)
-    else:
-        sink(record)
-
-
-def run_anytime(config: PlannerConfig, run_pass: Callable, *, sink=None,
+def run_anytime(config: PlannerConfig, run_pass: Callable, *,
+                sink: Callable[[SolutionRecord], None] | None = None,
                 context: SearchState | None = None) -> PlanResult:
     """The anytime loop of every driver, and the only code that builds a
     :class:`PlanResult` or a record, reads the run clock or decides a status.
 
     ``run_pass(index, w, eps, deadline)`` runs one pass of the (truncated)
     weight schedule and returns its :class:`ImproveOutcome`, its
-    :class:`IterationStats` list and the path it found, or None when the
-    incumbent stands.  Each solved pass publishes one record.  ``context``,
-    the passes' search state, is kept on the result.
+    :class:`IterationStats` and the path it found, or None when the
+    incumbent stands.  Each solved pass publishes one record: ``sink``, a
+    callable or None, gets it before the next pass starts, so a sink must be
+    fast or copy and defer (pass ``bucket.append`` to collect the records).
+    ``context``, the passes' search state, is kept on the result.
     """
     t0 = time.monotonic()
     deadline = t0 + config.time_budget
@@ -176,7 +161,7 @@ def run_anytime(config: PlannerConfig, run_pass: Callable, *, sink=None,
             break
         eps = config.epsilon_for(w)
         outcome, stats, path = run_pass(i, w, eps, deadline)
-        result.iterations += stats
+        result.iterations.append(stats)
         if outcome is not ImproveOutcome.SOLVED:
             if outcome is ImproveOutcome.EXHAUSTED:
                 result.status = STATUS_INFEASIBLE
@@ -187,7 +172,8 @@ def run_anytime(config: PlannerConfig, run_pass: Callable, *, sink=None,
             path=path, cost=path.cost, w_at_publish=w, bound_lambda=max(eps, w),
             t_since_plan_start=time.monotonic() - t0, iteration_index=i)
         result.records.append(record)
-        publish(sink, record)
+        if sink is not None:
+            sink(record)
     else:  # the last pass ran at this w and eps
         result.status = STATUS_PROVED_OPTIMAL if w == eps == 1.0 else STATUS_COMPLETED_BOUNDED
     result.wall_time = time.monotonic() - t0
@@ -198,9 +184,10 @@ def repair_passes(state: SearchState,
                   improve: Callable[[SearchState], ImproveOutcome]) -> Callable:
     """The passes of one search state repaired from pass to pass.
 
-    Each pass reopens CLOSED, folds INCON into OPEN, re-keys OPEN, runs
-    ``improve`` and backtracks from the goal.  A pass that expanded nothing
-    changed no g and no parent, so it skips the backtrack.
+    Each pass reopens CLOSED, folds INCON into OPEN (the first pass's fold
+    seeds the start), re-keys OPEN, runs ``improve`` and backtracks from the
+    goal.  A pass that expanded nothing changed no g and no parent, so it
+    skips the backtrack.
     """
     def run_pass(index: int, w: float, eps: float, deadline: float):
         state.deadline = deadline
@@ -218,7 +205,7 @@ def repair_passes(state: SearchState,
         path = None
         if outcome is ImproveOutcome.SOLVED and n_dummy + n_real:
             path = backtrack(state, state.goal_found)
-        return outcome, [stats], path
+        return outcome, stats, path
     return run_pass
 
 
@@ -242,7 +229,6 @@ def plan(config: PlannerConfig, domain: SearchDomain, start: int, *,
     """
     ctx = EpisodeContext(domain, start, config.n_threads,
                          log_enabled=log_events, debug_checks=debug_checks)
-    seed_open_with_start(ctx, config.w0)
     try:
         return run_anytime(config, repair_passes(ctx, improve_path), sink=sink, context=ctx)
     finally:
@@ -254,18 +240,15 @@ def plan_naive(config: PlannerConfig, domain: SearchDomain, start: int, *,
     """Anytime-by-restart reference: run one fresh bounded-suboptimal search
     per schedule weight, without reusing any earlier search effort.
 
-    Each restart is a :func:`plan` call with its own episode and edge cache,
-    so restarts share no evaluations.  Publishes the best-so-far incumbent
-    per weight.
+    Each restart is one pass on a fresh episode, with its own edge cache and
+    workers, so restarts share no evaluations.  Publishes the best-so-far
+    incumbent per weight.
     """
-    outcomes = {STATUS_TIMEOUT: ImproveOutcome.TIMEOUT,
-                STATUS_INFEASIBLE: ImproveOutcome.EXHAUSTED}
-
     def run_pass(index: int, w: float, eps: float, deadline: float):
-        sub = replace(config, w0=w, max_iterations=1,
-                      time_budget=max(0.0, deadline - time.monotonic()))
-        result = plan(sub, domain, start)
-        path = result.records[0].path if result.records else None
-        return outcomes.get(result.status, ImproveOutcome.SOLVED), result.iterations, path
+        ctx = EpisodeContext(domain, start, config.n_threads, log_enabled=False)
+        try:
+            return repair_passes(ctx, improve_path)(index, w, eps, deadline)
+        finally:
+            shutdown(ctx)
 
     return run_anytime(config, run_pass, sink=sink)

@@ -81,6 +81,15 @@ class SearchDomain(ABC):
         """Whether ``state`` lies in the goal region."""
 
 
+def checked_heuristic(domain: SearchDomain, state: int) -> float:
+    """``domain.heuristic(state)``, or :class:`DomainError` naming the state
+    and the value when it is negative or NaN."""
+    h = domain.heuristic(state)
+    if not h >= 0.0:  # also catches NaN
+        raise DomainError(f"state {state}: heuristic {h!r} is not >= 0")
+    return h
+
+
 class StateInterner:
     """Bijective coordinate <-> dense-handle map, stable for one episode.
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 import json
 import time
 from enum import Enum
-from typing import IO, NamedTuple
+from typing import IO, Callable, NamedTuple
 
-from .domain import DUMMY_ACTION, DomainError, Edge, EdgeCache, Path, SearchDomain, SuccessorOutcome
+from .domain import (DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain, SuccessorOutcome,
+                     checked_heuristic)
 from .structures import INF, OpenQueue, SearchNode, edge_priority
 
 EVENT_DUMMY_EXPAND = "dummy_expand"
@@ -43,8 +44,10 @@ class EngineInvariantError(AssertionError):
 
 
 class SearchState:
-    """All search state of one planning episode.  OPEN stays empty until
-    :func:`seed_open_with_start`.  BE, CLOSED and INCON are sets of states."""
+    """All search state of one planning episode.  BE, CLOSED and INCON are
+    sets of states.  A fresh state has an empty OPEN and the start, at g 0,
+    in INCON: the first pass's INCON fold puts its dummy edge into OPEN at
+    that pass's weight, so the episode seeds itself."""
 
     def __init__(self, domain: SearchDomain, start: int, *,
                  log_enabled: bool = False) -> None:
@@ -55,7 +58,7 @@ class SearchState:
         self.open = OpenQueue()
         self.be: set[int] = set()
         self.closed: set[int] = set()
-        self.incons: set[int] = set()
+        self.incons: set[int] = {start}
         self.nodes: dict[int, SearchNode] = {}
         self.w = 1.0
         self.eps = 1.0
@@ -75,10 +78,7 @@ class SearchState:
     def ensure_node(self, state: int) -> SearchNode:
         node = self.nodes.get(state)
         if node is None:
-            h = self.domain.heuristic(state)
-            if not h >= 0.0:  # also catches NaN
-                raise DomainError(f"state {state}: heuristic {h!r} is not >= 0")
-            node = SearchNode(h=h)
+            node = SearchNode(h=checked_heuristic(self.domain, state))
             self.nodes[state] = node
         return node
 
@@ -198,30 +198,25 @@ class SearchState:
         self.be.clear()
 
 
-def seed_open_with_start(state: SearchState, w: float) -> None:
-    """Insert the start state's dummy edge; the episode's only seed."""
-    node = state.nodes[state.start]
-    state.open.upsert(Edge(state.start, DUMMY_ACTION),
-                      edge_priority(node.g, node.h, w), node.h)
+def walk_parents(cache: EdgeCache, parent_of: Callable[[int], Edge | None],
+                 start: int, goal: int) -> Path:
+    """Rebuild the path from ``start`` to ``goal`` along ``parent_of``, the
+    edge that reached each state.
 
-
-def backtrack(state: SearchState, goal: int) -> Path:
-    """Rebuild the parent chain from ``goal`` back to the episode start.
-
-    The cost is the re-summed cost of the chain's edges (all of them are in
-    the edge cache).  A broken chain aborts the episode.
+    The cost is the re-summed cost of the chain's edges, all of which must
+    be in ``cache``.  A broken chain, an edge that does not reach the state
+    it is the parent of, or a cycle raises :class:`EngineInvariantError`.
     """
     edges: list[Edge] = []
     states: list[int] = [goal]
     cost = 0.0
     seen = {goal}
     current = goal
-    while current != state.start:
-        node = state.nodes.get(current)
-        if node is None or node.parent is None:
+    while current != start:
+        parent_edge = parent_of(current)
+        if parent_edge is None:
             raise EngineInvariantError(f"broken parent chain at state {current}")
-        parent_edge = node.parent
-        outcome = state.cache.get(parent_edge)
+        outcome = cache.get(parent_edge)
         if outcome is None or not outcome.valid or outcome.successor != current:
             raise EngineInvariantError(f"parent edge {parent_edge} does not reach {current}")
         cost += outcome.cost
@@ -234,6 +229,15 @@ def backtrack(state: SearchState, goal: int) -> Path:
     edges.reverse()
     states.reverse()
     return Path(edges=tuple(edges), states=tuple(states), cost=cost)
+
+
+def backtrack(state: SearchState, goal: int) -> Path:
+    """Rebuild the parent chain from ``goal`` back to the episode start.
+    A broken chain aborts the episode."""
+    def parent_of(s: int) -> Edge | None:
+        node = state.nodes.get(s)
+        return None if node is None else node.parent
+    return walk_parents(state.cache, parent_of, state.start, goal)
 
 
 def write_expansion_log(events: list[ExpansionEvent], fp: IO[str]) -> None:

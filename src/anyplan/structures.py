@@ -103,8 +103,9 @@ class OpenQueue:
         return edge
 
     def entries(self) -> Iterator[tuple[Edge, float]]:
-        """Yield (edge, f) in ascending priority order."""
-        for f, _h, s, a in list(self._entries):
+        """Yield (edge, f) in ascending priority order, straight off the
+        sorted list: do not change the queue while iterating."""
+        for f, _h, s, a in self._entries:
             yield Edge(s, a), f
 
     def rebalance(self, w: float, nodes: dict[int, SearchNode]) -> None:
@@ -146,7 +147,9 @@ def pop_independent(open_queue: OpenQueue, be: set[int], eps: float,
     """Remove and return the lowest-priority independent edge, or None.
 
     Scans in ascending order; the k-th candidate is checked against the k-1
-    lower-priority edges skipped so far and against every state in BE.
+    lower-priority edges skipped so far and against every state in BE.  It
+    discards only the edge it returns, so it never resumes the scan of a
+    queue it changed.
     """
     if not open_queue:
         return None

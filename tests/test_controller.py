@@ -15,10 +15,10 @@ from anyplan.controller import (
     STATUS_INFEASIBLE,
     STATUS_PROVED_OPTIMAL,
     STATUS_TIMEOUT,
+    IterationStats,
     PlannerConfig,
     plan,
     plan_naive,
-    publish,
     weight_schedule,
 )
 from anyplan.search import ImproveOutcome
@@ -60,7 +60,7 @@ def test_run_anytime_computes_no_weight_past_max_iterations():
 
     def run_pass(index, w, eps, deadline):
         weights.append(w)
-        return ImproveOutcome.EXHAUSTED, [], None
+        return ImproveOutcome.EXHAUSTED, IterationStats(w, eps, 0, 0, 0, 0.0, "exhausted"), None
 
     config = PlannerConfig(w0=1e6, delta_w=1.0, max_iterations=1)
     tracemalloc.start()
@@ -170,9 +170,14 @@ def test_plan_sink_receives_records_in_order_before_next_pass():
 def test_plan_sink_collection_support():
     problem = grid_problem(open_world(5), (0, 0), (4, 4))
     bucket = []
-    plan(PlannerConfig(w0=2.0, delta_w=1.0), problem, problem.start, sink=bucket)
+    plan(PlannerConfig(w0=2.0, delta_w=1.0), problem, problem.start, sink=bucket.append)
     assert [r.iteration_index for r in bucket] == [0, 1]
-    publish(None, bucket[0])  # no sink: no-op
+
+
+def test_plan_sink_is_a_callable_not_a_collection():
+    problem = grid_problem(open_world(5), (0, 0), (4, 4))
+    with pytest.raises(TypeError):
+        plan(PlannerConfig(w0=2.0, delta_w=1.0), problem, problem.start, sink=[])
 
 
 def test_plan_fixed_epsilon_completion_is_bounded_not_proved():
@@ -223,6 +228,25 @@ def test_plan_naive_restarts_do_not_share_evaluations():
     assert result.final_cost == pytest.approx(oracle, rel=1e-9)
     costs = result.published_costs
     assert all(a >= b for a, b in zip(costs, costs[1:]))
+
+
+def test_plan_naive_runs_each_restart_as_one_pass_of_one_anytime_loop(monkeypatch):
+    # a restart is a pass on a fresh episode, not a nested planner run
+    real_run_anytime = controller.run_anytime
+    calls = []
+
+    def counting_run_anytime(*args, **kwargs):
+        calls.append(args[0])
+        return real_run_anytime(*args, **kwargs)
+
+    monkeypatch.setattr(controller, "run_anytime", counting_run_anytime)
+    problem = grid_problem(open_world(7, cost="random_factor", cost_seed=3), (0, 0), (6, 6))
+    config = PlannerConfig(w0=3.0, delta_w=1.0)
+    result = plan_naive(config, problem, problem.start)
+    assert calls == [config]
+    assert result.status == STATUS_PROVED_OPTIMAL
+    assert [it.w for it in result.iterations] == [3.0, 2.0, 1.0]
+    assert [r.iteration_index for r in result.records] == [0, 1, 2]
 
 
 def test_plan_naive_first_record_matches_full_anytime_first_record():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from anyplan.baselines import ara_star, dijkstra_oracle
+from anyplan.baselines import ara_star, dijkstra_oracle, wastar, weighted_astar
 from anyplan.controller import PlannerConfig, plan
 from anyplan.domain import (
     DUMMY_ACTION,
@@ -95,12 +95,14 @@ class BadHeuristicChain(ToyGraphDomain):
 
 @pytest.mark.parametrize("h,what", [(math.nan, "nan"), (-1.0, "-1.0")])
 @pytest.mark.parametrize("bad_state", [0, 1])
-@pytest.mark.parametrize("planner", ["plan-1", "plan-2", "ara_star"])
+@pytest.mark.parametrize("planner", ["plan-1", "plan-2", "ara_star", "wastar", "weighted_astar"])
 def test_a_heuristic_outside_the_contract_is_named(h, what, bad_state, planner):
     domain = BadHeuristicChain(bad_state, h)
     with pytest.raises(DomainError, match=rf"state {bad_state}: heuristic {what}"):
-        if planner == "ara_star":
-            ara_star(PlannerConfig(w0=1.0), domain, 0)
+        if planner == "weighted_astar":
+            weighted_astar(domain, 0)
+        elif planner in ("ara_star", "wastar"):
+            {"ara_star": ara_star, "wastar": wastar}[planner](PlannerConfig(w0=1.0), domain, 0)
         else:
             plan(PlannerConfig(w0=1.0, n_threads=int(planner[-1])), domain, 0)
     assert_no_leaked_workers()

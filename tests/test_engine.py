@@ -18,7 +18,7 @@ from anyplan.domain import (
 )
 from anyplan.engine import EngineInvariantError, EpisodeContext
 from anyplan.grid2d import sample_start_goal_pairs
-from anyplan.search import SearchState, backtrack, seed_open_with_start
+from anyplan.search import SearchState, backtrack
 
 from _support import (
     StarDomain,
@@ -186,10 +186,18 @@ def test_backtrack_rewalk_equality_on_random_grid():
     assert problem.is_goal(rec.path.states[-1])
 
 
+def test_a_fresh_search_state_has_only_its_start_in_incons():
+    # the first pass's INCON fold seeds OPEN at that pass's weight
+    problem = grid_problem(open_world(4), (0, 0), (3, 3))
+    state = SearchState(problem, problem.start)
+    assert not state.open
+    assert state.incons == {problem.start}
+    assert state.nodes[problem.start].g == 0.0
+
+
 def test_backtrack_broken_chain_is_invariant_violation():
     problem = grid_problem(open_world(4), (0, 0), (3, 3))
     ctx = EpisodeContext(problem, problem.start, 1)
-    seed_open_with_start(ctx, 1.0)
     stray = problem.state_of((2, 2))
     ctx.ensure_node(stray).g = 1.0  # reachable-looking state with no parent
     with pytest.raises(EngineInvariantError):

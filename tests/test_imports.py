@@ -1,8 +1,8 @@
 """Every name a module imports is used in it.  An ``ast`` stand-in for a
-linter's unused-import rule (F401) over the package, the tests and the
-scripts: ``# noqa: F401`` on an import marks a deliberate re-export, and
-``__future__`` imports are skipped.  The package's ``__init__.py`` only
-re-exports, so it is not scanned."""
+linter's unused-import rule (F401) over the package, the tests, the
+scripts and ``perfbench/`` (only read): ``# noqa: F401`` on an import marks
+a deliberate re-export, and ``__future__`` imports are skipped.  The
+package's ``__init__.py`` only re-exports, so it is not scanned."""
 
 import ast
 from pathlib import Path
@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SCANNED = sorted(
     [p for p in (ROOT / "src" / "anyplan").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
-    + list((ROOT / "scripts").glob("*.py")))
+    + list((ROOT / "scripts").glob("*.py"))
+    + list((ROOT / "perfbench").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
