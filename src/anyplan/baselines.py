@@ -35,28 +35,32 @@ def _dijkstra(domain: SearchDomain, start: int, cache: EdgeCache, is_goal
 
     Returns the goal settled (or None), the cost-to-come of every state
     reached (exact for the settled ones), the edge that reached each of
-    them and the number of states settled.
+    them and the number of states settled.  A state is settled once, so
+    each of its edges is evaluated once and stored in ``cache`` unread.
     """
     dist = {start: 0.0}
     parents: dict[int, Edge] = {}
     settled: set[int] = set()
     heap: list[tuple[float, int]] = [(0.0, start)]
+    actions, evaluate, store = domain.actions, domain.evaluate, cache.store
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        d, s = heapq.heappop(heap)
+        d, s = heappop(heap)
         if s in settled:
             continue
         settled.add(s)
         if is_goal is not None and is_goal(s):
             return s, dist, parents, len(settled)
-        for a in domain.actions(s):
-            out = cache.evaluate(domain, Edge(s, a))
-            if not out.valid or out.successor in settled:
+        for a in actions(s):
+            edge = Edge(s, a)
+            valid, t, cost = store(edge, evaluate(s, a))
+            if not valid or t in settled:
                 continue
-            nd = d + out.cost
-            if nd < dist.get(out.successor, INF):
-                dist[out.successor] = nd
-                parents[out.successor] = Edge(s, a)
-                heapq.heappush(heap, (nd, out.successor))
+            nd = d + cost
+            if nd < dist.get(t, INF):
+                dist[t] = nd
+                parents[t] = edge
+                heappush(heap, (nd, t))
     return None, dist, parents, len(settled)
 
 
@@ -90,27 +94,29 @@ def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleRe
     closed: set[int] = set()
     h0 = checked_heuristic(domain, start)
     heap: list[tuple[float, float, int]] = [(w * h0, h0, start)]
-    expansions = 0
+    # a state is expanded once, so each of its edges is evaluated once
+    actions, evaluate, store = domain.actions, domain.evaluate, cache.store
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        _f, _h, s = heapq.heappop(heap)
+        _f, _h, s = heappop(heap)
         if s in closed:
             continue
         closed.add(s)
-        expansions += 1
         if domain.is_goal(s):
-            return OracleResult(g[s], walk_parents(cache, parents.get, start, s), expansions)
+            return OracleResult(g[s], walk_parents(cache, parents.get, start, s), len(closed))
         gs = g[s]
-        for a in domain.actions(s):
-            out = cache.evaluate(domain, Edge(s, a))
-            if not out.valid or out.successor in closed:
+        for a in actions(s):
+            edge = Edge(s, a)
+            valid, t, cost = store(edge, evaluate(s, a))
+            if not valid or t in closed:
                 continue
-            ng = gs + out.cost
-            if ng < g.get(out.successor, INF):
-                g[out.successor] = ng
-                parents[out.successor] = Edge(s, a)
-                hs = checked_heuristic(domain, out.successor)
-                heapq.heappush(heap, (ng + w * hs, hs, out.successor))
-    return OracleResult(INF, None, expansions)
+            ng = gs + cost
+            if ng < g.get(t, INF):
+                g[t] = ng
+                parents[t] = edge
+                hs = checked_heuristic(domain, t)
+                heappush(heap, (ng + w * hs, hs, t))
+    return OracleResult(INF, None, len(closed))
 
 
 def wastar(config: PlannerConfig, domain: SearchDomain, start: int, *,

@@ -31,11 +31,16 @@ CURVE_BUCKETS = 200
 #: The algorithm every other one is paired against in ``speedup.csv``.
 SPEEDUP_TARGET = "aepase"
 
+#: The :data:`SPEC_KEYS` that place a run on its map, a column each in
+#: ``table1.csv`` and ``speedup.csv``: a row never pools two maps or scales.
+MAP_KEYS = ("map", "scale")
+
 #: Column order of ``table1.csv`` and ``speedup.csv``; each row is a dict
 #: keyed by these names.
-TABLE1_COLUMNS = ("cost_kind", "algorithm", "n_threads", "eval_delay_us", "n_runs",
-                  "mean_t_init_ms", "mean_init_ratio", "mean_t_opt_ms", "mean_t_term_ms")
-SPEEDUP_COLUMNS = ("cost_kind", "baseline", "target", "baseline_n_threads",
+TABLE1_COLUMNS = ("cost_kind", *MAP_KEYS, "algorithm", "n_threads", "eval_delay_us",
+                  "n_runs", "mean_t_init_ms", "mean_init_ratio", "mean_t_opt_ms",
+                  "mean_t_term_ms")
+SPEEDUP_COLUMNS = ("cost_kind", *MAP_KEYS, "baseline", "target", "baseline_n_threads",
                    "target_n_threads", "eval_delay_us", "n_pairs", "speedup_init",
                    "speedup_opt", "speedup_term")
 
@@ -88,6 +93,7 @@ class RunMetrics:
     oracle_cost: float
     status: str
     duration: float
+    map_scale: int = 1
     eval_delay: float = 0.0  # the world's simulated edge delay, in seconds
     t_init: float | None = None
     t_opt: float | None = None
@@ -190,7 +196,7 @@ def run_experiment(spec: RunSpec, progress=None) -> list[RunMetrics]:
                 algorithm=spec.algorithm, map_name=world.grid.name, cost_kind=spec.cost.kind,
                 pair_index=pair_index, repetition=repetition,
                 n_threads=spec.planner.n_threads, start=start, goal=goal, oracle_cost=oracle,
-                eval_delay=spec.domain.eval_delay)
+                map_scale=spec.map_scale, eval_delay=spec.domain.eval_delay)
             try:
                 m = _run_single(spec, problem, RunMetrics(**identity, status="pending",
                                                           duration=0.0))
@@ -215,24 +221,24 @@ class Summary:
     runs: list[RunMetrics]
 
 
-def _cell(m: RunMetrics) -> tuple[str, float, str, int]:
+def _cell(m: RunMetrics) -> tuple[str, str, int, float, str, int]:
     """What a table row and a curve column are keyed on."""
-    return m.cost_kind, m.eval_delay, m.algorithm, m.n_threads
+    return m.cost_kind, m.map_name, m.map_scale, m.eval_delay, m.algorithm, m.n_threads
 
 
-def _cell_order(cell: tuple[str, float, str, int]) -> tuple:
-    cost_kind, delay, algo, n_threads = cell
+def _cell_order(cell: tuple[str, str, int, float, str, int]) -> tuple:
+    *where, algo, n_threads = cell
     order = ALGORITHMS.index(algo) if algo in ALGORITHMS else len(ALGORITHMS)
-    return cost_kind, delay, order, n_threads
+    return *where, order, n_threads
 
 
 def aggregate(metrics: list[RunMetrics]) -> Summary:
     """Fold raw runs into the mean-time table, per-run-averaged speedups of
     :data:`SPEEDUP_TARGET` over every other algorithm and the
     time-discretized best-so-far optimality curves.  The ok runs are grouped
-    once into (cost kind, edge delay, algorithm, workers) cells: a cell is a
-    table row and a curve column, and a speedup pairs two cells of one kind
-    and delay."""
+    once into (cost kind, map, scale, edge delay, algorithm, workers) cells:
+    a cell is a table row and a curve column, and a speedup pairs two cells
+    that differ only in algorithm and workers."""
     ok = [m for m in metrics if m.status not in ("error", "infeasible")]
     for m in ok:
         if m.status == STATUS_PROVED_OPTIMAL and m.t_init is not None:
@@ -247,11 +253,12 @@ def aggregate(metrics: list[RunMetrics]) -> Summary:
     cells = sorted(groups.items(), key=lambda item: _cell_order(item[0]))
 
     table_rows = []
-    for (cost_kind, delay, algo, n_threads), runs in cells:
+    for (cost_kind, map_name, scale, delay, algo, n_threads), runs in cells:
         init_ratios = [m.optimality_ratio_series[0][1] for m in runs
                        if m.optimality_ratio_series]
         table_rows.append({
             "cost_kind": cost_kind,
+            **dict(zip(MAP_KEYS, (map_name, scale))),
             "algorithm": algo,
             "n_threads": n_threads,
             "eval_delay_us": delay * 1e6,
@@ -263,12 +270,13 @@ def aggregate(metrics: list[RunMetrics]) -> Summary:
         })
 
     speedup_rows = []
-    for (kind, delay, algo, _), target_runs in cells:
+    for (*where, algo, _), target_runs in cells:
         if algo != SPEEDUP_TARGET:
             continue
-        for (b_kind, b_delay, b_algo, _), base_runs in cells:
-            if (b_kind, b_delay) == (kind, delay) and b_algo != SPEEDUP_TARGET:
-                row = paired_speedups(base_runs + target_runs, b_algo, SPEEDUP_TARGET, kind)
+        for (*b_where, b_algo, _), base_runs in cells:
+            if b_where == where and b_algo != SPEEDUP_TARGET:
+                row = paired_speedups(base_runs + target_runs, b_algo, SPEEDUP_TARGET,
+                                      where[0])
                 if row is not None:
                     speedup_rows.append(row)
 
@@ -285,19 +293,20 @@ def _scale_ms(value: float | None) -> float | None:
 def paired_speedups(metrics: list[RunMetrics], baseline: str, target: str,
                     cost_kind: str) -> dict | None:
     """Mean of per-run baseline/target time ratios, paired on the same
-    (map, start, goal, repetition) instance.  Ratios first, then the average.
+    (map, scale, start, goal, repetition) instance.  Ratios first, then the
+    average.
 
-    The paired runs must share one edge delay, and each side one worker
-    count; two runs of one side on one instance, a pair with two optimal
-    costs, or pairs that mix delays or worker counts, are an
-    :class:`AggregationError`.
+    The paired runs must share one map, scale and edge delay, and each side
+    one worker count; two runs of one side on one instance, a pair with two
+    optimal costs, or pairs that mix maps, scales, delays or worker counts,
+    are an :class:`AggregationError`.
     """
     def index(algo):
         runs: dict[tuple, RunMetrics] = {}
         # in (map, pair, repetition) order: the order the ratios are summed in
         for m in sorted(metrics, key=lambda m: (m.map_name, m.pair_index, m.repetition)):
             if m.algorithm == algo and m.cost_kind == cost_kind:
-                key = (m.map_name, m.start, m.goal, m.repetition)
+                key = (m.map_name, m.map_scale, m.start, m.goal, m.repetition)
                 if key in runs:
                     raise AggregationError(f"two {algo} runs on one instance {key}")
                 runs[key] = m
@@ -312,12 +321,12 @@ def paired_speedups(metrics: list[RunMetrics], baseline: str, target: str,
             raise AggregationError(f"{baseline}/{target} pair on {b.map_name} {b.start}->{b.goal}"
                                    f" has two optimal costs: {b.oracle_cost}, {t.oracle_cost}")
     threads = {(b.n_threads, t.n_threads) for b, t in pairs}
-    delays = {m.eval_delay for pair in pairs for m in pair}
-    if len(threads) > 1 or len(delays) > 1:
+    places = {(m.map_name, m.map_scale, m.eval_delay) for pair in pairs for m in pair}
+    if len(threads) > 1 or len(places) > 1:
         raise AggregationError(f"{baseline}/{target} pairs mix worker counts {sorted(threads)} "
-                               f"or edge delays {sorted(delays)}")
+                               f"or (map, scale, edge delay) {sorted(places)}")
     (b_threads, t_threads), = threads
-    delay, = delays
+    (map_name, scale, delay), = places
     ratios: dict[str, list[float]] = {"init": [], "opt": [], "term": []}
     for b, t in pairs:
         for phase, bt, tt in (("init", b.t_init, t.t_init),
@@ -327,6 +336,7 @@ def paired_speedups(metrics: list[RunMetrics], baseline: str, target: str,
                 ratios[phase].append(bt / tt)
     return {
         "cost_kind": cost_kind,
+        **dict(zip(MAP_KEYS, (map_name, scale))),
         "baseline": baseline,
         "target": target,
         "baseline_n_threads": b_threads,
@@ -352,8 +362,10 @@ def _best_ratio_at(m: RunMetrics, t: float) -> float:
 
 def _curve_for(cells: list[tuple[tuple, list[RunMetrics]]]) -> dict:
     """Each cell's mean best-so-far optimality ratio over time, for the cells
-    of one cost kind; columns are named ``<algorithm>_t<workers>_d<delay in us>``."""
-    names = [f"{algo}_t{n}_d{_fmt(delay * 1e6)}" for (_, delay, algo, n), _ in cells]
+    of one cost kind; columns are named
+    ``<algorithm>_t<workers>_d<delay in us>_<map>_x<scale>``."""
+    names = [f"{algo}_t{n}_d{_fmt(delay * 1e6)}_{map_name}_x{scale}"
+             for (_, map_name, scale, delay, algo, n), _ in cells]
     horizon = max(m.t_term if m.t_term is not None else m.duration
                   for _, runs in cells for m in runs)
     if horizon <= 0.0:

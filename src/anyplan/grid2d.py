@@ -201,9 +201,11 @@ class GridWorld:
     and move validity.  Read-only after construction; safe for concurrent
     callers.
 
-    The per-edge path works on plain Python values: move validity is a
-    lookup in flat per-action byte tables, and edge costs are ``float``
-    read from the flat array that ``factor_map`` views.
+    The per-edge path works on flat anchor indices ``y * pw + x`` and plain
+    Python values (:meth:`evaluate_anchor`): move validity is a lookup in a
+    per-action byte table, the target is the index plus a per-action step,
+    and a ``random_factor`` cost reads the ``float`` factor of each end from
+    one per-anchor array.
     """
 
     def __init__(self, grid: GridMap, config: GridDomainConfig | None = None,
@@ -226,43 +228,44 @@ class GridWorld:
                       - integral[side:, :pw] + integral[:ph, :pw])
             self.placement_ok = window == 0
         self._ph, self._pw = self.placement_ok.shape
-        self._move_tables = self._build_move_tables()
+        self._moves = self._build_moves()
         if self.cost_model.kind == "random_factor":
-            factors = build_factor_map(self.cost_model.rng_seed, grid.width, grid.height)
-            # one row-major buffer: indexing the array yields a float, not a
-            # numpy scalar, and factor_map is a numpy view of it
-            self._factors: array | None = array("d", factors.tobytes())
-            self.factor_map = np.frombuffer(self._factors).reshape(grid.height, grid.width)
+            self.factor_map = build_factor_map(self.cost_model.rng_seed,
+                                               grid.width, grid.height)
+            # an anchor's factor is its corner cell's; indexing the array
+            # yields a float, not a numpy scalar
+            self._anchor_factors: array | None = array(
+                "d", self.factor_map[:self._ph, :self._pw].tobytes())
         else:
             self.factor_map = None
-            self._factors = None
+            self._anchor_factors = None
 
-    def _build_move_tables(self) -> tuple[bytes, ...]:
-        """Per action, one byte per anchor in raster order: 1 iff the move
-        from that anchor passes :meth:`segment_clear` and ends on a free
-        placement.  Each table is ``placement_ok`` ANDed over the move's
-        sample offsets, with out of bounds solid."""
+    def _build_moves(self) -> tuple[tuple[bytes, int, tuple[int, int], float], ...]:
+        """One row per action: its move table, its flat step, its (dx, dy)
+        and its euclidean length.
+
+        The move table holds one byte per anchor in raster order: 1 iff the
+        move from that anchor passes :meth:`segment_clear` and ends on a free
+        placement.  It is ``placement_ok`` ANDed over the move's sample
+        offsets, with out of bounds solid.  A set byte means the target is
+        on the placement grid, so the flat step never wraps into another row.
+        """
         ph, pw = self._ph, self._pw
         m = self.config.move_length  # no sample lies further from the anchor
         padded = np.zeros((ph + 2 * m, pw + 2 * m), dtype=bool)
         padded[m:m + ph, m:m + pw] = self.placement_ok
-        tables = []
+        moves = []
         for ux, uy in DIRECTIONS:
             table = np.ones((ph, pw), dtype=bool)
             for ox, oy in set(sample_offsets(ux * m, uy * m, self.config.collision_step)):
                 table &= padded[m + oy:m + oy + ph, m + ox:m + ox + pw]
-            tables.append(table.tobytes())
-        return tuple(tables)
+            moves.append((table.tobytes(), (uy * pw + ux) * m, (ux * m, uy * m),
+                          math.hypot(ux * m, uy * m)))
+        return tuple(moves)
 
     def placement_free(self, x: int, y: int) -> bool:
         ok = self.placement_ok
         return 0 <= y < ok.shape[0] and 0 <= x < ok.shape[1] and bool(ok[y, x])
-
-    def free_anchors(self) -> list[tuple[int, int]]:
-        """All collision-free footprint placements as ``(x, y)`` ints, in
-        raster order (row by row), which is the order ``np.nonzero`` yields."""
-        ys, xs = np.nonzero(self.placement_ok)
-        return list(zip(xs.tolist(), ys.tolist()))
 
     def segment_clear(self, frm: tuple[int, int], to: tuple[int, int]) -> bool:
         """Footprint collision check along the straight from->to segment.
@@ -281,7 +284,7 @@ class GridWorld:
         segment_clear(xy, target)``.  No delay."""
         x, y = xy
         pw = self._pw
-        return 0 <= x < pw and 0 <= y < self._ph and self._move_tables[action][y * pw + x] == 1
+        return 0 <= x < pw and 0 <= y < self._ph and self._moves[action][0][y * pw + x] == 1
 
     def move_target(self, xy: tuple[int, int], action: int) -> tuple[int, int]:
         ux, uy = DIRECTIONS[action]
@@ -293,22 +296,37 @@ class GridWorld:
         its euclidean length, scaled under ``random_factor`` by the mean of
         the factors at its two ends."""
         length = math.hypot(to[0] - frm[0], to[1] - frm[1])
-        factors = self._factors
-        if factors is None:
+        fm = self.factor_map
+        if fm is None:
             return length
-        width = self.grid.width
-        return length * (factors[frm[1] * width + frm[0]] + factors[to[1] * width + to[0]]) / 2.0
+        return length * (float(fm[frm[1], frm[0]]) + float(fm[to[1], to[0]])) / 2.0
+
+    def evaluate_anchor(self, i: int, action: int) -> SuccessorOutcome:
+        """Evaluate one move from the anchor with raster index ``i``
+        (``y * pw + x``), sleeping eval_delay first to simulate a slow edge.
+        A valid outcome's successor is the target's raster index, and its
+        cost equals :meth:`edge_cost`.  An index off the placement grid has
+        no valid move.  Pure given (map, config, cost model)."""
+        if self.config.eval_delay > 0:
+            time.sleep(self.config.eval_delay)
+        table, step, _, length = self._moves[action]
+        if not (0 <= i < len(table) and table[i]):
+            return INVALID_OUTCOME
+        j = i + step
+        f = self._anchor_factors
+        return SuccessorOutcome(True, j, length if f is None else length * (f[i] + f[j]) / 2.0)
 
     def evaluate_move(self, xy: tuple[int, int], action: int
                       ) -> tuple[bool, tuple[int, int] | None, float | None]:
-        """Evaluate one move, sleeping eval_delay first to simulate a slow
-        edge.  Pure given (map, config, cost model): repeat calls agree."""
-        if self.config.eval_delay > 0:
-            time.sleep(self.config.eval_delay)
-        if not self.move_ok(xy, action):
+        """:meth:`evaluate_anchor` on ``(x, y)`` coordinates."""
+        x, y = xy
+        # an off-grid anchor must not alias the raster index of an on-grid one
+        on_grid = 0 <= x < self._pw and 0 <= y < self._ph
+        out = self.evaluate_anchor(y * self._pw + x if on_grid else -1, action)
+        if not out.valid:
             return False, None, None
-        target = self.move_target(xy, action)
-        return True, target, self.edge_cost(xy, target)
+        dx, dy = self._moves[action][2]
+        return True, (x + dx, y + dy), out.cost
 
     def heuristic_between(self, a: tuple[int, int], b: tuple[int, int]) -> float:
         return math.hypot(a[0] - b[0], a[1] - b[1])
@@ -358,10 +376,7 @@ class GridPlanningProblem(SearchDomain):
         return self._action_ids
 
     def evaluate(self, state: int, action: int) -> SuccessorOutcome:
-        valid, target, cost = self.world.evaluate_move(self.coord_of(state), action)
-        if not valid:
-            return INVALID_OUTCOME
-        return SuccessorOutcome(True, self.state_of(target), cost)
+        return self.world.evaluate_anchor(state, action)
 
     def heuristic(self, state: int) -> float:
         return self.world.heuristic_between(self.coord_of(state), self.goal_xy)
@@ -384,29 +399,34 @@ def sample_start_goal_pairs(world: GridWorld, count: int, seed: int
                             ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Sample ``count`` connected start/goal pairs, deterministic in ``seed``.
 
-    A start anchor is drawn uniformly from the free placements; the goal is
-    drawn uniformly from the start's reachable set (a graph search over the
-    move graph), which guarantees connectivity.  Starts whose reachable set
-    is empty are rejected, up to :data:`MAX_ATTEMPTS_PER_PAIR` draws per pair.
-    A negative ``count`` is a :class:`ValueError`.
+    A start anchor is drawn uniformly from the free placements in raster
+    order; the goal is drawn uniformly from the start's reachable set (a
+    graph search over the move graph) in ``(x, y)`` order, which guarantees
+    connectivity.  Starts whose reachable set is empty are rejected, up to
+    :data:`MAX_ATTEMPTS_PER_PAIR` draws per pair.  A negative ``count`` is
+    a :class:`ValueError`.
     """
     if count < 0:
         raise ValueError("pair count must be >= 0")
-    anchors = world.free_anchors()
-    if len(anchors) < 2:
+    anchors = np.flatnonzero(world.placement_ok)
+    if anchors.size < 2:
         raise SamplingError("map has fewer than two free footprint placements")
+    pw, ph = world._pw, world._ph
     rng = random.Random(seed)
     pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    reachable_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    reachable_cache: dict[int, list[int]] = {}
     for _ in range(count):
         for attempt in range(MAX_ATTEMPTS_PER_PAIR):
-            start = anchors[rng.randrange(len(anchors))]
+            start = int(anchors[rng.randrange(anchors.size)])
             others = reachable_cache.get(start)
             if others is None:
-                others = sorted(reachable_anchors(world, start) - {start})
+                # (x, y) order is ascending x * ph + y
+                others = sorted(reachable_indices(world, start)[1:],
+                                key=lambda i: i % pw * ph + i // pw)
                 reachable_cache[start] = others
             if others:
-                pairs.append((start, others[rng.randrange(len(others))]))
+                goal = others[rng.randrange(len(others))]
+                pairs.append(((start % pw, start // pw), (goal % pw, goal // pw)))
                 break
         else:
             raise SamplingError(
@@ -415,24 +435,16 @@ def sample_start_goal_pairs(world: GridWorld, count: int, seed: int
     return pairs
 
 
-def reachable_anchors(world: GridWorld, start: tuple[int, int]) -> set[tuple[int, int]]:
-    """Every anchor reachable from ``start`` by valid moves, ``start`` included.
+def reachable_indices(world: GridWorld, first: int) -> list[int]:
+    """Raster indices ``y * pw + x`` of every anchor reachable by valid moves
+    from the on-grid anchor ``first``, ``first`` first, in search order.
 
-    A graph search on flat anchor indices ``y * pw + x``: a move is valid
-    iff its byte in the per-action move table is set, and its target is the
-    index plus a per-action step.  A set byte means the target is a free
-    placement on the map, so a step never wraps into another row.  A start
-    off the map or blocked has no valid move and reaches only itself.
+    A move is valid iff its byte in the per-action move table is set, and
+    its target is the index plus a per-action step.  A blocked anchor has no
+    valid move and reaches only itself.
     """
-    x, y = start
-    pw, ph = world._pw, world._ph
-    if not (0 <= x < pw and 0 <= y < ph):
-        return {start}
-    m = world.config.move_length
-    moves = [(table, (uy * pw + ux) * m)
-             for table, (ux, uy) in zip(world._move_tables, DIRECTIONS)]
-    first = y * pw + x
-    seen = bytearray(pw * ph)
+    moves = [(table, step) for table, step, _, _ in world._moves]
+    seen = bytearray(world._pw * world._ph)
     seen[first] = 1
     found = [first]
     for i in found:  # visits each index appended below, in turn
@@ -442,4 +454,14 @@ def reachable_anchors(world: GridWorld, start: tuple[int, int]) -> set[tuple[int
                 if not seen[j]:
                     seen[j] = 1
                     found.append(j)
-    return {(i % pw, i // pw) for i in found}
+    return found
+
+
+def reachable_anchors(world: GridWorld, start: tuple[int, int]) -> set[tuple[int, int]]:
+    """:func:`reachable_indices` on ``(x, y)`` coordinates, ``start``
+    included.  A start off the placement grid reaches only itself."""
+    x, y = start
+    pw = world._pw
+    if not (0 <= x < pw and 0 <= y < world._ph):
+        return {start}
+    return {(i % pw, i // pw) for i in reachable_indices(world, y * pw + x)}

@@ -41,6 +41,13 @@ def grid_problem(world: GridWorld, start, goal) -> GridPlanningProblem:
     return GridPlanningProblem(world, start, goal)
 
 
+def free_anchors(world: GridWorld) -> list[tuple[int, int]]:
+    """Every free footprint placement of ``world`` as ``(x, y)``, in raster
+    order (row by row)."""
+    ph, pw = world.placement_ok.shape
+    return [(x, y) for y in range(ph) for x in range(pw) if world.placement_free(x, y)]
+
+
 def random_obstacle_map_text(width: int, height: int, density: float, seed: int) -> str:
     import random
 

@@ -1,12 +1,16 @@
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from anyplan.bench import (
     INSTANCE_KEYS,
+    MAP_KEYS,
     SPEC_KEYS,
+    SPEEDUP_COLUMNS,
+    TABLE1_COLUMNS,
     AggregationError,
     RunMetrics,
     RunSpec,
@@ -177,7 +181,7 @@ def test_run_experiment_naive_and_aepase_share_first_cost():
 
 
 IDENTITY_FIELDS = ("algorithm", "map_name", "cost_kind", "pair_index", "repetition",
-                   "n_threads", "start", "goal", "oracle_cost", "eval_delay")
+                   "n_threads", "start", "goal", "oracle_cost", "map_scale", "eval_delay")
 
 
 def test_a_run_that_raises_leaves_an_error_record(tmp_path, monkeypatch):
@@ -289,7 +293,48 @@ def test_aggregate_keys_rows_curves_and_speedups_on_workers_and_delay():
     assert (row["baseline_n_threads"], row["target_n_threads"], row["eval_delay_us"],
             row["n_pairs"], row["speedup_term"]) == (1, 4, 0.0, 1, pytest.approx(2.0))
     assert list(summary.curves["euclidean"]["columns"]) == [
-        "arastar_t1_d0", "aepase_t4_d0", "aepase_t8_d2000"]
+        "arastar_t1_d0_synthetic_x1", "aepase_t4_d0_synthetic_x1",
+        "aepase_t8_d2000_synthetic_x1"]
+
+
+def test_aggregate_keys_rows_curves_and_speedups_on_map_and_scale():
+    # one algorithm pair on two maps, and on the first map at a second
+    # scale: three cells per algorithm, never pooled
+    runs = [mk_metrics(algo, 0, t_init=t, t_opt=t, t_term=t, cost_init=110.0)
+            for algo, t in (("arastar", 0.04), ("aepase", 0.02))] * 3
+    runs = [replace(m) for m in runs]
+    for m in runs[2:4]:
+        m.map_name = "other"
+    for m in runs[4:]:
+        m.map_scale = 2
+    runs[4].t_term = runs[4].t_init = runs[4].t_opt = 0.08
+    summary = aggregate(runs)
+    assert [(r["map"], r["scale"], r["algorithm"], r["n_runs"]) for r in summary.table_rows] == [
+        ("other", 1, "arastar", 1), ("other", 1, "aepase", 1),
+        ("synthetic", 1, "arastar", 1), ("synthetic", 1, "aepase", 1),
+        ("synthetic", 2, "arastar", 1), ("synthetic", 2, "aepase", 1)]
+    assert [(r["map"], r["scale"], r["n_pairs"], r["speedup_term"])
+            for r in summary.speedup_rows] == [
+        ("other", 1, 1, pytest.approx(2.0)), ("synthetic", 1, 1, pytest.approx(2.0)),
+        ("synthetic", 2, 1, pytest.approx(4.0))]
+    assert list(summary.curves["euclidean"]["columns"]) == [
+        "arastar_t4_d0_other_x1", "aepase_t4_d0_other_x1",
+        "arastar_t4_d0_synthetic_x1", "aepase_t4_d0_synthetic_x1",
+        "arastar_t4_d0_synthetic_x2", "aepase_t4_d0_synthetic_x2"]
+
+
+def test_map_columns_are_the_spec_keys_of_the_map():
+    assert [SPEC_KEYS[key][1:] for key in MAP_KEYS] == [(RunSpec, "map_path"),
+                                                       (RunSpec, "map_scale")]
+    assert TABLE1_COLUMNS[1:3] == SPEEDUP_COLUMNS[1:3] == MAP_KEYS
+
+
+def test_paired_speedups_rejects_pairs_across_scales():
+    runs = [mk_metrics(algo, i, t_init=0.04, t_opt=0.04, t_term=0.04, cost_init=110.0)
+            for algo in ("arastar", "aepase") for i in range(2)]
+    runs[1].map_scale = runs[3].map_scale = 2
+    with pytest.raises(AggregationError, match="mix"):
+        paired_speedups(runs, "arastar", "aepase", "euclidean")
 
 
 def test_run_metrics_record_the_edge_delay():
@@ -297,6 +342,12 @@ def test_run_metrics_record_the_edge_delay():
     (m,) = run_experiment(spec)
     assert m.eval_delay == pytest.approx(1e-5)
     assert run_metrics_from_json(m.to_json()).eval_delay == m.eval_delay
+
+
+def test_run_metrics_record_the_map_scale():
+    (m,) = run_experiment(parse_run_spec(spec_text(pairs=1, scale=2)))
+    assert m.map_scale == 2
+    assert run_metrics_from_json(m.to_json()) == m
 
 
 def test_aggregate_rejects_out_of_order_phase_times():
@@ -315,7 +366,7 @@ def test_curves_are_non_decreasing_and_bucketed():
     summary = aggregate(runs)
     curve = summary.curves["euclidean"]
     assert len(curve["times"]) == 200
-    col = curve["columns"]["aepase_t4_d0"]
+    col = curve["columns"]["aepase_t4_d0_synthetic_x1"]
     assert all(a <= b + 1e-12 for a, b in zip(col, col[1:]))
     assert col[-1] == pytest.approx(1.0)
     assert col[0] <= 0.5  # before the first publications the ratio is 0
@@ -327,10 +378,10 @@ def test_emit_headers_only_for_empty_summary(tmp_path):
     summary = aggregate([])
     written = emit_outputs(summary, tmp_path)
     table = (tmp_path / "table1.csv").read_text()
-    assert table == ("cost_kind,algorithm,n_threads,eval_delay_us,n_runs,mean_t_init_ms,"
-                     "mean_init_ratio,mean_t_opt_ms,mean_t_term_ms\n")
+    assert table == ("cost_kind,map,scale,algorithm,n_threads,eval_delay_us,n_runs,"
+                     "mean_t_init_ms,mean_init_ratio,mean_t_opt_ms,mean_t_term_ms\n")
     speedup = (tmp_path / "speedup.csv").read_text()
-    assert speedup.startswith("cost_kind,baseline,target,")
+    assert speedup.startswith("cost_kind,map,scale,baseline,target,")
     assert (tmp_path / "runs.ndjson").read_text() == ""
     assert len(written) == 3  # no curves without runs
 
@@ -355,8 +406,9 @@ def test_emit_golden_files(tmp_path):
 
 def test_aggregate_mixed_cells_golden(tmp_path):
     # tests/golden/mixed/runs.ndjson: two maps, both cost kinds, two edge
-    # delays, 1 to 4 workers and every algorithm; the other files are what
-    # ``anyplan aggregate`` wrote for it before cells were grouped once
+    # delays, 1 to 4 workers and every algorithm; each map's table and
+    # speedup rows are what ``anyplan aggregate`` wrote for that map's runs
+    # alone before cells were grouped once and keyed on the map
     fixture = GOLDEN / "mixed"
     runs = [run_metrics_from_json(line)
             for line in (fixture / "runs.ndjson").read_text().splitlines()]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anyplan.domain import INVALID_OUTCOME, SuccessorOutcome
 from anyplan.grid2d import (
     CostModel,
     GridDomainConfig,
@@ -25,6 +26,7 @@ from anyplan.grid2d import (
 
 from _support import (
     all_pairs_optimal,
+    free_anchors,
     make_world,
     open_map_text,
     open_world,
@@ -227,7 +229,7 @@ def test_reachable_anchors_equal_dijkstra_settled_set(map_name, footprint, move,
     world = GridWorld(load_map(MAPS_DIR / map_name),
                       GridDomainConfig(footprint_side=footprint, move_length=move,
                                        collision_step=step))
-    anchors = world.free_anchors()
+    anchors = free_anchors(world)
     for start in random.Random(3).sample(anchors, 6):
         probe = GridPlanningProblem(world, start, start)
         dist = dijkstra_distances(probe, probe.start)
@@ -272,7 +274,7 @@ def test_reachable_anchors_match_reference_search_randomized():
             assert all(type(x) is int and type(y) is int for x, y in got)
         directed += any(world.move_ok(xy, a)
                         and not world.move_ok(world.move_target(xy, a), (a + 4) % 8)
-                        for xy in world.free_anchors() for a in range(8))
+                        for xy in free_anchors(world) for a in range(8))
     assert directed > 0
 
 
@@ -284,31 +286,71 @@ def test_flat_steps_never_wrap_into_the_next_row():
     assert reachable_anchors(walled, (3, 1)) == {(3, y) for y in range(4)}
 
 
-def test_free_anchors_are_raster_ordered_ints():
-    world = GridWorld(load_map(MAPS_DIR / "maze64.map"),
-                      GridDomainConfig(footprint_side=4, move_length=6))
-    anchors = world.free_anchors()
-    assert anchors == sorted(anchors, key=lambda xy: (xy[1], xy[0]))
-    ph, pw = world.placement_ok.shape
-    assert anchors == [(x, y) for y in range(ph) for x in range(pw)
-                       if world.placement_free(x, y)]
-    assert all(type(x) is int and type(y) is int for x, y in anchors)
+#: (map, footprint, move, collision step) -> the (start, goal, oracle cost
+#: as ``float.hex``) instances that ``random_factor`` costs with seed 5 and
+#: ``sample_start_goal_pairs(world, len(instances), seed=5)`` give.  The
+#: first is the benchmark's instance source (``perfbench/run.py``, C07).
+PINNED_INSTANCES = {
+    ("maze128.map", 8, 12, 1): [
+        ((113, 120), (65, 60), "0x1.5ffa70c0e1fecp+12"),
+        ((20, 73), (8, 37), "0x1.7a3d0651b0e3ep+11"),
+        ((61, 94), (49, 118), "0x1.9cc65733cb519p+10"),
+        ((88, 8), (28, 32), "0x1.d398e1d6bf71cp+12"),
+        ((113, 18), (53, 90), "0x1.2093570c10b5cp+12"),
+        ((20, 95), (56, 107), "0x1.56ca43d00038cp+10"),
+        ((9, 78), (117, 114), "0x1.2073da4b5d12cp+13"),
+        ((4, 17), (112, 89), "0x1.79818b4d6933cp+13"),
+        ((26, 44), (2, 20), "0x1.c210468d49063p+9"),
+        ((16, 37), (88, 25), "0x1.7050eec172624p+12"),
+        ((25, 53), (25, 77), "0x1.e5b5f728caf88p+10"),
+        ((1, 80), (25, 44), "0x1.4d1ab963c3fe3p+10"),
+        ((2, 12), (26, 0), "0x1.eeb3c6811c6e7p+10"),
+        ((9, 120), (105, 36), "0x1.5bbc1b59f62aap+12"),
+        ((17, 21), (5, 21), "0x1.93c3c88530bf6p+9"),
+        ((52, 0), (4, 0), "0x1.9510f73dfd8dcp+13"),
+        ((70, 35), (58, 47), "0x1.25d406f5f1aa2p+10"),
+        ((94, 27), (46, 111), "0x1.05b7154e53985p+12"),
+        ((20, 56), (68, 80), "0x1.4eec1f83c1084p+12"),
+        ((24, 33), (120, 57), "0x1.52ad504919c18p+13"),
+    ],
+    # samples at offsets 0, 4, 6 one way and 0, 2, 6 back: a directed graph
+    ("maze64.map", 4, 6, 4): [
+        ((59, 56), (29, 38), "0x1.7a0398432e81ep+11"),
+        ((55, 32), (55, 38), "0x1.af14278c3b5bap+8"),
+        ((29, 2), (53, 50), "0x1.1996839afc1c2p+11"),
+        ((14, 21), (2, 39), "0x1.5807339a165dcp+8"),
+        ((53, 12), (11, 18), "0x1.4fc9d70744938p+11"),
+        ((9, 34), (51, 58), "0x1.141043e02f4cap+12"),
+        ((3, 21), (45, 3), "0x1.11c8c86afde29p+12"),
+        ((24, 50), (6, 20), "0x1.9a997c176cc8ap+10"),
+    ],
+}
+
+
+def sampled_instances(map_name, footprint, move, step, count):
+    from anyplan.baselines import dijkstra_oracle
+
+    world = GridWorld(load_map(MAPS_DIR / map_name),
+                      GridDomainConfig(footprint_side=footprint, move_length=move,
+                                       collision_step=step),
+                      CostModel("random_factor", rng_seed=5))
+    instances = []
+    for start, goal in sample_start_goal_pairs(world, count, seed=5):
+        problem = GridPlanningProblem(world, start, goal)
+        instances.append((start, goal, dijkstra_oracle(problem, problem.start).cost.hex()))
+    return instances
 
 
 def test_sampled_maze128_pairs_are_pinned():
-    # footprint 8 / move 12 on maze128, seed 5: the benchmark's instance
-    # source; these are the pairs the Dijkstra-based sampler drew
-    world = GridWorld(load_map(MAPS_DIR / "maze128.map"),
-                      GridDomainConfig(footprint_side=8, move_length=12))
-    assert sample_start_goal_pairs(world, 20, seed=5) == [
-        ((113, 120), (65, 60)), ((20, 73), (8, 37)), ((61, 94), (49, 118)),
-        ((88, 8), (28, 32)), ((113, 18), (53, 90)), ((20, 95), (56, 107)),
-        ((9, 78), (117, 114)), ((4, 17), (112, 89)), ((26, 44), (2, 20)),
-        ((16, 37), (88, 25)), ((25, 53), (25, 77)), ((1, 80), (25, 44)),
-        ((2, 12), (26, 0)), ((9, 120), (105, 36)), ((17, 21), (5, 21)),
-        ((52, 0), (4, 0)), ((70, 35), (58, 47)), ((94, 27), (46, 111)),
-        ((20, 56), (68, 80)), ((24, 33), (120, 57)),
-    ]
+    # the benchmark's instances: any change to sampling, the move tables,
+    # the cost model or the oracle that moves one of them fails here
+    key = ("maze128.map", 8, 12, 1)
+    assert sampled_instances(*key, 20) == PINNED_INSTANCES[key]
+
+
+def test_sampled_instances_with_a_collision_step_are_pinned():
+    key = ("maze64.map", 4, 6, 4)
+    assert sampled_instances(*key, 8) == PINNED_INSTANCES[key]
 
 
 # -- successors and costs ---------------------------------------------------
@@ -375,7 +417,7 @@ def test_costs_are_python_floats_through_a_random_factor_episode():
 def test_state_of_and_coord_of_round_trip_on_every_maze128_anchor():
     world = GridWorld(load_map(MAPS_DIR / "maze128.map"),
                       GridDomainConfig(footprint_side=8, move_length=12))
-    anchors = world.free_anchors()
+    anchors = free_anchors(world)
     problem = GridPlanningProblem(world, anchors[0], anchors[-1])
     states = [problem.state_of(xy) for xy in anchors]
     assert [problem.coord_of(s) for s in states] == anchors
@@ -404,6 +446,60 @@ def test_one_problem_serves_many_episodes():
     shared = GridPlanningProblem(world, start, goal)
     assert len(fresh) > 1
     assert [records(shared) for _ in range(3)] == [fresh] * 3
+
+
+@pytest.mark.parametrize("cost", ["euclidean", "random_factor"])
+def test_a_handle_off_the_placement_grid_has_no_valid_move(cost):
+    # on an open map the last anchors have valid N, W and NW moves, so a
+    # negative handle must not wrap round to them
+    world = open_world(12, footprint=2, move=3, cost=cost, cost_seed=3)
+    problem = GridPlanningProblem(world, (0, 0), (9, 9))
+    n = world.placement_ok.size
+    assert problem.evaluate(n - 1, 0).valid
+    for handle in (-1, -3, n, n + 5):
+        for a in range(8):
+            assert problem.evaluate(handle, a) == INVALID_OUTCOME, (handle, a)
+
+
+def test_problem_evaluate_equals_evaluate_move_on_every_anchor_randomized():
+    import random
+
+    rng = random.Random(5)
+    valid = 0
+    for case in range(48):
+        # both cost models, with collision step 1 and above 1
+        cost = ("euclidean", "random_factor")[case % 2]
+        width, height = rng.randint(3, 14), rng.randint(3, 14)
+        text = random_obstacle_map_text(width, height, rng.uniform(0.0, 0.25), seed=case)
+        move = rng.randint(2, 5)
+        step = 1 if case % 4 < 2 else rng.randint(2, move)
+        world = make_world(text, footprint=rng.randint(1, 2), move=move, collision_step=step,
+                           cost=cost, cost_seed=case)
+        anchors = free_anchors(world)
+        if not anchors:
+            continue
+        problem = GridPlanningProblem(world, anchors[0], anchors[0])
+        ph, pw = world.placement_ok.shape
+        for xy in [(x, y) for y in range(ph) for x in range(pw)]:
+            for a in range(8):
+                ok, target, cost_xy = world.evaluate_move(xy, a)
+                want = (SuccessorOutcome(True, problem.state_of(target), cost_xy) if ok
+                        else INVALID_OUTCOME)
+                got = problem.evaluate(problem.state_of(xy), a)
+                assert got == want and type(got.cost) is type(want.cost), (case, xy, a)
+                if ok:
+                    assert cost_xy == world.edge_cost(xy, target)
+                    valid += 1
+    assert valid > 1000
+
+
+def test_an_invalid_move_on_a_delayed_world_still_takes_the_delay():
+    world = open_world(8, footprint=2, move=2, eval_delay=0.002)
+    problem = GridPlanningProblem(world, (0, 0), (6, 6))
+    for handle, action in ((problem.start, 0), (-1, 2), (world.placement_ok.size, 2)):
+        t0 = time.perf_counter()
+        assert problem.evaluate(handle, action) == INVALID_OUTCOME
+        assert time.perf_counter() - t0 >= 0.002
 
 
 def test_successors_pure_function_bit_identical():
