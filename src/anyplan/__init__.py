@@ -35,7 +35,7 @@ from .grid2d import (
     sample_start_goal_pairs,
     serialize_map,
 )
-from .search import ImproveOutcome, write_expansion_log
+from .search import ImproveOutcome
 from .structures import OpenQueue, SearchNode, edge_priority, pop_independent
 
 __version__ = "0.1.0"

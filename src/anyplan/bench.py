@@ -193,7 +193,7 @@ def run_experiment(spec: RunSpec, progress=None) -> list[RunMetrics]:
         problem = GridPlanningProblem(world, start, goal)
         for repetition in range(spec.repetitions):
             identity = dict(
-                algorithm=spec.algorithm, map_name=world.grid.name, cost_kind=spec.cost.kind,
+                algorithm=spec.algorithm, map_name=spec.map_path, cost_kind=spec.cost.kind,
                 pair_index=pair_index, repetition=repetition,
                 n_threads=spec.planner.n_threads, start=start, goal=goal, oracle_cost=oracle,
                 map_scale=spec.map_scale, eval_delay=spec.domain.eval_delay)
@@ -453,11 +453,6 @@ INSTANCE_KEYS = ("map", "scale", "cost", "cost_seed", "pairs", "pair_seed",
 
 #: Spec spellings of a :class:`CostModel` kind other than the kind itself.
 COST_ALIASES = {"random": "random_factor"}
-
-
-def parse_run_spec(text: str) -> RunSpec:
-    """Parse a spec file's text into a :class:`RunSpec`."""
-    return build_run_spec(parse_spec_values(text))
 
 
 def parse_spec_values(text: str) -> dict[str, object]:

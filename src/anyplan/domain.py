@@ -198,25 +198,3 @@ def rewalk_cost(domain: SearchDomain, path: Path) -> float:
             raise ValueError(f"edge {i} reaches {out.successor}, recorded {path.states[i + 1]}")
         total += out.cost
     return total
-
-
-def audit_consistency(domain: SearchDomain, cache: EdgeCache) -> int:
-    """Check h(s) <= c(s,a) + h(s') over every evaluated edge in ``cache``.
-
-    Returns the number of edges audited; raises AssertionError on the first
-    violation.  A slack of 1e-9 absorbs float rounding of exact-equality
-    cases.
-    """
-    n = 0
-    for edge, out in cache.items():
-        if not out.valid:
-            continue
-        hs = domain.heuristic(edge.state)
-        hs2 = domain.heuristic(out.successor)
-        if hs > out.cost + hs2 + 1e-9:
-            raise AssertionError(
-                f"inconsistent heuristic on {edge}: h={hs} > c={out.cost} + h'={hs2}"
-            )
-        n += 1
-    return n
-

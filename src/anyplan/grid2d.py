@@ -120,7 +120,8 @@ def serialize_map(grid: GridMap) -> str:
 
 
 def load_map(path: str | FsPath, scale: int = 1) -> GridMap:
-    """Read a ``.map`` file, optionally nearest-neighbor upscaled."""
+    """Read a ``.map`` file, optionally nearest-neighbor upscaled; the map
+    is named by its path at every scale."""
     path = FsPath(path)
     grid = parse_map(path.read_text(), name=str(path))
     if scale < 1:
@@ -129,7 +130,7 @@ def load_map(path: str | FsPath, scale: int = 1) -> GridMap:
         return grid
     occ = np.repeat(np.repeat(grid.occupancy, scale, axis=0), scale, axis=1)
     return GridMap(width=grid.width * scale, height=grid.height * scale,
-                   occupancy=occ, name=f"{grid.name}@x{scale}")
+                   occupancy=occ, name=grid.name)
 
 
 @dataclass(frozen=True)
@@ -229,26 +230,23 @@ class GridWorld:
             self.placement_ok = window == 0
         self._ph, self._pw = self.placement_ok.shape
         self._moves = self._build_moves()
+        self._anchor_factors: array | None = None
         if self.cost_model.kind == "random_factor":
-            self.factor_map = build_factor_map(self.cost_model.rng_seed,
-                                               grid.width, grid.height)
+            factors = build_factor_map(self.cost_model.rng_seed, grid.width, grid.height)
             # an anchor's factor is its corner cell's; indexing the array
             # yields a float, not a numpy scalar
-            self._anchor_factors: array | None = array(
-                "d", self.factor_map[:self._ph, :self._pw].tobytes())
-        else:
-            self.factor_map = None
-            self._anchor_factors = None
+            self._anchor_factors = array("d", factors[:self._ph, :self._pw].tobytes())
 
     def _build_moves(self) -> tuple[tuple[bytes, int, tuple[int, int], float], ...]:
         """One row per action: its move table, its flat step, its (dx, dy)
         and its euclidean length.
 
         The move table holds one byte per anchor in raster order: 1 iff the
-        move from that anchor passes :meth:`segment_clear` and ends on a free
-        placement.  It is ``placement_ok`` ANDed over the move's sample
-        offsets, with out of bounds solid.  A set byte means the target is
-        on the placement grid, so the flat step never wraps into another row.
+        footprint is on a free placement at each of the move's
+        :func:`sample_offsets` from that anchor, the endpoint included.  It
+        is ``placement_ok`` ANDed over those offsets, with out of bounds
+        solid.  A set byte means the target is on the placement grid, so the
+        flat step never wraps into another row.
         """
         ph, pw = self._ph, self._pw
         m = self.config.move_length  # no sample lies further from the anchor
@@ -267,46 +265,14 @@ class GridWorld:
         ok = self.placement_ok
         return 0 <= y < ok.shape[0] and 0 <= x < ok.shape[1] and bool(ok[y, x])
 
-    def segment_clear(self, frm: tuple[int, int], to: tuple[int, int]) -> bool:
-        """Footprint collision check along the straight from->to segment.
-
-        Samples at exact collision_step multiples of the per-axis parameter
-        plus the final endpoint, both endpoints included.
-        """
-        x0, y0 = frm
-        return all(self.placement_free(x0 + ox, y0 + oy)
-                   for ox, oy in sample_offsets(to[0] - x0, to[1] - y0,
-                                                self.config.collision_step))
-
-    def move_ok(self, xy: tuple[int, int], action: int) -> bool:
-        """Whether the move is valid: a lookup in the table built at
-        construction, equal to ``placement_free(target) and
-        segment_clear(xy, target)``.  No delay."""
-        x, y = xy
-        pw = self._pw
-        return 0 <= x < pw and 0 <= y < self._ph and self._moves[action][0][y * pw + x] == 1
-
-    def move_target(self, xy: tuple[int, int], action: int) -> tuple[int, int]:
-        ux, uy = DIRECTIONS[action]
-        length = self.config.move_length
-        return xy[0] + ux * length, xy[1] + uy * length
-
-    def edge_cost(self, frm: tuple[int, int], to: tuple[int, int]) -> float:
-        """Cost of the move between two on-map anchors, as a Python ``float``:
-        its euclidean length, scaled under ``random_factor`` by the mean of
-        the factors at its two ends."""
-        length = math.hypot(to[0] - frm[0], to[1] - frm[1])
-        fm = self.factor_map
-        if fm is None:
-            return length
-        return length * (float(fm[frm[1], frm[0]]) + float(fm[to[1], to[0]])) / 2.0
-
     def evaluate_anchor(self, i: int, action: int) -> SuccessorOutcome:
         """Evaluate one move from the anchor with raster index ``i``
         (``y * pw + x``), sleeping eval_delay first to simulate a slow edge.
         A valid outcome's successor is the target's raster index, and its
-        cost equals :meth:`edge_cost`.  An index off the placement grid has
-        no valid move.  Pure given (map, config, cost model)."""
+        cost is the move's euclidean length, scaled under ``random_factor``
+        by the mean of the factors at its two ends.  An index off the
+        placement grid has no valid move.  Pure given (map, config, cost
+        model)."""
         if self.config.eval_delay > 0:
             time.sleep(self.config.eval_delay)
         table, step, _, length = self._moves[action]
@@ -330,18 +296,6 @@ class GridWorld:
 
     def heuristic_between(self, a: tuple[int, int], b: tuple[int, int]) -> float:
         return math.hypot(a[0] - b[0], a[1] - b[1])
-
-    def export_factor_map(self, path: str | FsPath) -> None:
-        """Dump the factor grid as whitespace-separated text for debugging."""
-        if self.factor_map is None:
-            raise ValueError("euclidean cost model has no factor map")
-        np.savetxt(path, self.factor_map, fmt="%.17g")
-
-
-def grid_successors(world: GridWorld, xy: tuple[int, int]
-                    ) -> list[tuple[bool, tuple[int, int] | None, float | None]]:
-    """Outcomes of all 8 moves from ``xy`` in compass order."""
-    return [world.evaluate_move(xy, a) for a in range(len(DIRECTIONS))]
 
 
 class GridPlanningProblem(SearchDomain):
@@ -455,13 +409,3 @@ def reachable_indices(world: GridWorld, first: int) -> list[int]:
                     seen[j] = 1
                     found.append(j)
     return found
-
-
-def reachable_anchors(world: GridWorld, start: tuple[int, int]) -> set[tuple[int, int]]:
-    """:func:`reachable_indices` on ``(x, y)`` coordinates, ``start``
-    included.  A start off the placement grid reaches only itself."""
-    x, y = start
-    pw = world._pw
-    if not (0 <= x < pw and 0 <= y < world._ph):
-        return {start}
-    return {(i % pw, i // pw) for i in reachable_indices(world, y * pw + x)}

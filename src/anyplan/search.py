@@ -6,10 +6,9 @@ the domain's ``evaluate``."""
 
 from __future__ import annotations
 
-import json
 import time
 from enum import Enum
-from typing import IO, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .domain import (DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain, SuccessorOutcome,
                      checked_heuristic)
@@ -238,14 +237,3 @@ def backtrack(state: SearchState, goal: int) -> Path:
         node = state.nodes.get(s)
         return None if node is None else node.parent
     return walk_parents(state.cache, parent_of, state.start, goal)
-
-
-def write_expansion_log(events: list[ExpansionEvent], fp: IO[str]) -> None:
-    """Dump expansion events as newline-delimited JSON records."""
-    for ev in events:
-        fp.write(json.dumps({
-            "t_ns": ev.t_ns, "iter": ev.iteration, "worker": ev.worker,
-            "state": ev.state, "action": ev.action, "g": ev.g, "f": ev.f,
-            "kind": ev.kind,
-        }, separators=(",", ":")))
-        fp.write("\n")

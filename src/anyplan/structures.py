@@ -67,9 +67,6 @@ class OpenQueue:
     def __bool__(self) -> bool:
         return bool(self._key)
 
-    def key_of(self, edge: Edge) -> tuple[float, float, int, int] | None:
-        return self._key.get(edge)
-
     def upsert(self, edge: Edge, f: float, h: float) -> None:
         """Insert ``edge`` at priority ``f``, or reposition it if present."""
         entry = (f, h, edge.state, edge.action)

@@ -1,5 +1,6 @@
 """Shared test fixtures: toy domains, instrumented wrappers, and the
-brute-force oracles the package's properties are checked against."""
+brute-force oracles and independent references the package's properties
+are checked against."""
 
 from __future__ import annotations
 
@@ -7,14 +8,19 @@ import math
 import threading
 import time
 
-from anyplan.domain import INVALID_OUTCOME, SearchDomain, SuccessorOutcome
+from anyplan.bench import RunSpec, build_run_spec, parse_spec_values
+from anyplan.domain import INVALID_OUTCOME, EdgeCache, SearchDomain, SuccessorOutcome
 from anyplan.grid2d import (
+    DIRECTIONS,
     CostModel,
     GridDomainConfig,
     GridMap,
     GridPlanningProblem,
     GridWorld,
+    build_factor_map,
     parse_map,
+    reachable_indices,
+    sample_offsets,
 )
 
 
@@ -151,7 +157,7 @@ class CountingDomain(SearchDomain):
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles
+# Brute-force oracles and independent references
 
 
 def independence_oracle(edge, open_queue, be, eps, nodes, domain) -> bool:
@@ -159,14 +165,12 @@ def independence_oracle(edge, open_queue, be, eps, nodes, domain) -> bool:
     every lower-priority OPEN edge and every BE state, no shortcuts."""
     if eps == math.inf:
         return True
-    key = open_queue.key_of(edge)
     g_e = nodes[edge.state].g
-    for other, _f in open_queue.entries():
+    for other, _f in open_queue.entries():  # ascending key order
         if other == edge:
-            continue
-        if open_queue.key_of(other) < key:
-            if g_e - nodes[other.state].g > eps * domain.pairwise_heuristic(other.state, edge.state):
-                return False
+            break
+        if g_e - nodes[other.state].g > eps * domain.pairwise_heuristic(other.state, edge.state):
+            return False
     for s in be:
         if g_e - nodes[s].g > eps * domain.pairwise_heuristic(s, edge.state):
             return False
@@ -207,6 +211,72 @@ def sweep_collision_oracle(grid: GridMap, frm, to, footprint: int, step: int) ->
               for k in range(n)]
     points.append((x1, y1))
     return all(footprint_clear(x, y) for x, y in points)
+
+
+def move_target(world: GridWorld, xy: tuple[int, int], action: int) -> tuple[int, int]:
+    ux, uy = DIRECTIONS[action]
+    length = world.config.move_length
+    return xy[0] + ux * length, xy[1] + uy * length
+
+
+def segment_clear(world: GridWorld, frm: tuple[int, int], to: tuple[int, int]) -> bool:
+    """Footprint collision check along the straight from->to segment.
+
+    Samples at exact collision_step multiples of the per-axis parameter
+    plus the final endpoint, both endpoints included.
+    """
+    x0, y0 = frm
+    return all(world.placement_free(x0 + ox, y0 + oy)
+               for ox, oy in sample_offsets(to[0] - x0, to[1] - y0,
+                                            world.config.collision_step))
+
+
+def edge_cost(world: GridWorld, frm: tuple[int, int], to: tuple[int, int]) -> float:
+    """Cost of the move between two on-map anchors, as a Python ``float``:
+    its euclidean length, scaled under ``random_factor`` by the mean of the
+    :func:`build_factor_map` factors at its two ends."""
+    length = math.hypot(to[0] - frm[0], to[1] - frm[1])
+    model = world.cost_model
+    if model.kind != "random_factor":
+        return length
+    fm = build_factor_map(model.rng_seed, world.grid.width, world.grid.height)
+    return length * (float(fm[frm[1], frm[0]]) + float(fm[to[1], to[0]])) / 2.0
+
+
+def reachable_anchors(world: GridWorld, start: tuple[int, int]) -> set[tuple[int, int]]:
+    """``reachable_indices`` on ``(x, y)`` coordinates, ``start`` included.
+    A start off the placement grid reaches only itself."""
+    x, y = start
+    ph, pw = world.placement_ok.shape
+    if not (0 <= x < pw and 0 <= y < ph):
+        return {start}
+    return {(i % pw, i // pw) for i in reachable_indices(world, y * pw + x)}
+
+
+def audit_consistency(domain: SearchDomain, cache: EdgeCache) -> int:
+    """Check h(s) <= c(s,a) + h(s') over every evaluated edge in ``cache``.
+
+    Returns the number of edges audited; raises AssertionError on the first
+    violation.  A slack of 1e-9 absorbs float rounding of exact-equality
+    cases.
+    """
+    n = 0
+    for edge, out in cache.items():
+        if not out.valid:
+            continue
+        hs = domain.heuristic(edge.state)
+        hs2 = domain.heuristic(out.successor)
+        if hs > out.cost + hs2 + 1e-9:
+            raise AssertionError(
+                f"inconsistent heuristic on {edge}: h={hs} > c={out.cost} + h'={hs2}"
+            )
+        n += 1
+    return n
+
+
+def parse_run_spec(text: str) -> RunSpec:
+    """Parse a spec file's text into a :class:`RunSpec`."""
+    return build_run_spec(parse_spec_values(text))
 
 
 def all_pairs_optimal(domain, states) -> dict[tuple[int, int], float]:

@@ -21,7 +21,6 @@ from anyplan.controller import (
     PlanResult,
     plan,
 )
-from anyplan.domain import audit_consistency
 from anyplan.grid2d import (
     CostModel,
     GridDomainConfig,
@@ -35,9 +34,11 @@ from anyplan.grid2d import (
 
 from _support import (
     assert_no_leaked_workers,
+    audit_consistency,
     committed_expansion_check,
     make_world,
     random_obstacle_map_text,
+    segment_clear,
     sweep_collision_oracle,
 )
 
@@ -387,7 +388,7 @@ def test_criterion_11_domain_correctness(stats):
                            collision_step=step)
         frm = (rng.randrange(size), rng.randrange(size))
         to = (rng.randrange(size), rng.randrange(size))
-        if world.segment_clear(frm, to) != sweep_collision_oracle(
+        if segment_clear(world, frm, to) != sweep_collision_oracle(
                 world.grid, frm, to, footprint, step):
             collision_mismatches += 1
 

@@ -19,12 +19,13 @@ from anyplan.bench import (
     build_run_spec,
     emit_outputs,
     paired_speedups,
-    parse_run_spec,
     run_experiment,
     run_metrics_from_json,
 )
 from anyplan.controller import PlannerConfig, weight_schedule
 from anyplan.grid2d import GridDomainConfig
+
+from _support import parse_run_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 MAPS = ROOT / "maps"
@@ -345,8 +346,10 @@ def test_run_metrics_record_the_edge_delay():
 
 
 def test_run_metrics_record_the_map_scale():
-    (m,) = run_experiment(parse_run_spec(spec_text(pairs=1, scale=2)))
+    spec = parse_run_spec(spec_text(pairs=1, scale=2))
+    (m,) = run_experiment(spec)
     assert m.map_scale == 2
+    assert m.map_name == spec.map_path
     assert run_metrics_from_json(m.to_json()) == m
 
 

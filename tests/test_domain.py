@@ -12,11 +12,11 @@ from anyplan.domain import (
     Path,
     StateInterner,
     SuccessorOutcome,
-    audit_consistency,
     rewalk_cost,
 )
 
 from _support import (
+    audit_consistency,
     CountingDomain,
     ToyGraphDomain,
     all_pairs_optimal,

@@ -25,6 +25,7 @@ from _support import (
     ToyGraphDomain,
     assert_no_leaked_workers,
     committed_expansion_check,
+    edge_cost,
     grid_problem,
     make_world,
     max_eval_overlap,
@@ -103,8 +104,8 @@ def test_real_edge_relaxation_routes_fresh_state_to_open():
     for edge, f in ctx.open.entries():
         assert edge.action == DUMMY_ACTION
         succ = ctx.nodes[edge.state]
-        assert succ.g == pytest.approx(problem.world.edge_cost(
-            problem.coord_of(problem.start), problem.coord_of(edge.state)))
+        assert succ.g == pytest.approx(edge_cost(
+            problem.world, problem.coord_of(problem.start), problem.coord_of(edge.state)))
         assert f == pytest.approx(succ.g + 2.0 * succ.h)
         assert succ.parent.state == problem.start
     # source closed after the last real edge
@@ -264,27 +265,6 @@ def test_backtrack_three_edge_chain_sums_costs():
     assert path.cost == pytest.approx(9.0)
     assert path.states == (0, 1, 2, 3)
     assert [e.state for e in path.edges] == [0, 1, 2]
-
-
-def test_expansion_log_export_round_trips_as_ndjson():
-    import io
-    import json
-
-    from anyplan.search import write_expansion_log
-
-    problem = grid_problem(open_world(5), (0, 0), (4, 4))
-    result = plan(PlannerConfig(w0=1.0), problem, problem.start, log_events=True)
-    assert result.events
-    buf = io.StringIO()
-    write_expansion_log(result.events, buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == len(result.events)
-    for line, ev in zip(lines, result.events):
-        record = json.loads(line)
-        assert record["state"] == ev.state
-        assert record["kind"] == ev.kind
-        assert set(record) == {"t_ns", "iter", "worker", "state", "action",
-                               "g", "f", "kind"}
 
 
 def test_worker_threads_join_before_plan_returns():

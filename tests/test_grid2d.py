@@ -16,21 +16,24 @@ from anyplan.grid2d import (
     MapFormatError,
     SamplingError,
     build_factor_map,
-    grid_successors,
     load_map,
     parse_map,
-    reachable_anchors,
     sample_start_goal_pairs,
     serialize_map,
 )
 
 from _support import (
     all_pairs_optimal,
+    audit_consistency,
+    edge_cost,
     free_anchors,
     make_world,
+    move_target,
     open_map_text,
     open_world,
     random_obstacle_map_text,
+    reachable_anchors,
+    segment_clear,
     sweep_collision_oracle,
 )
 
@@ -116,14 +119,14 @@ def test_load_map_scale_upsamples_nearest_neighbor(tmp_path):
 
 def test_adjacent_free_cells_clear_with_unit_footprint():
     world = open_world(4)
-    assert world.segment_clear((0, 0), (1, 0))
+    assert segment_clear(world, (0, 0), (1, 0))
 
 
 def test_midpoint_obstacle_blocks_segment():
     text = "type octile\nheight 1\nwidth 5\nmap\n..@..\n"
     world = make_world(text)
-    assert not world.segment_clear((0, 0), (4, 0))
-    assert world.segment_clear((0, 0), (1, 0))
+    assert not segment_clear(world, (0, 0), (4, 0))
+    assert segment_clear(world, (0, 0), (1, 0))
 
 
 def test_footprint_blocks_near_obstacle():
@@ -138,7 +141,7 @@ def test_collision_check_symmetric_at_unit_step():
     world = make_world(random_obstacle_map_text(16, 16, 0.2, seed=5), footprint=2)
     rng_pairs = [((1, 2), (9, 12)), ((0, 0), (13, 5)), ((3, 11), (12, 1))]
     for a, b in rng_pairs:
-        assert world.segment_clear(a, b) == world.segment_clear(b, a)
+        assert segment_clear(world, a, b) == segment_clear(world, b, a)
 
 
 def test_collision_check_agrees_with_sweep_oracle_randomized():
@@ -155,7 +158,7 @@ def test_collision_check_agrees_with_sweep_oracle_randomized():
                            collision_step=step)
         frm = (rng.randrange(size), rng.randrange(size))
         to = (rng.randrange(size), rng.randrange(size))
-        got = world.segment_clear(frm, to)
+        got = segment_clear(world, frm, to)
         want = sweep_collision_oracle(world.grid, frm, to, footprint, step)
         assert got == want, (case, frm, to, footprint, step)
 
@@ -174,18 +177,24 @@ def test_full_scale_footprint_slide_matches_sweep_oracle():
     cases = [((10, 10), (35, 35)), ((2, 2), (27, 27)), ((44, 10), (44, 35)),
              ((50, 50), (25, 25)), ((5, 44), (30, 44))]
     for frm, to in cases:
-        assert world.segment_clear(frm, to) == sweep_collision_oracle(
+        assert segment_clear(world, frm, to) == sweep_collision_oracle(
             world.grid, frm, to, 32, 1), (frm, to)
 
 
 def test_zero_length_move_checks_standing_footprint():
     text = "type octile\nheight 3\nwidth 3\nmap\n...\n.@.\n...\n"
     world = make_world(text, footprint=2)
-    assert not world.segment_clear((1, 1), (1, 1))
+    assert not segment_clear(world, (1, 1), (1, 1))
     assert world.placement_free(0, 0) is False  # footprint 2 covers (1,1)
 
 
 # -- move table ---------------------------------------------------------------
+
+def reference_move_ok(world, xy, action):
+    """A move's validity from the footprint checks alone, no move table."""
+    t = move_target(world, xy, action)
+    return world.placement_free(*t) and segment_clear(world, xy, t)
+
 
 def test_move_table_matches_reference_check_randomized():
     import random
@@ -206,12 +215,12 @@ def test_move_table_matches_reference_check_randomized():
         for y in range(-2, height + 2):  # out-of-range and blocked anchors too
             for x in range(-2, width + 2):
                 for a in range(8):
-                    t = world.move_target((x, y), a)
-                    want = world.placement_free(*t) and world.segment_clear((x, y), t)
                     ok, target, cost = world.evaluate_move((x, y), a)
-                    assert ok == want, (case, footprint, move, step, (x, y), a)
+                    assert ok == reference_move_ok(world, (x, y), a), (
+                        case, footprint, move, step, (x, y), a)
                     if ok:
-                        assert target == t and cost == world.edge_cost((x, y), t)
+                        t = move_target(world, (x, y), a)
+                        assert target == t and cost == edge_cost(world, (x, y), t)
                         valid += 1
     assert valid > 1000
 
@@ -237,14 +246,14 @@ def test_reachable_anchors_equal_dijkstra_settled_set(map_name, footprint, move,
 
 
 def reference_reachable_anchors(world, start):
-    """The search on (x, y) tuples through ``move_ok``/``move_target``."""
+    """The search on (x, y) tuples through :func:`reference_move_ok`."""
     seen = {start}
     frontier = [start]
     while frontier:
         xy = frontier.pop()
         for a in range(8):
-            if world.move_ok(xy, a):
-                nxt = world.move_target(xy, a)
+            if reference_move_ok(world, xy, a):
+                nxt = move_target(world, xy, a)
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -272,8 +281,8 @@ def test_reachable_anchors_match_reference_search_randomized():
             got = reachable_anchors(world, start)
             assert got == reference_reachable_anchors(world, start), (case, start)
             assert all(type(x) is int and type(y) is int for x, y in got)
-        directed += any(world.move_ok(xy, a)
-                        and not world.move_ok(world.move_target(xy, a), (a + 4) % 8)
+        directed += any(reference_move_ok(world, xy, a)
+                        and not reference_move_ok(world, move_target(world, xy, a), (a + 4) % 8)
                         for xy in free_anchors(world) for a in range(8))
     assert directed > 0
 
@@ -357,7 +366,7 @@ def test_sampled_instances_with_a_collision_step_are_pinned():
 
 def test_open_interior_has_eight_moves_with_exact_geometry():
     world = open_world(200, footprint=32, move=25)
-    outcomes = grid_successors(world, (100, 100))
+    outcomes = [world.evaluate_move((100, 100), a) for a in range(8)]
     assert len(outcomes) == 8
     costs = sorted(round(cost, 4) for ok, _t, cost in outcomes if ok)
     assert len(costs) == 8
@@ -367,7 +376,7 @@ def test_open_interior_has_eight_moves_with_exact_geometry():
 
 def test_corner_moves_off_map_are_invalid():
     world = open_world(80, footprint=8, move=10)
-    outcomes = grid_successors(world, (0, 0))
+    outcomes = [world.evaluate_move((0, 0), a) for a in range(8)]
     # N, NE, NW, W, SW all leave the map; E, SE, S remain
     valid_dirs = [i for i, (ok, _t, _c) in enumerate(outcomes) if ok]
     assert valid_dirs == [2, 3, 4]
@@ -383,7 +392,7 @@ def test_factor_map_golden_value_and_determinism():
 
 def test_random_factor_cost_is_length_times_endpoint_mean():
     world = open_world(30, footprint=1, move=4, cost="random_factor", cost_seed=9)
-    fm = world.factor_map
+    fm = build_factor_map(9, 30, 30)
     ok, target, cost = world.evaluate_move((3, 3), 2)  # east
     assert ok and target == (7, 3)
     expected = 4.0 * (fm[3, 3] + fm[3, 7]) / 2.0
@@ -400,10 +409,10 @@ def test_costs_are_python_floats_through_a_random_factor_episode():
                       GridDomainConfig(footprint_side=4, move_length=6),
                       CostModel("random_factor", rng_seed=5))
     (start, goal), = sample_start_goal_pairs(world, 1, seed=1)
-    ok, target, cost = world.evaluate_move(*next(
-        (start, a) for a in range(8) if world.move_ok(start, a)))
+    ok, target, cost = next(out for out in (world.evaluate_move(start, a) for a in range(8))
+                            if out[0])
     assert ok and type(cost) is float
-    assert type(world.edge_cost(start, target)) is float
+    assert type(edge_cost(world, start, target)) is float
     problem = GridPlanningProblem(world, start, goal)
     assert type(dijkstra_oracle(problem, problem.start).cost) is float
     problem = GridPlanningProblem(world, start, goal)
@@ -488,7 +497,7 @@ def test_problem_evaluate_equals_evaluate_move_on_every_anchor_randomized():
                 got = problem.evaluate(problem.state_of(xy), a)
                 assert got == want and type(got.cost) is type(want.cost), (case, xy, a)
                 if ok:
-                    assert cost_xy == world.edge_cost(xy, target)
+                    assert cost_xy == edge_cost(world, xy, target)
                     valid += 1
     assert valid > 1000
 
@@ -504,8 +513,8 @@ def test_an_invalid_move_on_a_delayed_world_still_takes_the_delay():
 
 def test_successors_pure_function_bit_identical():
     world = open_world(40, footprint=3, move=5, cost="random_factor", cost_seed=4)
-    a = grid_successors(world, (11, 7))
-    b = grid_successors(world, (11, 7))
+    a = [world.evaluate_move((11, 7), action) for action in range(8)]
+    b = [world.evaluate_move((11, 7), action) for action in range(8)]
     assert a == b
 
 
@@ -548,7 +557,7 @@ def test_heuristic_consistent_under_random_factor_costs():
     world = open_world(12, move=3, cost="random_factor", cost_seed=11)
     problem = GridPlanningProblem(world, (0, 0), (9, 9))
     from anyplan.baselines import dijkstra_distances
-    from anyplan.domain import Edge, EdgeCache, audit_consistency
+    from anyplan.domain import Edge, EdgeCache
 
     # every edge out of every reachable state
     cache = EdgeCache()
@@ -616,10 +625,3 @@ def test_domain_config_rejects_bad_values():
     with pytest.raises(ValueError):
         CostModel("parabolic")
 
-
-def test_factor_map_export(tmp_path):
-    world = open_world(6, cost="random_factor", cost_seed=1)
-    out = tmp_path / "factors.txt"
-    world.export_factor_map(out)
-    back = np.loadtxt(out)
-    assert np.allclose(back, world.factor_map, rtol=0, atol=0)

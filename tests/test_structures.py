@@ -225,7 +225,7 @@ def test_merge_incons_keys_dummy_at_g_plus_wh():
     incons.add(5)
     q = OpenQueue()
     merge_incons(q, incons, nodes, 3.0)
-    assert q.key_of(Edge(5, DUMMY_ACTION))[0] == pytest.approx(10.0)
+    assert dict(q.entries())[Edge(5, DUMMY_ACTION)] == pytest.approx(10.0)
     assert len(incons) == 0
 
 
@@ -237,4 +237,4 @@ def test_merge_incons_state_in_both_open_and_incon_single_entry():
     merge_incons(q, incons, nodes, 3.0)
     q.check_no_duplicates()
     assert len(q) == 1
-    assert q.key_of(Edge(5, DUMMY_ACTION))[0] == pytest.approx(10.0)
+    assert dict(q.entries())[Edge(5, DUMMY_ACTION)] == pytest.approx(10.0)
