@@ -4,12 +4,15 @@
 Grid: the four fixture maps (open/maze at 64 and 128), both cost models,
 all five algorithms; engine algorithms sweep thread counts, and a slow-edge
 cell (2 ms evaluations) exercises the parallel payoff.  Use --quick for a
-fast smoke pass.
+fast smoke pass.  Maps are named relative to the repository root
+(``maps/<name>.map``), so no output carries the checkout's path; the runs
+read them from there whatever the working directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -31,7 +34,7 @@ def cells(quick: bool):
     for map_name, footprint, move in maps:
         for cost in ("euclidean", "random"):
             base = {
-                "map": str(ROOT / "maps" / map_name), "cost": cost,
+                "map": f"maps/{map_name}", "cost": cost,
                 "cost_seed": 7, "pairs": pairs, "pair_seed": 11,
                 "footprint": footprint, "move": move, "w0": 50.0, "dw": 0.5,
             }
@@ -51,7 +54,7 @@ def cells(quick: bool):
                 for algo in ("epase", "aepase"):
                     for threads in (1, 8):
                         yield {
-                            "map": str(ROOT / "maps" / map_name), "cost": cost,
+                            "map": f"maps/{map_name}", "cost": cost,
                             "cost_seed": 7, "pairs": pairs, "pair_seed": 11,
                             "footprint": footprint, "move": move,
                             "w0": 1.0 if algo == "epase" else 50.0, "dw": 0.5,
@@ -66,6 +69,8 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true",
                         help="3 pairs, 2 maps, single thread count, no slow-edge cell")
     args = parser.parse_args()
+    out = Path(args.out).resolve()
+    os.chdir(ROOT)  # the cells name their maps relative to the repository
 
     metrics = []
     t0 = time.monotonic()
@@ -82,7 +87,7 @@ def main() -> int:
               + (f" ({failed} FAILED)" if failed else ""), flush=True)
 
     summary = aggregate(metrics)
-    for path in emit_outputs(summary, args.out):
+    for path in emit_outputs(summary, out):
         print(f"wrote {path}")
     print(f"total {time.monotonic() - t0:.1f}s, {len(metrics)} runs")
     return 1 if any(m.status == "error" for m in metrics) else 0

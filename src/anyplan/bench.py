@@ -269,16 +269,12 @@ def aggregate(metrics: list[RunMetrics]) -> Summary:
             "mean_t_term_ms": _scale_ms(_mean([m.t_term for m in runs if m.t_term is not None])),
         })
 
-    speedup_rows = []
-    for (*where, algo, _), target_runs in cells:
-        if algo != SPEEDUP_TARGET:
-            continue
-        for (*b_where, b_algo, _), base_runs in cells:
-            if b_where == where and b_algo != SPEEDUP_TARGET:
-                row = paired_speedups(base_runs + target_runs, b_algo, SPEEDUP_TARGET,
-                                      where[0])
-                if row is not None:
-                    speedup_rows.append(row)
+    # each target cell against every other algorithm's cell of its cost
+    # kind, map, scale and delay: the first four fields of a cell key
+    speedup_rows = [row for target in cells if target[0][4] == SPEEDUP_TARGET
+                    for base in cells if base[0][:4] == target[0][:4]
+                    and base[0][4] != SPEEDUP_TARGET
+                    if (row := _speedup_row(base, target)) is not None]
 
     curves = {kind: _curve_for([(cell, runs) for cell, runs in cells if cell[0] == kind])
               for kind in sorted({cell[0] for cell in groups})}
@@ -290,63 +286,53 @@ def _scale_ms(value: float | None) -> float | None:
     return None if value is None else value * 1e3
 
 
-def paired_speedups(metrics: list[RunMetrics], baseline: str, target: str,
-                    cost_kind: str) -> dict | None:
-    """Mean of per-run baseline/target time ratios, paired on the same
-    (map, scale, start, goal, repetition) instance.  Ratios first, then the
-    average.
+def _speedup_row(baseline: tuple[tuple, list[RunMetrics]],
+                 target: tuple[tuple, list[RunMetrics]]) -> dict | None:
+    """Mean of per-run baseline/target time ratios of two ``(cell, runs)``
+    pairs of one (cost kind, map, scale, edge delay), paired on the (start,
+    goal, repetition) instance; None if no instance pairs.  Ratios first,
+    then the average, summed in (pair, repetition) order.
 
-    The paired runs must share one map, scale and edge delay, and each side
-    one worker count; two runs of one side on one instance, a pair with two
-    optimal costs, or pairs that mix maps, scales, delays or worker counts,
+    Two runs of one cell on one instance, or a pair with two optimal costs,
     are an :class:`AggregationError`.
     """
-    def index(algo):
-        runs: dict[tuple, RunMetrics] = {}
-        # in (map, pair, repetition) order: the order the ratios are summed in
-        for m in sorted(metrics, key=lambda m: (m.map_name, m.pair_index, m.repetition)):
-            if m.algorithm == algo and m.cost_kind == cost_kind:
-                key = (m.map_name, m.map_scale, m.start, m.goal, m.repetition)
-                if key in runs:
-                    raise AggregationError(f"two {algo} runs on one instance {key}")
-                runs[key] = m
-        return runs
+    (cost_kind, map_name, scale, delay, b_algo, b_threads), b_runs = baseline
+    (*_, t_algo, t_threads), t_runs = target
 
-    target_runs = index(target)
-    pairs = [(b, target_runs[key]) for key, b in index(baseline).items() if key in target_runs]
+    def by_instance(algo: str, runs: list[RunMetrics]) -> dict[tuple, RunMetrics]:
+        index: dict[tuple, RunMetrics] = {}
+        for m in sorted(runs, key=lambda m: (m.pair_index, m.repetition)):
+            key = (m.start, m.goal, m.repetition)
+            if key in index:
+                raise AggregationError(
+                    f"two {algo} runs on one instance {(map_name, scale, *key)}")
+            index[key] = m
+        return index
+
+    t_index = by_instance(t_algo, t_runs)
+    pairs = [(b, t_index[key]) for key, b in by_instance(b_algo, b_runs).items()
+             if key in t_index]
     if not pairs:
         return None
     for b, t in pairs:
         if b.oracle_cost != t.oracle_cost:
-            raise AggregationError(f"{baseline}/{target} pair on {b.map_name} {b.start}->{b.goal}"
+            raise AggregationError(f"{b_algo}/{t_algo} pair on {map_name} {b.start}->{b.goal}"
                                    f" has two optimal costs: {b.oracle_cost}, {t.oracle_cost}")
-    threads = {(b.n_threads, t.n_threads) for b, t in pairs}
-    places = {(m.map_name, m.map_scale, m.eval_delay) for pair in pairs for m in pair}
-    if len(threads) > 1 or len(places) > 1:
-        raise AggregationError(f"{baseline}/{target} pairs mix worker counts {sorted(threads)} "
-                               f"or (map, scale, edge delay) {sorted(places)}")
-    (b_threads, t_threads), = threads
-    (map_name, scale, delay), = places
-    ratios: dict[str, list[float]] = {"init": [], "opt": [], "term": []}
-    for b, t in pairs:
-        for phase, bt, tt in (("init", b.t_init, t.t_init),
-                              ("opt", b.t_opt, t.t_opt),
-                              ("term", b.t_term, t.t_term)):
-            if bt is not None and tt is not None and tt > 0:
-                ratios[phase].append(bt / tt)
-    return {
+    row = {
         "cost_kind": cost_kind,
         **dict(zip(MAP_KEYS, (map_name, scale))),
-        "baseline": baseline,
-        "target": target,
+        "baseline": b_algo,
+        "target": t_algo,
         "baseline_n_threads": b_threads,
         "target_n_threads": t_threads,
         "eval_delay_us": delay * 1e6,
         "n_pairs": len(pairs),
-        "speedup_init": _mean(ratios["init"]),
-        "speedup_opt": _mean(ratios["opt"]),
-        "speedup_term": _mean(ratios["term"]),
     }
+    for phase in ("init", "opt", "term"):
+        times = [(getattr(b, f"t_{phase}"), getattr(t, f"t_{phase}")) for b, t in pairs]
+        row[f"speedup_{phase}"] = _mean([bt / tt for bt, tt in times
+                                         if bt is not None and tt is not None and tt > 0])
+    return row
 
 
 def _best_ratio_at(m: RunMetrics, t: float) -> float:

@@ -224,8 +224,10 @@ def plan(config: PlannerConfig, domain: SearchDomain, start: int, *,
     Deadline: once ``config.time_budget`` has passed, the running pass pops
     no more edges and waits for the evaluations in flight, so ``plan``
     returns within the budget plus the longest ``evaluate`` call then in
-    flight (and the sink's and the coordinator's own time).  An
-    ``evaluate`` that never returns keeps ``plan`` from returning.
+    flight (and the sink's and the coordinator's own time).  An ``evaluate``
+    still running ``engine.DRAIN_GRACE`` past the deadline is an
+    ``EngineError`` naming its edge; its worker is left to stop when it
+    returns.
     """
     ctx = EpisodeContext(domain, start, config.n_threads,
                          log_enabled=log_events, debug_checks=debug_checks)

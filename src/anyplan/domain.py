@@ -180,21 +180,3 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-
-def rewalk_cost(domain: SearchDomain, path: Path) -> float:
-    """Re-evaluate every edge of ``path`` through the domain and re-sum.
-
-    Raises if any edge is invalid or does not chain to the recorded states.
-    """
-    total = 0.0
-    for i, edge in enumerate(path.edges):
-        if edge.state != path.states[i]:
-            raise ValueError(f"edge {i} does not start at the recorded state")
-        out = domain.evaluate(edge.state, edge.action)
-        if not out.valid:
-            raise ValueError(f"edge {i} is invalid on re-evaluation")
-        if out.successor != path.states[i + 1]:
-            raise ValueError(f"edge {i} reaches {out.successor}, recorded {path.states[i + 1]}")
-        total += out.cost
-    return total

@@ -29,6 +29,10 @@ from .structures import INF, pop_independent
 #: sleeping workers later.
 WAIT_SLICE = 1e-4
 
+#: How long past the deadline the coordinator waits for the evaluations in
+#: flight before it gives up on them and raises (seconds).
+DRAIN_GRACE = 1.0
+
 
 class EngineError(RuntimeError):
     """A worker raised, or the engine was driven outside its contract."""
@@ -159,9 +163,22 @@ def _land(ctx: EpisodeContext, wait: bool) -> None:
 
 
 def _drain(ctx: EpisodeContext) -> None:
-    """Land completions until no evaluation is in flight."""
+    """Land completions until no evaluation is in flight.  One still in
+    flight DRAIN_GRACE past the deadline is an :class:`EngineError` naming
+    it; its worker, a daemon thread, is told to stop once its ``evaluate``
+    returns, and :func:`shutdown` no longer waits for it."""
     while _busy(ctx):
         _land(ctx, wait=True)
+        overrun = time.monotonic() - ctx.deadline
+        if overrun >= DRAIN_GRACE and _busy(ctx):
+            stuck = [(wid, slot) for wid, slot in enumerate(ctx.slots) if slot.pending is not None]
+            for _, slot in stuck:
+                slot.inbox.put(None)
+                slot.thread = None
+            raise EngineError(
+                f"evaluate still running {overrun:.3f} s past the deadline: "
+                + ", ".join(f"{slot.pending} on worker {wid}" for wid, slot in stuck)
+            ) from ctx.worker_error
 
 
 def _worker_loop(domain: SearchDomain, inbox: queue.SimpleQueue,
@@ -182,7 +199,8 @@ def expand_edge(domain: SearchDomain, edge: Edge) -> SuccessorOutcome:
 
 
 def shutdown(ctx: EpisodeContext) -> None:
-    """Stop and join every spawned worker, waiting up to 5 s for each."""
+    """Stop and join every spawned worker that :func:`_drain` has not given
+    up on, waiting up to 5 s for each."""
     spawned = [slot for slot in ctx.slots if slot.thread is not None]
     for slot in spawned:
         slot.inbox.put(None)

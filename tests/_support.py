@@ -9,7 +9,7 @@ import threading
 import time
 
 from anyplan.bench import RunSpec, build_run_spec, parse_spec_values
-from anyplan.domain import INVALID_OUTCOME, EdgeCache, SearchDomain, SuccessorOutcome
+from anyplan.domain import INVALID_OUTCOME, EdgeCache, Path, SearchDomain, SuccessorOutcome
 from anyplan.grid2d import (
     DIRECTIONS,
     CostModel,
@@ -329,6 +329,24 @@ def max_eval_overlap(events) -> int:
         cur += delta
         peak = max(peak, cur)
     return peak
+
+
+def rewalk_cost(domain: SearchDomain, path: Path) -> float:
+    """Re-evaluate every edge of ``path`` through the domain and re-sum.
+
+    Raises if any edge is invalid or does not chain to the recorded states.
+    """
+    total = 0.0
+    for i, edge in enumerate(path.edges):
+        if edge.state != path.states[i]:
+            raise ValueError(f"edge {i} does not start at the recorded state")
+        out = domain.evaluate(edge.state, edge.action)
+        if not out.valid:
+            raise ValueError(f"edge {i} is invalid on re-evaluation")
+        if out.successor != path.states[i + 1]:
+            raise ValueError(f"edge {i} reaches {out.successor}, recorded {path.states[i + 1]}")
+        total += out.cost
+    return total
 
 
 def assert_no_leaked_workers():

@@ -11,10 +11,10 @@ from anyplan.controller import (
     STATUS_PROVED_OPTIMAL,
     PlannerConfig,
 )
-from anyplan.domain import rewalk_cost
 from anyplan.search import SearchState
 
-from _support import grid_problem, make_world, open_world, random_obstacle_map_text
+from _support import (grid_problem, make_world, open_world, random_obstacle_map_text,
+                      rewalk_cost)
 
 SQ2 = math.sqrt(2)
 SRC = Path(__file__).resolve().parents[1] / "src" / "anyplan"

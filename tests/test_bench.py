@@ -15,10 +15,11 @@ from anyplan.bench import (
     RunMetrics,
     RunSpec,
     SpecError,
+    _cell,
+    _speedup_row,
     aggregate,
     build_run_spec,
     emit_outputs,
-    paired_speedups,
     run_experiment,
     run_metrics_from_json,
 )
@@ -226,7 +227,9 @@ def test_aggregate_single_run_means_equal_values():
 def test_speedup_against_itself_is_one():
     runs = [mk_metrics("aepase", i, t_init=0.01 * (i + 1), t_opt=0.02 * (i + 1),
                        t_term=0.04 * (i + 1), cost_init=120.0) for i in range(3)]
-    row = paired_speedups(runs, "aepase", "aepase", "euclidean")
+    cell = (_cell(runs[0]), runs)
+    row = _speedup_row(cell, cell)
+    assert (row["baseline"], row["target"], row["n_pairs"]) == ("aepase", "aepase", 3)
     assert row["speedup_init"] == 1.0
     assert row["speedup_opt"] == 1.0
     assert row["speedup_term"] == 1.0
@@ -240,7 +243,7 @@ def test_speedup_per_run_ratios_then_mean():
         mk_metrics("aepase", 0, t_init=0.01, t_opt=0.01, t_term=0.010, cost_init=105.0),
         mk_metrics("aepase", 1, t_init=0.03, t_opt=0.03, t_term=0.030, cost_init=105.0),
     ]
-    row = paired_speedups(runs, "arastar", "aepase", "euclidean")
+    (row,) = aggregate(runs).speedup_rows
     assert row["n_pairs"] == 2
     assert row["speedup_term"] == pytest.approx(2.5)
 
@@ -249,9 +252,8 @@ def test_paired_speedups_rejects_two_runs_on_one_instance():
     runs = [mk_metrics("arastar", 0, t_init=0.04, t_opt=0.04, t_term=0.04, cost_init=110.0),
             mk_metrics("aepase", 0, t_init=0.01, t_opt=0.01, t_term=0.01, cost_init=105.0),
             mk_metrics("aepase", 0, t_init=0.02, t_opt=0.02, t_term=0.02, cost_init=105.0)]
-    runs[2].n_threads = 8
     with pytest.raises(AggregationError, match="two aepase runs"):
-        paired_speedups(runs, "arastar", "aepase", "euclidean")
+        aggregate(runs)
 
 
 def test_paired_speedups_pair_runs_on_the_instance_not_the_pair_index():
@@ -260,21 +262,13 @@ def test_paired_speedups_pair_runs_on_the_instance_not_the_pair_index():
             mk_metrics("aepase", 0, t_init=0.01, t_opt=0.01, t_term=0.01, cost_init=105.0),
             mk_metrics("aepase", 1, t_init=0.02, t_opt=0.02, t_term=0.02, cost_init=105.0)]
     runs[1].start, runs[2].start = runs[2].start, runs[1].start
-    row = paired_speedups(runs, "arastar", "aepase", "euclidean")
+    (row,) = aggregate(runs).speedup_rows
     assert row["n_pairs"] == 1
     assert row["speedup_term"] == pytest.approx(2.0)
     # one instance has one optimum: runs that disagree on it are not one instance
     runs[2].oracle_cost = 90.0
     with pytest.raises(AggregationError, match="two optimal costs"):
-        paired_speedups(runs, "arastar", "aepase", "euclidean")
-
-
-def test_paired_speedups_rejects_pairs_across_delays():
-    runs = [mk_metrics(algo, i, t_init=0.04, t_opt=0.04, t_term=0.04, cost_init=110.0)
-            for algo in ("arastar", "aepase") for i in range(2)]
-    runs[3].eval_delay = 0.002
-    with pytest.raises(AggregationError, match="mix"):
-        paired_speedups(runs, "arastar", "aepase", "euclidean")
+        aggregate(runs)
 
 
 def test_aggregate_keys_rows_curves_and_speedups_on_workers_and_delay():
@@ -330,12 +324,18 @@ def test_map_columns_are_the_spec_keys_of_the_map():
     assert TABLE1_COLUMNS[1:3] == SPEEDUP_COLUMNS[1:3] == MAP_KEYS
 
 
-def test_paired_speedups_rejects_pairs_across_scales():
-    runs = [mk_metrics(algo, i, t_init=0.04, t_opt=0.04, t_term=0.04, cost_init=110.0)
-            for algo in ("arastar", "aepase") for i in range(2)]
-    runs[1].map_scale = runs[3].map_scale = 2
-    with pytest.raises(AggregationError, match="mix"):
-        paired_speedups(runs, "arastar", "aepase", "euclidean")
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_default_grid_names_its_maps_relative_to_the_repository(quick):
+    import importlib.util
+
+    path = ROOT / "scripts" / "run_default_benchmark.py"
+    loader = importlib.util.spec_from_file_location("run_default_benchmark", path)
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    cells = list(script.cells(quick))
+    names = [name for name, *_ in script.MAPS[:2 if quick else None]]
+    assert sorted({values["map"] for values in cells}) == sorted(f"maps/{n}" for n in names)
+    assert all((ROOT / build_run_spec(values).map_path).is_file() for values in cells)
 
 
 def test_run_metrics_record_the_edge_delay():

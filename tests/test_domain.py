@@ -12,7 +12,6 @@ from anyplan.domain import (
     Path,
     StateInterner,
     SuccessorOutcome,
-    rewalk_cost,
 )
 
 from _support import (
@@ -23,6 +22,7 @@ from _support import (
     assert_no_leaked_workers,
     grid_problem,
     open_world,
+    rewalk_cost,
 )
 
 

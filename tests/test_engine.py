@@ -14,7 +14,6 @@ from anyplan.domain import (
     Edge,
     EdgeCache,
     SuccessorOutcome,
-    rewalk_cost,
 )
 from anyplan.engine import EngineInvariantError, EpisodeContext
 from anyplan.grid2d import sample_start_goal_pairs
@@ -31,6 +30,7 @@ from _support import (
     max_eval_overlap,
     open_world,
     random_obstacle_map_text,
+    rewalk_cost,
 )
 
 
@@ -409,6 +409,39 @@ def test_deadline_passing_with_evaluations_in_flight_lands_them_all():
     assert starts and sorted(starts) == sorted(ends)
     assert result.context.cache.misses == len(ends)
     assert elapsed < budget + delay + 0.5
+    assert_no_leaked_workers()
+
+
+@pytest.mark.parametrize("n_threads", [1, 4])
+def test_an_evaluate_stuck_past_the_deadline_is_a_named_engine_error(n_threads):
+    from anyplan.engine import DRAIN_GRACE, EngineError
+
+    release = threading.Event()
+    stuck = []
+
+    class StuckStar(StarDomain):
+        def evaluate(self, state, action):
+            stuck.append(threading.current_thread())
+            release.wait(timeout=10.0)  # bounded, so a drain that never gives up fails
+            return super().evaluate(state, action)
+
+    budget = 0.05
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(EngineError, match=r"s past the deadline: Edge\(state=0") as info:
+            plan(PlannerConfig(w0=1.0, n_threads=n_threads, time_budget=budget),
+                 StuckStar(16), 0)
+        elapsed = time.monotonic() - t0
+    finally:
+        release.set()
+        for thread in stuck:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+    # every worker holds one stuck edge, and the error names each of them
+    assert len(stuck) == n_threads
+    assert str(info.value).count("Edge(") == n_threads
+    assert all(f"on worker {wid}" in str(info.value) for wid in range(n_threads))
+    assert budget + DRAIN_GRACE <= elapsed < budget + DRAIN_GRACE + 0.5
     assert_no_leaked_workers()
 
 

@@ -1,7 +1,9 @@
 """Every module-level function and class of the package, and every public
-method of its classes, is referenced somewhere: by a name, an attribute or
-an import, other than inside its own definition.  An ``ast`` stand-in for a
-dead-code finder.  One walk of each reader feeds two passes:
+method of its classes, is referenced somewhere other than inside its own
+definition.  A module-level definition is read by a load of its bare name,
+an import of it, or an attribute read off a package module (``domain.x``,
+``anyplan.x``); a method by its name, read off anything.  An ``ast``
+stand-in for a dead-code finder.  One walk of each reader feeds two passes:
 
 - the first counts the package, the tests, the scripts and ``perfbench/``
   (which is only read) as readers;
@@ -22,6 +24,8 @@ TESTS = ROOT / "tests"
 PACKAGE = sorted((ROOT / "src" / "anyplan").glob("*.py"))
 READERS = [p for d in ("src", "tests", "scripts", "perfbench")
            for p in sorted((ROOT / d).rglob("*.py"))]
+#: The names a package module is read through: ``anyplan`` and its modules.
+MODULES = {"anyplan", *(p.stem for p in PACKAGE)}
 
 #: Package definitions that only the tests read, kept with a reason each.
 TEST_ONLY_ALLOWED = {
@@ -31,13 +35,17 @@ TEST_ONLY_ALLOWED = {
 
 
 def referenced_names(tree: ast.AST) -> Counter:
-    """How often each name is referenced in ``tree``."""
+    """How often each name is referenced in ``tree``: ``x`` counts the reads
+    of ``x`` as a module-level name (a bare-name load, an import, an
+    attribute read off a package module), ``.x`` every other attribute read."""
     names: Counter = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            owner = node.value
+            owner = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            names[node.attr if owner in MODULES else "." + node.attr] += 1
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
     return names
@@ -61,16 +69,17 @@ def total(references: dict[Path, Counter], skip: Path | None = None) -> Counter:
                Counter())
 
 
-def definitions(tree: ast.Module) -> list[ast.AST]:
+def definitions(tree: ast.Module) -> list[tuple[ast.AST, tuple[str, ...]]]:
     """The module-level functions and classes of ``tree`` and the public
-    methods of those classes."""
+    methods of those classes, each with the :func:`referenced_names` keys
+    that read it."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)):
-            found.append(node)
+            found.append((node, (node.name,)))
         if isinstance(node, ast.ClassDef):
-            found += [m for m in node.body
+            found += [(m, (m.name, "." + m.name)) for m in node.body
                       if isinstance(m, functions) and not m.name.startswith("_")]
     return found
 
@@ -80,9 +89,9 @@ def unreferenced(source: str, used: Counter, allowed=()) -> list[str]:
     ``used``, the references of every scanned reader, holds only inside
     their own definition."""
     return [f"line {node.lineno}: {node.name}"
-            for node in definitions(ast.parse(source))
+            for node, keys in definitions(ast.parse(source))
             if node.name not in allowed
-            and used[node.name] <= referenced_names(node)[node.name]]
+            and sum(used[k] for k in keys) <= sum(referenced_names(node)[k] for k in keys)]
 
 
 @pytest.fixture(scope="module")
@@ -122,10 +131,20 @@ def test_the_check_finds_an_unreferenced_definition():
               "class Holder:\n"
               "    def unread(self):\n        pass\n"
               "    def _private(self):\n        pass\n")
-    reader = "import m\nfrom m import imported\nm.by_attribute()\nused()\nm.Holder()\n"
+    reader = ("import anyplan\nfrom anyplan import imported\nanyplan.by_attribute()\n"
+              "used()\nanyplan.Holder()\n")
     used = referenced_names(ast.parse(module)) + referenced_names(ast.parse(reader))
     assert unreferenced(module, used) == ["line 5: recursive", "line 7: Lonely",
                                           "line 14: unread"]
+
+
+def test_a_reader_field_of_the_same_name_is_not_a_read():
+    module = "def cost():\n    pass\nclass Walk:\n    def total(self):\n        pass\n"
+    reader = ("class Record:\n    cost: float\n    total: float\n"
+              "def check(r):\n    return r.cost + r.total\nWalk()\n")
+    used = referenced_names(ast.parse(module)) + referenced_names(ast.parse(reader))
+    # a method is still read by its name, off anything
+    assert unreferenced(module, used) == ["line 1: cost"]
 
 
 def test_the_check_finds_a_definition_only_the_tests_read():
