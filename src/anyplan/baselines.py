@@ -2,9 +2,10 @@
 weighted A* (also run as ``wastar``), and a serial anytime-repair search.
 
 These double as experiment baselines and as correctness oracles for the
-parallel engine.  Dijkstra and weighted A* share only the domain contract,
-the edge cache and the parent walk with it, and each publishes its own
-cost-to-come, so they stay independent checks of its costs.
+parallel engine.  Dijkstra and weighted A* share only the domain contract
+(its outcome check included) and the parent walk with it, keep no edge
+cache, and each publishes its own cost-to-come, so they stay independent
+checks of its costs.
 ``ara_star`` is the serial, lock-free driver over the engine's
 :class:`~anyplan.search.SearchState`: it checks the parallel machinery.
 """
@@ -16,7 +17,15 @@ import time
 from dataclasses import dataclass, replace
 
 from .controller import IterationStats, PlannerConfig, PlanResult, repair_passes, run_anytime
-from .domain import DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain, checked_heuristic
+from .domain import (
+    DUMMY_ACTION,
+    Edge,
+    Path,
+    SearchDomain,
+    SuccessorOutcome,
+    checked_heuristic,
+    checked_outcome,
+)
 from .search import ImproveOutcome, SearchState, walk_parents
 from .structures import INF
 
@@ -28,21 +37,25 @@ class OracleResult:
     expansions: int
 
 
-def _dijkstra(domain: SearchDomain, start: int, cache: EdgeCache, is_goal
-              ) -> tuple[int | None, dict[int, float], dict[int, Edge], int]:
+def _dijkstra(domain: SearchDomain, start: int, is_goal
+              ) -> tuple[int | None, dict[int, float], dict[int, Edge],
+                         dict[Edge, SuccessorOutcome], int]:
     """Settle states in cost order from ``start`` until ``is_goal`` accepts
     one, or with ``is_goal=None`` until every reachable state is settled.
 
     Returns the goal settled (or None), the cost-to-come of every state
     reached (exact for the settled ones), the edge that reached each of
-    them and the number of states settled.  A state is settled once, so
-    each of its edges is evaluated once and stored in ``cache`` unread.
+    them, the outcome of each such parent edge and the number of states
+    settled.  A state is settled once, so each of its edges is evaluated
+    once; every valid outcome is checked against the domain contract, and
+    only a parent edge's is kept.
     """
     dist = {start: 0.0}
     parents: dict[int, Edge] = {}
+    kept: dict[Edge, SuccessorOutcome] = {}
     settled: set[int] = set()
     heap: list[tuple[float, int]] = [(0.0, start)]
-    actions, evaluate, store = domain.actions, domain.evaluate, cache.store
+    actions, evaluate = domain.actions, domain.evaluate
     heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
         d, s = heappop(heap)
@@ -50,23 +63,24 @@ def _dijkstra(domain: SearchDomain, start: int, cache: EdgeCache, is_goal
             continue
         settled.add(s)
         if is_goal is not None and is_goal(s):
-            return s, dist, parents, len(settled)
+            return s, dist, parents, kept, len(settled)
         for a in actions(s):
-            edge = Edge(s, a)
-            valid, t, cost = store(edge, evaluate(s, a))
+            outcome = checked_outcome(s, a, evaluate(s, a))
+            valid, t, cost = outcome
             if not valid or t in settled:
                 continue
             nd = d + cost
             if nd < dist.get(t, INF):
                 dist[t] = nd
-                parents[t] = edge
+                parents[t] = edge = Edge(s, a)
+                kept[edge] = outcome
                 heappush(heap, (nd, t))
-    return None, dist, parents, len(settled)
+    return None, dist, parents, kept, len(settled)
 
 
 def dijkstra_distances(domain: SearchDomain, start: int) -> dict[int, float]:
     """Exact cost-to-come of every state reachable from ``start``."""
-    return _dijkstra(domain, start, EdgeCache(), None)[1]
+    return _dijkstra(domain, start, None)[1]
 
 
 def dijkstra_oracle(domain: SearchDomain, start: int) -> OracleResult:
@@ -75,27 +89,27 @@ def dijkstra_oracle(domain: SearchDomain, start: int) -> OracleResult:
     No heuristic is consulted.  An unreachable goal region yields cost inf
     and no path.
     """
-    cache = EdgeCache()
-    goal, dist, parents, expansions = _dijkstra(domain, start, cache, domain.is_goal)
+    goal, dist, parents, kept, expansions = _dijkstra(domain, start, domain.is_goal)
     if goal is None:
         return OracleResult(INF, None, expansions)
-    return OracleResult(dist[goal], walk_parents(cache, parents.get, start, goal), expansions)
+    return OracleResult(dist[goal], walk_parents(kept, parents.get, start, goal), expansions)
 
 
 def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleResult:
     """Classic state-based weighted A*: f = g + w*h, closed states are
     never re-expanded, ties break on (f, h, state).  ``w`` must be finite
-    and >= 1."""
+    and >= 1.  As in :func:`_dijkstra`, every valid outcome is checked and
+    only a parent edge's is kept."""
     if not 1.0 <= w < INF:
         raise ValueError(f"w must be finite and >= 1, got {w}")
-    cache = EdgeCache()
     g = {start: 0.0}
     parents: dict[int, Edge] = {}
+    kept: dict[Edge, SuccessorOutcome] = {}
     closed: set[int] = set()
     h0 = checked_heuristic(domain, start)
     heap: list[tuple[float, float, int]] = [(w * h0, h0, start)]
     # a state is expanded once, so each of its edges is evaluated once
-    actions, evaluate, store = domain.actions, domain.evaluate, cache.store
+    actions, evaluate = domain.actions, domain.evaluate
     heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
         _f, _h, s = heappop(heap)
@@ -103,17 +117,18 @@ def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleRe
             continue
         closed.add(s)
         if domain.is_goal(s):
-            return OracleResult(g[s], walk_parents(cache, parents.get, start, s), len(closed))
+            return OracleResult(g[s], walk_parents(kept, parents.get, start, s), len(closed))
         gs = g[s]
         for a in actions(s):
-            edge = Edge(s, a)
-            valid, t, cost = store(edge, evaluate(s, a))
+            outcome = checked_outcome(s, a, evaluate(s, a))
+            valid, t, cost = outcome
             if not valid or t in closed:
                 continue
             ng = gs + cost
             if ng < g.get(t, INF):
                 g[t] = ng
-                parents[t] = edge
+                parents[t] = edge = Edge(s, a)
+                kept[edge] = outcome
                 hs = checked_heuristic(domain, t)
                 heappush(heap, (ng + w * hs, hs, t))
     return OracleResult(INF, None, len(closed))

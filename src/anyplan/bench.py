@@ -35,14 +35,19 @@ SPEEDUP_TARGET = "aepase"
 #: ``table1.csv`` and ``speedup.csv``: a row never pools two maps or scales.
 MAP_KEYS = ("map", "scale")
 
+#: The other :data:`INSTANCE_KEYS` a run records (its field of the same
+#: name) apart from the pairs and the cost kind, a column each too: a row
+#: never pools two cost seeds or motion models, whose optima differ.
+PROBLEM_KEYS = ("cost_seed", "footprint", "move", "collision_step")
+
 #: Column order of ``table1.csv`` and ``speedup.csv``; each row is a dict
 #: keyed by these names.
-TABLE1_COLUMNS = ("cost_kind", *MAP_KEYS, "algorithm", "n_threads", "eval_delay_us",
-                  "n_runs", "mean_t_init_ms", "mean_init_ratio", "mean_t_opt_ms",
-                  "mean_t_term_ms")
-SPEEDUP_COLUMNS = ("cost_kind", *MAP_KEYS, "baseline", "target", "baseline_n_threads",
-                   "target_n_threads", "eval_delay_us", "n_pairs", "speedup_init",
-                   "speedup_opt", "speedup_term")
+TABLE1_COLUMNS = ("cost_kind", *MAP_KEYS, *PROBLEM_KEYS, "algorithm", "n_threads",
+                  "eval_delay_us", "n_runs", "mean_t_init_ms", "mean_init_ratio",
+                  "mean_t_opt_ms", "mean_t_term_ms")
+SPEEDUP_COLUMNS = ("cost_kind", *MAP_KEYS, *PROBLEM_KEYS, "baseline", "target",
+                   "baseline_n_threads", "target_n_threads", "eval_delay_us", "n_pairs",
+                   "speedup_init", "speedup_opt", "speedup_term")
 
 
 class SpecError(ValueError):
@@ -95,6 +100,11 @@ class RunMetrics:
     duration: float
     map_scale: int = 1
     eval_delay: float = 0.0  # the world's simulated edge delay, in seconds
+    # the PROBLEM_KEYS; None (unknown) in a line written before they were recorded
+    cost_seed: int | None = None
+    footprint: int | None = None
+    move: int | None = None
+    collision_step: int | None = None
     t_init: float | None = None
     t_opt: float | None = None
     t_term: float | None = None
@@ -158,11 +168,12 @@ def build_instances(spec: RunSpec
     :data:`INSTANCE_KEYS` fields of ``spec`` and its edge delay matter.
 
     Pairs are sampled and Dijkstra runs on a world without the edge delay:
-    its outcomes are the same, and only the timed runs should pay it.
+    its outcomes are the same, and only the timed runs should pay it.  The
+    two worlds share the map's tables, so the second costs microseconds.
     """
     grid = load_map(spec.map_path, spec.map_scale)
     probe = GridWorld(grid, replace(spec.domain, eval_delay=0.0), spec.cost)
-    world = GridWorld(grid, spec.domain, spec.cost) if spec.domain.eval_delay > 0 else probe
+    world = GridWorld(grid, spec.domain, spec.cost)
     instances = []
     for start, goal in sample_start_goal_pairs(probe, spec.pair_count, spec.pair_seed):
         problem = GridPlanningProblem(probe, start, goal)
@@ -196,7 +207,9 @@ def run_experiment(spec: RunSpec, progress=None) -> list[RunMetrics]:
                 algorithm=spec.algorithm, map_name=spec.map_path, cost_kind=spec.cost.kind,
                 pair_index=pair_index, repetition=repetition,
                 n_threads=spec.planner.n_threads, start=start, goal=goal, oracle_cost=oracle,
-                map_scale=spec.map_scale, eval_delay=spec.domain.eval_delay)
+                map_scale=spec.map_scale, eval_delay=spec.domain.eval_delay,
+                cost_seed=spec.cost.rng_seed, footprint=spec.domain.footprint_side,
+                move=spec.domain.move_length, collision_step=spec.domain.collision_step)
             try:
                 m = _run_single(spec, problem, RunMetrics(**identity, status="pending",
                                                           duration=0.0))
@@ -221,24 +234,29 @@ class Summary:
     runs: list[RunMetrics]
 
 
-def _cell(m: RunMetrics) -> tuple[str, str, int, float, str, int]:
-    """What a table row and a curve column are keyed on."""
-    return m.cost_kind, m.map_name, m.map_scale, m.eval_delay, m.algorithm, m.n_threads
+def _cell(m: RunMetrics) -> tuple:
+    """What a table row and a curve column are keyed on: the cost kind, the
+    :data:`MAP_KEYS` and :data:`PROBLEM_KEYS` values, the edge delay, the
+    algorithm and the worker count."""
+    return (m.cost_kind, m.map_name, m.map_scale, m.cost_seed, m.footprint, m.move,
+            m.collision_step, m.eval_delay, m.algorithm, m.n_threads)
 
 
-def _cell_order(cell: tuple[str, str, int, float, str, int]) -> tuple:
+def _cell_order(cell: tuple) -> tuple:
     *where, algo, n_threads = cell
     order = ALGORITHMS.index(algo) if algo in ALGORITHMS else len(ALGORITHMS)
-    return *where, order, n_threads
+    # an unknown (None) field sorts before every known value
+    return *((v is not None, v) for v in where), order, n_threads
 
 
 def aggregate(metrics: list[RunMetrics]) -> Summary:
     """Fold raw runs into the mean-time table, per-run-averaged speedups of
     :data:`SPEEDUP_TARGET` over every other algorithm and the
     time-discretized best-so-far optimality curves.  The ok runs are grouped
-    once into (cost kind, map, scale, edge delay, algorithm, workers) cells:
-    a cell is a table row and a curve column, and a speedup pairs two cells
-    that differ only in algorithm and workers."""
+    once into (cost kind, map, scale, cost seed, footprint, move, collision
+    step, edge delay, algorithm, workers) cells: a cell is a table row and a
+    curve column, and a speedup pairs two cells that differ only in
+    algorithm and workers."""
     ok = [m for m in metrics if m.status not in ("error", "infeasible")]
     for m in ok:
         if m.status == STATUS_PROVED_OPTIMAL and m.t_init is not None:
@@ -253,12 +271,12 @@ def aggregate(metrics: list[RunMetrics]) -> Summary:
     cells = sorted(groups.items(), key=lambda item: _cell_order(item[0]))
 
     table_rows = []
-    for (cost_kind, map_name, scale, delay, algo, n_threads), runs in cells:
+    for (cost_kind, *where, delay, algo, n_threads), runs in cells:
         init_ratios = [m.optimality_ratio_series[0][1] for m in runs
                        if m.optimality_ratio_series]
         table_rows.append({
             "cost_kind": cost_kind,
-            **dict(zip(MAP_KEYS, (map_name, scale))),
+            **dict(zip((*MAP_KEYS, *PROBLEM_KEYS), where)),
             "algorithm": algo,
             "n_threads": n_threads,
             "eval_delay_us": delay * 1e6,
@@ -270,10 +288,10 @@ def aggregate(metrics: list[RunMetrics]) -> Summary:
         })
 
     # each target cell against every other algorithm's cell of its cost
-    # kind, map, scale and delay: the first four fields of a cell key
-    speedup_rows = [row for target in cells if target[0][4] == SPEEDUP_TARGET
-                    for base in cells if base[0][:4] == target[0][:4]
-                    and base[0][4] != SPEEDUP_TARGET
+    # kind, map, problem and delay: a cell key less its last two fields
+    speedup_rows = [row for target in cells if target[0][-2] == SPEEDUP_TARGET
+                    for base in cells if base[0][:-2] == target[0][:-2]
+                    and base[0][-2] != SPEEDUP_TARGET
                     if (row := _speedup_row(base, target)) is not None]
 
     curves = {kind: _curve_for([(cell, runs) for cell, runs in cells if cell[0] == kind])
@@ -289,14 +307,15 @@ def _scale_ms(value: float | None) -> float | None:
 def _speedup_row(baseline: tuple[tuple, list[RunMetrics]],
                  target: tuple[tuple, list[RunMetrics]]) -> dict | None:
     """Mean of per-run baseline/target time ratios of two ``(cell, runs)``
-    pairs of one (cost kind, map, scale, edge delay), paired on the (start,
-    goal, repetition) instance; None if no instance pairs.  Ratios first,
-    then the average, summed in (pair, repetition) order.
+    pairs of one (cost kind, map, scale, cost seed, footprint, move,
+    collision step, edge delay), paired on the (start, goal, repetition)
+    instance; None if no instance pairs.  Ratios first, then the average,
+    summed in (pair, repetition) order.
 
     Two runs of one cell on one instance, or a pair with two optimal costs,
     are an :class:`AggregationError`.
     """
-    (cost_kind, map_name, scale, delay, b_algo, b_threads), b_runs = baseline
+    (cost_kind, map_name, scale, *problem, delay, b_algo, b_threads), b_runs = baseline
     (*_, t_algo, t_threads), t_runs = target
 
     def by_instance(algo: str, runs: list[RunMetrics]) -> dict[tuple, RunMetrics]:
@@ -320,7 +339,7 @@ def _speedup_row(baseline: tuple[tuple, list[RunMetrics]],
                                    f" has two optimal costs: {b.oracle_cost}, {t.oracle_cost}")
     row = {
         "cost_kind": cost_kind,
-        **dict(zip(MAP_KEYS, (map_name, scale))),
+        **dict(zip((*MAP_KEYS, *PROBLEM_KEYS), (map_name, scale, *problem))),
         "baseline": b_algo,
         "target": t_algo,
         "baseline_n_threads": b_threads,
@@ -349,9 +368,13 @@ def _best_ratio_at(m: RunMetrics, t: float) -> float:
 def _curve_for(cells: list[tuple[tuple, list[RunMetrics]]]) -> dict:
     """Each cell's mean best-so-far optimality ratio over time, for the cells
     of one cost kind; columns are named
-    ``<algorithm>_t<workers>_d<delay in us>_<map>_x<scale>``."""
+    ``<algorithm>_t<workers>_d<delay in us>_<map>_x<scale>``, then
+    ``_s<cost seed>_f<footprint>_m<move>_c<collision step>`` with each
+    unknown part left out."""
     names = [f"{algo}_t{n}_d{_fmt(delay * 1e6)}_{map_name}_x{scale}"
-             for (_, map_name, scale, delay, algo, n), _ in cells]
+             + "".join(f"_{tag}{value}" for tag, value in zip("sfmc", problem)
+                       if value is not None)
+             for (_, map_name, scale, *problem, delay, algo, n), _ in cells]
     horizon = max(m.t_term if m.t_term is not None else m.duration
                   for _, runs in cells for m in runs)
     if horizon <= 0.0:

@@ -81,6 +81,22 @@ class SearchDomain(ABC):
         """Whether ``state`` lies in the goal region."""
 
 
+def checked_outcome(state: int, action: int, outcome: SuccessorOutcome) -> SuccessorOutcome:
+    """``outcome``, the result of evaluating edge (state, action), or
+    :class:`DomainError` naming the edge when it is valid but its successor
+    is not an int handle or its cost is not finite and >= 0.  Every driver
+    checks each new outcome through here once: the engine's cache when it
+    stores one, the reference searches as they evaluate."""
+    if outcome.valid:
+        successor, cost = outcome.successor, outcome.cost
+        if not isinstance(successor, int):
+            raise DomainError(f"edge {Edge(state, action)}: successor {successor!r}"
+                              " is not an int handle")
+        if not isinstance(cost, (int, float)) or not 0.0 <= cost < math.inf:
+            raise DomainError(f"edge {Edge(state, action)}: cost {cost!r} is not finite and >= 0")
+    return outcome
+
+
 def checked_heuristic(domain: SearchDomain, state: int) -> float:
     """``domain.heuristic(state)``, or :class:`DomainError` naming the state
     and the value when it is negative or NaN."""
@@ -122,9 +138,10 @@ class EdgeCache:
     """Per-episode memo of edge evaluations; single-threaded.
 
     Guarantees at most one domain evaluation per distinct edge per episode.
-    :meth:`store` checks each new outcome against the domain contract once,
-    raising :class:`DomainError` before it is kept.  In the engine only the
-    coordinator calls it: it stores each worker's outcome when it lands.
+    :meth:`store` checks each new outcome against the domain contract once
+    (:func:`checked_outcome`), raising :class:`DomainError` before it is
+    kept.  In the engine only the coordinator calls it: it stores each
+    worker's outcome when it lands.
     """
 
     def __init__(self) -> None:
@@ -146,14 +163,9 @@ class EdgeCache:
         return self.store(edge, domain.evaluate(edge.state, edge.action))
 
     def store(self, edge: Edge, outcome: SuccessorOutcome) -> SuccessorOutcome:
-        """Check a new outcome against the domain contract and keep it."""
-        if outcome.valid:
-            successor, cost = outcome.successor, outcome.cost
-            if not isinstance(successor, int):
-                raise DomainError(f"edge {edge}: successor {successor!r} is not an int handle")
-            if not isinstance(cost, (int, float)) or not 0.0 <= cost < math.inf:
-                raise DomainError(f"edge {edge}: cost {cost!r} is not finite and >= 0")
-        self._data[edge] = outcome
+        """Check a new outcome against the domain contract
+        (:func:`checked_outcome`) and keep it."""
+        self._data[edge] = checked_outcome(edge.state, edge.action, outcome)
         return outcome
 
     def get(self, edge: Edge) -> SuccessorOutcome | None:

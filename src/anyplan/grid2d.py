@@ -16,9 +16,9 @@ import math
 import random
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path as FsPath
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,12 +46,18 @@ class SamplingError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GridMap:
-    """Occupancy grid; True cells are obstacles.  Out of bounds is solid."""
+    """Occupancy grid; True cells are obstacles.  Out of bounds is solid.
+
+    The worlds built on one map share the tables they derive from it
+    (``tables``, keyed by what each depends on), so the occupancy must not
+    change once a world is built on the map.
+    """
 
     width: int
     height: int
     occupancy: np.ndarray  # bool, shape (height, width), indexed [y, x]
     name: str = "<memory>"
+    tables: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def parse_map(text: str, name: str = "<memory>") -> GridMap:
@@ -197,6 +203,34 @@ def sample_offsets(dx: int, dy: int, step: int) -> list[tuple[int, int]]:
     return offsets
 
 
+_Table = TypeVar("_Table")
+
+
+def _shared(grid: GridMap, key: tuple, build: Callable[[], _Table]) -> _Table:
+    """The table ``key`` of ``grid``'s memo, built by ``build`` on first use."""
+    table = grid.tables.get(key)
+    if table is None:
+        table = grid.tables[key] = build()
+    return table
+
+
+def _placement_table(grid: GridMap, side: int) -> np.ndarray:
+    """Read-only ``ok[y, x]``: the side x side window at (x, y) fits in
+    bounds and contains no obstacle cell (an integral-image sum)."""
+    ph = grid.height - side + 1
+    pw = grid.width - side + 1
+    if ph <= 0 or pw <= 0:
+        ok = np.zeros((0, 0), dtype=bool)
+    else:
+        integral = np.zeros((grid.height + 1, grid.width + 1), dtype=np.int64)
+        integral[1:, 1:] = grid.occupancy.astype(np.int32).cumsum(axis=0).cumsum(axis=1)
+        window = (integral[side:, side:] - integral[:ph, side:]
+                  - integral[side:, :pw] + integral[:ph, :pw])
+        ok = window == 0
+    ok.flags.writeable = False
+    return ok
+
+
 class GridWorld:
     """Immutable map + motion/cost parameters with precomputed placement
     and move validity.  Read-only after construction; safe for concurrent
@@ -207,6 +241,12 @@ class GridWorld:
     per-action byte table, the target is the index plus a per-action step,
     and a ``random_factor`` cost reads the ``float`` factor of each end from
     one per-anchor array.
+
+    The tables come from the map's memo (:attr:`GridMap.tables`), keyed by
+    what each depends on: placements by footprint, move tables by
+    footprint, move length and collision step, anchor factors by footprint,
+    cost kind and seed.  So worlds on one map that differ only in edge
+    delay share every table, and building the second costs microseconds.
     """
 
     def __init__(self, grid: GridMap, config: GridDomainConfig | None = None,
@@ -214,28 +254,23 @@ class GridWorld:
         self.grid = grid
         self.config = config or GridDomainConfig()
         self.cost_model = cost_model or CostModel()
-        side = self.config.footprint_side
-        occ = grid.occupancy.astype(np.int32)
-        # Integral image: placement_ok[y, x] iff the side x side window at
-        # (x, y) fits in bounds and contains no obstacle cell.
-        ph = grid.height - side + 1
-        pw = grid.width - side + 1
-        if ph <= 0 or pw <= 0:
-            self.placement_ok = np.zeros((0, 0), dtype=bool)
-        else:
-            integral = np.zeros((grid.height + 1, grid.width + 1), dtype=np.int64)
-            integral[1:, 1:] = occ.cumsum(axis=0).cumsum(axis=1)
-            window = (integral[side:, side:] - integral[:ph, side:]
-                      - integral[side:, :pw] + integral[:ph, :pw])
-            self.placement_ok = window == 0
+        side, m, step = (self.config.footprint_side, self.config.move_length,
+                         self.config.collision_step)
+        self.placement_ok = _shared(grid, ("placement", side),
+                                    lambda: _placement_table(grid, side))
         self._ph, self._pw = self.placement_ok.shape
-        self._moves = self._build_moves()
+        self._moves = _shared(grid, ("moves", side, m, step), self._build_moves)
         self._anchor_factors: array | None = None
         if self.cost_model.kind == "random_factor":
-            factors = build_factor_map(self.cost_model.rng_seed, grid.width, grid.height)
-            # an anchor's factor is its corner cell's; indexing the array
-            # yields a float, not a numpy scalar
-            self._anchor_factors = array("d", factors[:self._ph, :self._pw].tobytes())
+            kind, seed = self.cost_model.kind, self.cost_model.rng_seed
+            self._anchor_factors = _shared(grid, ("factors", side, kind, seed),
+                                           lambda: self._build_anchor_factors(seed))
+
+    def _build_anchor_factors(self, seed: int) -> array:
+        """An anchor's factor is its corner cell's; indexing the array yields
+        a float, not a numpy scalar."""
+        factors = build_factor_map(seed, self.grid.width, self.grid.height)
+        return array("d", factors[:self._ph, :self._pw].tobytes())
 
     def _build_moves(self) -> tuple[tuple[bytes, int, tuple[int, int], float], ...]:
         """One row per action: its move table, its flat step, its (dx, dy)

@@ -8,6 +8,7 @@ import pytest
 from anyplan.bench import (
     INSTANCE_KEYS,
     MAP_KEYS,
+    PROBLEM_KEYS,
     SPEC_KEYS,
     SPEEDUP_COLUMNS,
     TABLE1_COLUMNS,
@@ -18,13 +19,14 @@ from anyplan.bench import (
     _cell,
     _speedup_row,
     aggregate,
+    build_instances,
     build_run_spec,
     emit_outputs,
     run_experiment,
     run_metrics_from_json,
 )
 from anyplan.controller import PlannerConfig, weight_schedule
-from anyplan.grid2d import GridDomainConfig
+from anyplan.grid2d import GridDomainConfig, GridWorld, load_map, sample_start_goal_pairs
 
 from _support import parse_run_spec
 
@@ -142,6 +144,17 @@ def test_build_run_spec_defaults_are_the_dataclass_defaults():
 
 # -- running ------------------------------------------------------------------
 
+def test_build_instances_with_a_delay_plans_on_a_world_with_the_probes_outcomes():
+    spec = parse_run_spec(spec_text(cost="random", cost_seed=5, eval_delay_us=1.0))
+    world, instances = build_instances(spec)
+    assert world.config.eval_delay == 1e-6 and len(instances) == 2
+    probe = GridWorld(load_map(spec.map_path), replace(spec.domain, eval_delay=0.0), spec.cost)
+    for i in range(probe.placement_ok.size):
+        for action in range(8):
+            assert world.evaluate_anchor(i, action) == probe.evaluate_anchor(i, action)
+    assert [(s, g) for s, g, _ in instances] == sample_start_goal_pairs(probe, 2, 1)
+
+
 def test_run_experiment_epase_w1_phase_times_coincide():
     spec = parse_run_spec(spec_text())
     metrics = run_experiment(spec)
@@ -183,7 +196,8 @@ def test_run_experiment_naive_and_aepase_share_first_cost():
 
 
 IDENTITY_FIELDS = ("algorithm", "map_name", "cost_kind", "pair_index", "repetition",
-                   "n_threads", "start", "goal", "oracle_cost", "map_scale", "eval_delay")
+                   "n_threads", "start", "goal", "oracle_cost", "map_scale", "eval_delay",
+                   *PROBLEM_KEYS)
 
 
 def test_a_run_that_raises_leaves_an_error_record(tmp_path, monkeypatch):
@@ -318,6 +332,56 @@ def test_aggregate_keys_rows_curves_and_speedups_on_map_and_scale():
         "arastar_t4_d0_synthetic_x2", "aepase_t4_d0_synthetic_x2"]
 
 
+@pytest.mark.parametrize("key,value", [("cost_seed", 2), ("footprint", 3), ("move", 3),
+                                       ("collision_step", 2)])
+def test_runs_that_differ_only_in_a_problem_key_aggregate_into_separate_cells(key, value):
+    # on cross32 with random costs, cost seeds 1 and 2 give pair 0 two
+    # different optima: pooling them would average two problems
+    base = {"algo": "arastar", "map": str(MAPS / "cross32.map"), "footprint": 4, "move": 4,
+            "collision_step": 1, "cost": "random", "cost_seed": 1, "pairs": 2,
+            "pair_seed": 1, "w0": 1.0, "threads": 1}
+    runs = [m for values in (base, {**base, key: value}, {**base, "algo": "aepase"})
+            for m in run_experiment(build_run_spec(values))]
+    assert {getattr(m, key) for m in runs} == {base[key], value}
+    if key == "cost_seed":
+        assert runs[0].start == runs[2].start and runs[0].oracle_cost != runs[2].oracle_cost
+    summary = aggregate(runs)
+    rows = [(r[key], r["algorithm"], r["n_runs"]) for r in summary.table_rows]
+    assert rows == sorted([(base[key], "arastar", 2), (base[key], "aepase", 2),
+                           (value, "arastar", 2)], key=lambda r: (r[0], r[1] == "aepase"))
+    # only the arastar cell of aepase's problem pairs with it
+    (row,) = summary.speedup_rows
+    assert (row["baseline"], row[key], row["n_pairs"]) == ("arastar", base[key], 2)
+    names = list(summary.curves["random_factor"]["columns"])
+    assert len(set(names)) == 3
+    assert all(re.search(r"_s\d+_f\d+_m\d+_c\d+$", name) for name in names)
+
+
+def test_a_run_line_without_the_problem_keys_reads_them_as_unknown(tmp_path):
+    # a runs.ndjson line written before the problem keys were recorded
+    import json
+
+    lines = (GOLDEN / "mixed" / "runs.ndjson").read_text().splitlines()
+    old = []
+    for line in lines:
+        d = json.loads(line)
+        assert all(d.pop(key) is None for key in PROBLEM_KEYS)
+        old.append(json.dumps(d, separators=(",", ":")))
+    runs = [run_metrics_from_json(line) for line in old]
+    assert all(getattr(m, key) is None for m in runs for key in PROBLEM_KEYS)
+    assert [m.to_json() for m in runs] == lines
+    emit_outputs(aggregate(runs), tmp_path)
+    assert (tmp_path / "table1.csv").read_text() == (
+        GOLDEN / "mixed" / "table1.csv").read_text()
+
+
+def test_problem_columns_are_the_spec_keys_the_instances_read():
+    assert set(PROBLEM_KEYS) < set(INSTANCE_KEYS)
+    assert set(INSTANCE_KEYS) - {*MAP_KEYS, *PROBLEM_KEYS} == {"cost", "pairs", "pair_seed"}
+    assert all(key in RunMetrics.__dataclass_fields__ for key in PROBLEM_KEYS)
+    assert TABLE1_COLUMNS[3:7] == SPEEDUP_COLUMNS[3:7] == PROBLEM_KEYS
+
+
 def test_map_columns_are_the_spec_keys_of_the_map():
     assert [SPEC_KEYS[key][1:] for key in MAP_KEYS] == [(RunSpec, "map_path"),
                                                        (RunSpec, "map_scale")]
@@ -381,10 +445,12 @@ def test_emit_headers_only_for_empty_summary(tmp_path):
     summary = aggregate([])
     written = emit_outputs(summary, tmp_path)
     table = (tmp_path / "table1.csv").read_text()
-    assert table == ("cost_kind,map,scale,algorithm,n_threads,eval_delay_us,n_runs,"
+    assert table == ("cost_kind,map,scale,cost_seed,footprint,move,collision_step,"
+                     "algorithm,n_threads,eval_delay_us,n_runs,"
                      "mean_t_init_ms,mean_init_ratio,mean_t_opt_ms,mean_t_term_ms\n")
     speedup = (tmp_path / "speedup.csv").read_text()
-    assert speedup.startswith("cost_kind,map,scale,baseline,target,")
+    assert speedup.startswith("cost_kind,map,scale,cost_seed,footprint,move,collision_step,"
+                              "baseline,target,")
     assert (tmp_path / "runs.ndjson").read_text() == ""
     assert len(written) == 3  # no curves without runs
 
@@ -396,6 +462,8 @@ def golden_summary():
         mk_metrics("aepase", 0, t_init=0.010, t_opt=0.020, t_term=0.040,
                    cost_init=125.0),
     ]
+    for m in runs:
+        m.cost_seed, m.footprint, m.move, m.collision_step = 7, 4, 4, 1
     return aggregate(runs)
 
 

@@ -2,7 +2,13 @@ import math
 
 import pytest
 
-from anyplan.baselines import ara_star, dijkstra_oracle, wastar, weighted_astar
+from anyplan.baselines import (
+    ara_star,
+    dijkstra_distances,
+    dijkstra_oracle,
+    wastar,
+    weighted_astar,
+)
 from anyplan.controller import PlannerConfig, plan
 from anyplan.domain import (
     DUMMY_ACTION,
@@ -114,6 +120,26 @@ def test_dijkstra_oracle_names_an_outcome_outside_the_contract(first_edge, what)
         dijkstra_oracle(bad_first_edge_domain(first_edge), 0)
 
 
+BAD_DEAD_ENDS = [((0, math.nan), "cost nan"), ((0, -1.0), "cost -1.0"),
+                 ((0, math.inf), "cost inf"), ((0.0, 2.0), "successor 0.0")]
+
+
+@pytest.mark.parametrize("dead_end,what", BAD_DEAD_ENDS)
+@pytest.mark.parametrize("search", ["dijkstra_oracle", "dijkstra_distances", "weighted_astar"])
+def test_a_reference_search_names_a_bad_outcome_on_an_edge_that_is_never_a_parent(
+        dead_end, what, search):
+    # 0 -> 1 -> 2; edge (1, 1) leads back to the settled start (or, with a
+    # NaN cost, improves nothing), so it never becomes a parent: only the
+    # check on every valid outcome can name it
+    coords = {0: (0, 0), 1: (1, 0), 2: (2, 0)}
+    domain = ToyGraphDomain(coords, {0: [(1, 2.0)], 1: [(2, 3.0), dead_end], 2: []},
+                            goals={2})
+    run = {"dijkstra_oracle": dijkstra_oracle, "dijkstra_distances": dijkstra_distances,
+           "weighted_astar": weighted_astar}[search]
+    with pytest.raises(DomainError, match=rf"Edge\(state=1, action=1\): {what}"):
+        run(domain, 0)
+
+
 def test_cache_stores_no_outcome_outside_the_contract():
     cache = EdgeCache()
     with pytest.raises(DomainError):
@@ -171,8 +197,6 @@ def test_pairwise_heuristic_admissible_on_8x8_all_pairs():
     world = open_world(8)
     problem = grid_problem(world, (0, 0), (7, 7))
     # reach every state so handles exist
-    from anyplan.baselines import dijkstra_distances
-
     dist = dijkstra_distances(problem, problem.start)
     states = sorted(dist)
     optimal = all_pairs_optimal(problem, states)

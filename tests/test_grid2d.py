@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from anyplan.domain import INVALID_OUTCOME, SuccessorOutcome
 from anyplan.grid2d import (
+    DIRECTIONS,
     CostModel,
     GridDomainConfig,
     GridPlanningProblem,
@@ -529,6 +530,68 @@ def test_eval_delay_wall_time_within_half_ms():
     # scheduler hiccups can stretch a single sleep; the typical case must
     # stay inside the half-millisecond envelope
     assert sorted(samples)[len(samples) // 2] <= 0.0025
+
+
+# -- tables shared by the worlds of one map -----------------------------------
+
+SHARED_MAP_TEXT = random_obstacle_map_text(12, 12, 0.2, seed=3)
+
+
+def world_on(grid, footprint=2, move=3, collision_step=1, eval_delay=0.0,
+             cost=CostModel("random_factor", 3)):
+    return GridWorld(grid, GridDomainConfig(footprint, move, collision_step, eval_delay), cost)
+
+
+def all_outcomes(world):
+    return [world.evaluate_anchor(i, a)
+            for i in range(world.placement_ok.size) for a in range(len(DIRECTIONS))]
+
+
+def test_worlds_that_differ_only_in_delay_share_their_tables_and_outcomes():
+    grid = parse_map(SHARED_MAP_TEXT)
+    probe = world_on(grid)
+    delayed = world_on(grid, eval_delay=1e-6)
+    assert delayed.placement_ok is probe.placement_ok
+    assert delayed._moves is probe._moves
+    assert delayed._anchor_factors is probe._anchor_factors
+    outcomes = all_outcomes(probe)
+    assert 0 < sum(o.valid for o in outcomes) < len(outcomes)
+    assert all_outcomes(delayed) == outcomes
+    # and the shared tables are those a world on a fresh parse builds
+    assert all_outcomes(world_on(parse_map(SHARED_MAP_TEXT))) == outcomes
+
+
+@pytest.mark.parametrize("change,shared", [
+    (dict(footprint=3), ()),
+    (dict(move=2), ("placement_ok", "_anchor_factors")),
+    (dict(collision_step=2), ("placement_ok", "_anchor_factors")),
+    (dict(cost=CostModel("random_factor", 4)), ("placement_ok", "_moves")),
+    (dict(cost=CostModel()), ("placement_ok", "_moves")),
+])
+def test_a_different_footprint_move_or_cost_model_builds_new_tables(change, shared):
+    grid = parse_map(SHARED_MAP_TEXT)
+    base = world_on(grid)
+    other = world_on(grid, **change)
+    for name in ("placement_ok", "_moves", "_anchor_factors"):
+        assert (getattr(other, name) is getattr(base, name)) == (name in shared), name
+    assert all_outcomes(other) == all_outcomes(world_on(parse_map(SHARED_MAP_TEXT), **change))
+
+
+def test_worlds_on_two_loads_of_one_map_share_no_table():
+    a = world_on(load_map(MAPS_DIR / "cross32.map"))
+    b = world_on(load_map(MAPS_DIR / "cross32.map"))
+    assert a.placement_ok is not b.placement_ok
+    assert a._moves is not b._moves
+    assert a._anchor_factors is not b._anchor_factors
+    assert all_outcomes(a) == all_outcomes(b)
+
+
+def test_a_shared_placement_table_refuses_writes():
+    world = world_on(parse_map(SHARED_MAP_TEXT))
+    free = tuple(np.argwhere(world.placement_ok)[0])
+    with pytest.raises(ValueError):
+        world.placement_ok[free] = False
+    assert world.placement_ok[free]
 
 
 # -- heuristics ---------------------------------------------------------------
