@@ -55,8 +55,9 @@ def cells(quick: bool):
             yield {**base, "algo": "aepase_naive", "threads": 4}
     if not quick:
         # slow-edge cells on the large maps: evaluation latency dominates.
-        # No aepase_naive: its restarts make 140-213 thousand evaluations
-        # on 10 pairs, 5-7 minutes a cell at 2 ms and one worker.
+        # No aepase_naive: with random-factor costs its restarts make
+        # 140-213 thousand evaluations on 10 pairs, 5-7 minutes a cell at
+        # 2 ms and one worker.
         for map_name, footprint, move in MAPS[2:]:
             for cost in ("euclidean", "random"):
                 yield from algorithm_cells({
