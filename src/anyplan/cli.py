@@ -133,33 +133,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="bench_out", help="output directory")
     p_run.add_argument("--verbose", action="store_true")
     _add_spec_flags(p_run, SPEC_KEYS)
+    p_run.set_defaults(func=_cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="precompute optimal costs for sampled pairs")
     _add_spec_flags(p_oracle, INSTANCE_KEYS)
     p_oracle.add_argument("--out", required=True)
+    p_oracle.set_defaults(func=_cmd_oracle)
 
     p_agg = sub.add_parser("aggregate", help="re-aggregate a runs.ndjson file")
     p_agg.add_argument("--runs", required=True)
     p_agg.add_argument("--out", default="bench_out")
+    p_agg.set_defaults(func=_cmd_aggregate)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
     p_self.add_argument("-k", help="pytest -k filter")
+    p_self.set_defaults(func=_cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "oracle":
-        return _cmd_oracle(args)
-    if args.command == "aggregate":
-        return _cmd_aggregate(args)
-    if args.command == "selftest":
-        return _cmd_selftest(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -210,7 +210,7 @@ def repair_passes(state: SearchState,
 
 
 def plan(config: PlannerConfig, domain: SearchDomain, start: int, *,
-         sink=None, log_events: bool = False, debug_checks: bool = False) -> PlanResult:
+         sink=None, log_events: bool = False) -> PlanResult:
     """Run the anytime parallel search to completion, timeout or proof.
 
     Emits one :class:`SolutionRecord` per completed pass that holds a
@@ -229,8 +229,7 @@ def plan(config: PlannerConfig, domain: SearchDomain, start: int, *,
     ``EngineError`` naming its edge; its worker is left to stop when it
     returns.
     """
-    ctx = EpisodeContext(domain, start, config.n_threads,
-                         log_enabled=log_events, debug_checks=debug_checks)
+    ctx = EpisodeContext(domain, start, config.n_threads, log_enabled=log_events)
     try:
         return run_anytime(config, repair_passes(ctx, improve_path), sink=sink, context=ctx)
     finally:
@@ -247,7 +246,7 @@ def plan_naive(config: PlannerConfig, domain: SearchDomain, start: int, *,
     incumbent per weight.
     """
     def run_pass(index: int, w: float, eps: float, deadline: float):
-        ctx = EpisodeContext(domain, start, config.n_threads, log_enabled=False)
+        ctx = EpisodeContext(domain, start, config.n_threads)
         try:
             return repair_passes(ctx, improve_path)(index, w, eps, deadline)
         finally:

@@ -171,12 +171,6 @@ class EdgeCache:
     def get(self, edge: Edge) -> SuccessorOutcome | None:
         return self._data.get(edge)
 
-    def items(self) -> list[tuple[Edge, SuccessorOutcome]]:
-        return list(self._data.items())
-
-    def __len__(self) -> int:
-        return len(self._data)
-
 
 @dataclass(frozen=True)
 class Path:

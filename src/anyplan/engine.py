@@ -52,14 +52,13 @@ class EpisodeContext(SearchState):
     A worker gets the domain, its inbox and the completion queue ``done``."""
 
     def __init__(self, domain: SearchDomain, start: int, n_threads: int, *,
-                 log_enabled: bool = True, debug_checks: bool = False) -> None:
+                 log_enabled: bool = False) -> None:
         if n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
         super().__init__(domain, start, log_enabled=log_enabled)
         self.slots = [_WorkerSlot() for _ in range(n_threads)]
         self.done: queue.SimpleQueue = queue.SimpleQueue()
         self.worker_error: BaseException | None = None
-        self.debug_checks = debug_checks
 
 
 def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
@@ -109,8 +108,6 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
             ctx.relax(edge, ctx.evaluate(edge, wid), wid)  # a hit, still logged
         else:
             _assign(ctx, wid, edge)
-        if ctx.debug_checks:
-            validate_invariants(ctx)
 
 
 def _find_idle_slot(ctx: EpisodeContext) -> int | None:
@@ -155,8 +152,6 @@ def _land(ctx: EpisodeContext, wait: bool) -> None:
             elif ctx.worker_error is None:
                 ctx.log(EVENT_EVAL_END, wid, edge, ctx.nodes[edge.state].g)
                 ctx.relax(edge, ctx.cache.store(edge, result), wid)
-                if ctx.debug_checks:
-                    validate_invariants(ctx)
             item = ctx.done.get_nowait()
     except queue.Empty:
         pass
@@ -208,20 +203,3 @@ def shutdown(ctx: EpisodeContext) -> None:
         slot.thread.join(timeout=5.0)
         if slot.thread.is_alive():
             raise EngineError(f"worker {slot.thread.name} failed to stop")
-
-
-def validate_invariants(ctx: EpisodeContext) -> None:
-    """Debug-mode consistency audit, run by the coordinator after every move."""
-    ctx.open.check_no_duplicates()
-    both = ctx.be & ctx.closed
-    if both:
-        raise EngineInvariantError(f"states {sorted(both)} in BE and CLOSED at once")
-    for s in ctx.incons:
-        if Edge(s, DUMMY_ACTION) in ctx.open:
-            raise EngineInvariantError(f"state {s} in INCON and OPEN simultaneously")
-    for s, node in ctx.nodes.items():
-        if node.n_actions >= 0:
-            if node.n_successors_generated > node.n_actions:
-                raise EngineInvariantError(f"state {s} over-generated successors")
-            if s in ctx.closed and node.n_successors_generated != node.n_actions:
-                raise EngineInvariantError(f"state {s} closed before all successors")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .domain import (DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain, SuccessorOutcome,
                      checked_heuristic)
@@ -197,14 +197,16 @@ class SearchState:
         self.be.clear()
 
 
-def walk_parents(cache: EdgeCache, parent_of: Callable[[int], Edge | None],
-                 start: int, goal: int) -> Path:
+def walk_parents(outcomes: Mapping[Edge, SuccessorOutcome] | EdgeCache,
+                 parent_of: Callable[[int], Edge | None], start: int, goal: int) -> Path:
     """Rebuild the path from ``start`` to ``goal`` along ``parent_of``, the
     edge that reached each state.
 
-    The cost is the re-summed cost of the chain's edges, all of which must
-    be in ``cache``.  A broken chain, an edge that does not reach the state
-    it is the parent of, or a cycle raises :class:`EngineInvariantError`.
+    The cost is the re-summed cost of the chain's edges, whose outcomes
+    ``outcomes`` must hold; only its ``get`` is read.  It is the episode's
+    edge cache, or the reference searches' ``{Edge: outcome}`` dict of
+    parent edges.  A broken chain, an edge that does not reach the state it
+    is the parent of, or a cycle raises :class:`EngineInvariantError`.
     """
     edges: list[Edge] = []
     states: list[int] = [goal]
@@ -215,7 +217,7 @@ def walk_parents(cache: EdgeCache, parent_of: Callable[[int], Edge | None],
         parent_edge = parent_of(current)
         if parent_edge is None:
             raise EngineInvariantError(f"broken parent chain at state {current}")
-        outcome = cache.get(parent_edge)
+        outcome = outcomes.get(parent_edge)
         if outcome is None or not outcome.valid or outcome.successor != current:
             raise EngineInvariantError(f"parent edge {parent_edge} does not reach {current}")
         cost += outcome.cost

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .domain import DUMMY_ACTION, Edge, SearchDomain
@@ -60,9 +61,6 @@ class OpenQueue:
 
     def __len__(self) -> int:
         return len(self._key)
-
-    def __contains__(self, edge: Edge) -> bool:
-        return edge in self._key
 
     def __bool__(self) -> bool:
         return bool(self._key)
@@ -120,15 +118,6 @@ class OpenQueue:
         self._entries = fresh
         self._key = key
 
-    def check_no_duplicates(self) -> None:
-        """Exhaustive invariant scan used by tests."""
-        assert len(self._entries) == len(self._key)
-        seen = set()
-        for _f, _h, s, a in self._entries:
-            assert (s, a) not in seen, f"duplicate entry for ({s}, {a})"
-            seen.add((s, a))
-        assert self._entries == sorted(self._entries)
-
 
 def _passes_pair(g_e: float, g_other: float, eps: float,
                  domain: SearchDomain, other: int, target: int) -> bool:
@@ -156,17 +145,10 @@ def pop_independent(open_queue: OpenQueue, be: set[int], eps: float,
     prefix_seen: set[int] = set()
     for candidate, _f in open_queue.entries():
         g_e = nodes[candidate.state].g
-        ok = True
-        for s in be:
+        for s in chain(be, prefix):
             if not _passes_pair(g_e, nodes[s].g, eps, domain, s, candidate.state):
-                ok = False
                 break
-        if ok:
-            for s in prefix:
-                if not _passes_pair(g_e, nodes[s].g, eps, domain, s, candidate.state):
-                    ok = False
-                    break
-        if ok:
+        else:
             open_queue.discard(candidate)
             return candidate
         if candidate.state not in prefix_seen:

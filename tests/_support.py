@@ -7,9 +7,13 @@ from __future__ import annotations
 import math
 import threading
 import time
+from unittest import mock
 
+from anyplan import controller
 from anyplan.bench import RunSpec, build_run_spec, parse_spec_values
-from anyplan.domain import INVALID_OUTCOME, EdgeCache, Path, SearchDomain, SuccessorOutcome
+from anyplan.domain import (DUMMY_ACTION, INVALID_OUTCOME, Edge, EdgeCache, Path, SearchDomain,
+                            SuccessorOutcome)
+from anyplan.engine import EpisodeContext
 from anyplan.grid2d import (
     DIRECTIONS,
     CostModel,
@@ -22,6 +26,8 @@ from anyplan.grid2d import (
     reachable_indices,
     sample_offsets,
 )
+from anyplan.search import EngineInvariantError
+from anyplan.structures import OpenQueue
 
 
 def open_map_text(width: int, height: int) -> str:
@@ -157,6 +163,66 @@ class CountingDomain(SearchDomain):
 
 
 # ---------------------------------------------------------------------------
+# The per-move invariant audit
+
+
+def check_no_duplicates(open_queue: OpenQueue) -> None:
+    """Exhaustive scan of ``open_queue``: one entry per edge, in its index
+    and in its sorted list, and the list in order."""
+    entries = open_queue._entries
+    assert len(entries) == len(open_queue._key)
+    seen = set()
+    for _f, _h, s, a in entries:
+        assert (s, a) not in seen, f"duplicate entry for ({s}, {a})"
+        seen.add((s, a))
+    assert entries == sorted(entries)
+
+
+def validate_invariants(ctx: EpisodeContext) -> None:
+    """Check OPEN, BE, CLOSED, INCON and the per-state successor counts of
+    ``ctx`` against each other.  A broken OPEN fails an assertion; any other
+    break raises :class:`EngineInvariantError` naming its states."""
+    check_no_duplicates(ctx.open)
+    both = ctx.be & ctx.closed
+    if both:
+        raise EngineInvariantError(f"states {sorted(both)} in BE and CLOSED at once")
+    in_open = {edge for edge, _f in ctx.open.entries()}
+    for s in ctx.incons:
+        if Edge(s, DUMMY_ACTION) in in_open:
+            raise EngineInvariantError(f"state {s} in INCON and OPEN simultaneously")
+    for s, node in ctx.nodes.items():
+        if node.n_actions >= 0:
+            if node.n_successors_generated > node.n_actions:
+                raise EngineInvariantError(f"state {s} over-generated successors")
+            if s in ctx.closed and node.n_successors_generated != node.n_actions:
+                raise EngineInvariantError(f"state {s} closed before all successors")
+
+
+class AuditedContext(EpisodeContext):
+    """An episode that runs :func:`validate_invariants` after every move
+    that changes the search state: each pop's bookkeeping, each spill and
+    each relaxation (an edge-cache hit or a landed evaluation)."""
+
+    def begin_expansion(self, edge, worker):
+        super().begin_expansion(edge, worker)
+        validate_invariants(self)
+
+    def spill(self, state, worker):
+        super().spill(state, worker)
+        validate_invariants(self)
+
+    def relax(self, edge, outcome, worker):
+        super().relax(edge, outcome, worker)
+        validate_invariants(self)
+
+
+def audited_plan(config, domain, start, **kwargs) -> controller.PlanResult:
+    """The real ``controller.plan``, with every episode an :class:`AuditedContext`."""
+    with mock.patch.object(controller, "EpisodeContext", AuditedContext):
+        return controller.plan(config, domain, start, **kwargs)
+
+
+# ---------------------------------------------------------------------------
 # Brute-force oracles and independent references
 
 
@@ -253,24 +319,29 @@ def reachable_anchors(world: GridWorld, start: tuple[int, int]) -> set[tuple[int
     return {(i % pw, i // pw) for i in reachable_indices(world, y * pw + x)}
 
 
-def audit_consistency(domain: SearchDomain, cache: EdgeCache) -> int:
-    """Check h(s) <= c(s,a) + h(s') over every evaluated edge in ``cache``.
+def audit_consistency(domain: SearchDomain, cache: EdgeCache, states) -> int:
+    """Check h(s) <= c(s,a) + h(s') over every valid edge in ``cache`` out
+    of ``states``, which must hold the source of every cached edge (an
+    episode's ``nodes``, or the states a test evaluated every edge of).
 
     Returns the number of edges audited; raises AssertionError on the first
     violation.  A slack of 1e-9 absorbs float rounding of exact-equality
     cases.
     """
     n = 0
-    for edge, out in cache.items():
-        if not out.valid:
-            continue
-        hs = domain.heuristic(edge.state)
-        hs2 = domain.heuristic(out.successor)
-        if hs > out.cost + hs2 + 1e-9:
-            raise AssertionError(
-                f"inconsistent heuristic on {edge}: h={hs} > c={out.cost} + h'={hs2}"
-            )
-        n += 1
+    for s in states:
+        hs = domain.heuristic(s)
+        for a in domain.actions(s):
+            edge = Edge(s, a)
+            out = cache.get(edge)
+            if out is None or not out.valid:
+                continue
+            hs2 = domain.heuristic(out.successor)
+            if hs > out.cost + hs2 + 1e-9:
+                raise AssertionError(
+                    f"inconsistent heuristic on {edge}: h={hs} > c={out.cost} + h'={hs2}"
+                )
+            n += 1
     return n
 
 

@@ -107,7 +107,8 @@ def run_plan(stats: SessionStats, cfg: PlannerConfig, instance: Instance,
         time.sleep(0.001)
     stats.unjustified_reexpansions += result.unjustified_reexpansions
     try:
-        stats.audited_edges += audit_consistency(problem, result.context.cache)
+        ctx = result.context
+        stats.audited_edges += audit_consistency(problem, ctx.cache, ctx.nodes)
     except AssertionError as exc:
         stats.audit_failures.append(str(exc))
     return result

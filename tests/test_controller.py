@@ -23,7 +23,7 @@ from anyplan.controller import (
 )
 from anyplan.search import ImproveOutcome
 
-from _support import CountingDomain, grid_problem, make_world, open_world
+from _support import CountingDomain, audited_plan, grid_problem, make_world, open_world
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "anyplan"
 
@@ -201,8 +201,8 @@ def test_plan_closed_and_be_empty_at_each_pass_entry():
     # and the final context has empty BE (re-collapse ran at every exit)
     world = open_world(15, footprint=2, move=2, cost="random_factor", cost_seed=2)
     problem = grid_problem(world, (0, 0), (12, 12))
-    result = plan(PlannerConfig(w0=10.0, delta_w=1.0, n_threads=4),
-                  problem, problem.start, debug_checks=True)
+    result = audited_plan(PlannerConfig(w0=10.0, delta_w=1.0, n_threads=4),
+                          problem, problem.start)
     assert result.status == STATUS_PROVED_OPTIMAL
     assert not result.context.be
     # every pass that re-expanded states saw a clean CLOSED: expansions per

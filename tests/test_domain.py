@@ -144,7 +144,7 @@ def test_cache_stores_no_outcome_outside_the_contract():
     cache = EdgeCache()
     with pytest.raises(DomainError):
         cache.evaluate(bad_first_edge_domain((1, -1.0)), Edge(0, 0))
-    assert len(cache) == 0 and cache.get(Edge(0, 0)) is None
+    assert cache.misses == 0 and cache.get(Edge(0, 0)) is None
 
 
 def test_cache_rejects_dummy_edges():
@@ -189,7 +189,7 @@ def test_heuristic_consistency_audit_on_grid_episode():
             if out.valid and out.successor not in seen:
                 seen.add(out.successor)
                 frontier.append(out.successor)
-    audited = audit_consistency(problem, cache)
+    audited = audit_consistency(problem, cache, seen)
     assert audited > 0
 
 

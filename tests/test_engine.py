@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -20,9 +21,12 @@ from anyplan.grid2d import sample_start_goal_pairs
 from anyplan.search import SearchState, backtrack
 
 from _support import (
+    CountingDomain,
     StarDomain,
     ToyGraphDomain,
     assert_no_leaked_workers,
+    audit_consistency,
+    audited_plan,
     committed_expansion_check,
     edge_cost,
     grid_problem,
@@ -36,7 +40,7 @@ from _support import (
 
 def test_start_equals_goal_zero_length_path():
     problem = grid_problem(open_world(6), (2, 2), (2, 2))
-    result = plan(PlannerConfig(w0=1.0), problem, problem.start, debug_checks=True)
+    result = audited_plan(PlannerConfig(w0=1.0), problem, problem.start)
     assert result.status == "proved_optimal"
     assert result.final_cost == 0.0
     rec = result.records[0]
@@ -51,7 +55,7 @@ def test_optimal_on_empty_grid_matches_dijkstra_single_thread():
     problem = grid_problem(open_world(5), (0, 0), (4, 4))
     oracle = dijkstra_oracle(problem, problem.start).cost
     fresh = grid_problem(open_world(5), (0, 0), (4, 4))
-    result = plan(PlannerConfig(w0=1.0, n_threads=1), fresh, fresh.start, debug_checks=True)
+    result = audited_plan(PlannerConfig(w0=1.0, n_threads=1), fresh, fresh.start)
     assert result.status == "proved_optimal"
     assert result.final_cost == pytest.approx(oracle, rel=1e-12)
 
@@ -128,8 +132,8 @@ def incon_toy():
 
 def test_closed_state_relaxation_goes_to_incon_and_reopens_next_pass():
     domain = incon_toy()
-    result = plan(PlannerConfig(w0=5.0, delta_w=0.5, n_threads=1), domain, 0,
-                  log_events=True, debug_checks=True)
+    result = audited_plan(PlannerConfig(w0=5.0, delta_w=0.5, n_threads=1), domain, 0,
+                          log_events=True)
     assert result.status == "proved_optimal"
     first = result.iterations[0]
     assert first.n_incon_end == 1  # X deferred within the first pass
@@ -163,8 +167,8 @@ def test_eight_workers_land_every_completion_under_fast_thread_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        result = plan(PlannerConfig(w0=1.0, n_threads=8, time_budget=30.0),
-                      StarDomain(64), 0, debug_checks=True)
+        result = audited_plan(PlannerConfig(w0=1.0, n_threads=8, time_budget=30.0),
+                              StarDomain(64), 0)
     finally:
         sys.setswitchinterval(interval)
     assert result.status == "infeasible"  # exhausted well inside the budget
@@ -173,6 +177,34 @@ def test_eight_workers_land_every_completion_under_fast_thread_switching():
     assert len(ctx.closed) == 65  # the hub closes only once all 64 relaxed
     assert all(ctx.nodes[s].g == 1.0 for s in range(1, 65))
     assert_no_leaked_workers()
+
+
+def test_the_audit_names_a_closed_state_that_never_leaves_be():
+    # a seeded fault: closing a state no longer takes it out of BE.  The hub
+    # closes first, once its last spoke edge is relaxed.  Left in BE, it
+    # keeps every spoke from passing the independence check, so without the
+    # audit the plan waits out its budget
+    def close_but_keep_in_be(self, state, node, worker):
+        self.closed.add(state)
+
+    with mock.patch.object(SearchState, "_close", close_but_keep_in_be):
+        with pytest.raises(EngineInvariantError,
+                           match=r"^states \[0\] in BE and CLOSED at once$"):
+            audited_plan(PlannerConfig(w0=1.0, n_threads=2, time_budget=2.0),
+                         StarDomain(8), 0)
+    assert_no_leaked_workers()
+
+
+def test_the_consistency_audit_reaches_every_cached_edge():
+    world = make_world(random_obstacle_map_text(16, 16, 0.25, seed=3))
+    problem = grid_problem(world, *sample_start_goal_pairs(world, 1, seed=4)[0])
+    counting = CountingDomain(problem)
+    result = plan(PlannerConfig(w0=3.0, n_threads=2), counting, problem.start)
+    ctx = result.context
+    # each edge is evaluated once an episode; re-evaluate to find the invalid
+    invalid = sum(not problem.evaluate(s, a).valid for s, a in counting.calls_by_edge)
+    assert invalid > 0
+    assert audit_consistency(problem, ctx.cache, ctx.nodes) + invalid == ctx.cache.misses
 
 
 def test_backtrack_rewalk_equality_on_random_grid():
