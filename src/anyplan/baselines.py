@@ -177,7 +177,7 @@ def ara_star(config: PlannerConfig, domain: SearchDomain, start: int, *,
             state.begin_expansion(edge, 0)
             if edge.action == DUMMY_ACTION:
                 state.spill(edge.state, 0)
-            else:
+            elif not state.skip_if_useless(edge, 0):
                 state.relax(edge, state.evaluate(edge, 0), 0)
 
     return run_anytime(config, repair_passes(state, improve), sink=sink, context=state)

@@ -46,8 +46,9 @@ INVALID_OUTCOME = SuccessorOutcome(False)
 
 class DomainError(Exception):
     """The planner rejected a value a domain gave it: a valid outcome whose
-    cost is not finite and non-negative or whose successor is not an int
-    state handle, or a heuristic that is negative or NaN."""
+    cost is not finite and non-negative, whose successor is not an int
+    state handle or is not the one ``successor_if_valid`` named, or a
+    heuristic that is negative or NaN."""
 
 
 class SearchDomain(ABC):
@@ -79,6 +80,16 @@ class SearchDomain(ABC):
     @abstractmethod
     def is_goal(self, state: int) -> bool:
         """Whether ``state`` lies in the goal region."""
+
+    def successor_if_valid(self, state: int, action: int) -> int | None:
+        """The state edge (state, action) reaches if it is valid, when the
+        domain knows it without evaluating the edge; None (the default)
+        when it does not.  Validity stays unknown until ``evaluate``.  The
+        search skips evaluating a popped edge whose named successor t
+        already has g(t) <= g(state) + pairwise_heuristic(state, t), which
+        relies on ``pairwise_heuristic`` lower-bounding the edge's cost.
+        A valid outcome that reaches another state is a DomainError."""
+        return None
 
 
 def checked_outcome(state: int, action: int, outcome: SuccessorOutcome) -> SuccessorOutcome:
@@ -139,8 +150,8 @@ class EdgeCache:
 
     Guarantees at most one domain evaluation per distinct edge per episode.
     :meth:`store` checks each new outcome against the domain contract once
-    (:func:`checked_outcome`), raising :class:`DomainError` before it is
-    kept.  In the engine only the coordinator calls it: it stores each
+    (:func:`checked_outcome`, and the successor the domain named for the
+    edge), raising :class:`DomainError` before it is kept.  In the engine only the coordinator calls it: it stores each
     worker's outcome when it lands.
     """
 
@@ -160,12 +171,21 @@ class EdgeCache:
         if cached is not None:
             self.hits += 1
             return cached
-        return self.store(edge, domain.evaluate(edge.state, edge.action))
+        return self.store(domain, edge, domain.evaluate(edge.state, edge.action))
 
-    def store(self, edge: Edge, outcome: SuccessorOutcome) -> SuccessorOutcome:
+    def store(self, domain: SearchDomain, edge: Edge,
+              outcome: SuccessorOutcome) -> SuccessorOutcome:
         """Check a new outcome against the domain contract
-        (:func:`checked_outcome`) and keep it."""
-        self._data[edge] = checked_outcome(edge.state, edge.action, outcome)
+        (:func:`checked_outcome`) and against the successor
+        ``domain.successor_if_valid`` names for the edge, and keep it."""
+        state, action = edge
+        checked_outcome(state, action, outcome)
+        if outcome.valid:
+            named = domain.successor_if_valid(state, action)
+            if named is not None and named != outcome.successor:
+                raise DomainError(f"edge {edge}: successor {outcome.successor} is not"
+                                  f" {named}, the one successor_if_valid names")
+        self._data[edge] = outcome
         return outcome
 
     def get(self, edge: Edge) -> SuccessorOutcome | None:

@@ -3,8 +3,9 @@ evaluation-only workers.
 
 Only the coordinator, the thread in :func:`improve_path`, touches the
 episode: its :class:`~anyplan.search.SearchState`, edge cache and event log.
-It pops independent edges, spills dummy edges and relaxes edge-cache hits
-itself, and hands each cache miss to an idle worker, which calls
+It pops independent edges, spills dummy edges, relaxes edge-cache hits and
+skips edges that provably cannot lower a g (``SearchState.skip_if_useless``)
+itself, and hands each other edge to an idle worker, which calls
 ``domain.evaluate`` and nothing else and puts the outcome on one completion
 queue.  The coordinator lands it: it stores it in the edge cache and relaxes
 it.  It pops only when an idle worker exists, so a popped edge never waits
@@ -69,6 +70,8 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
     completed evaluations, pops the cheapest independent edge and expands
     it.  On exit, in-flight evaluations are landed and partially expanded
     states are collapsed back to dummy edges so BE is empty between passes.
+    A pass that cannot progress, with an idle worker, no independent edge
+    and no evaluation in flight, raises :class:`EngineInvariantError`.
     """
     while True:
         _land(ctx, wait=False)
@@ -99,11 +102,18 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
         edge = None if wid is None else pop_independent(
             ctx.open, ctx.be, eps, ctx.nodes, ctx.domain)
         if edge is None:
+            if wid is not None and not _busy(ctx):
+                # nothing in flight can change OPEN or BE: no later pop can succeed
+                raise EngineInvariantError(
+                    f"no edge of OPEN ({len(ctx.open)} edges) is independent and no"
+                    f" evaluation is in flight; BE {sorted(ctx.be)}")
             _land(ctx, wait=True)
             continue
         ctx.begin_expansion(edge, wid)
         if edge.action == DUMMY_ACTION:
             ctx.spill(edge.state, wid)
+        elif ctx.skip_if_useless(edge, wid):
+            pass  # relaxed as invalid, unevaluated
         elif ctx.cache.get(edge) is not None:
             ctx.relax(edge, ctx.evaluate(edge, wid), wid)  # a hit, still logged
         else:
@@ -151,7 +161,7 @@ def _land(ctx: EpisodeContext, wait: bool) -> None:
                     ctx.worker_error = result
             elif ctx.worker_error is None:
                 ctx.log(EVENT_EVAL_END, wid, edge, ctx.nodes[edge.state].g)
-                ctx.relax(edge, ctx.cache.store(edge, result), wid)
+                ctx.relax(edge, ctx.cache.store(ctx.domain, edge, result), wid)
             item = ctx.done.get_nowait()
     except queue.Empty:
         pass

@@ -352,6 +352,8 @@ class GridPlanningProblem(SearchDomain):
         self._goal = self.state_of(self.goal_xy)
         self.start = self.state_of((int(start[0]), int(start[1])))
         self._action_ids = tuple(range(len(DIRECTIONS)))
+        self._steps = tuple(step for _, step, _, _ in world._moves)
+        self._n_anchors = world._ph * world._pw
 
     def state_of(self, xy: tuple[int, int]) -> int:
         """The handle of an on-map anchor; the inverse of :meth:`coord_of`."""
@@ -366,6 +368,12 @@ class GridPlanningProblem(SearchDomain):
 
     def evaluate(self, state: int, action: int) -> SuccessorOutcome:
         return self.world.evaluate_anchor(state, action)
+
+    def successor_if_valid(self, state: int, action: int) -> int | None:
+        """The anchor plus the action's flat step, which a valid move never
+        wraps into another row; None when that index is off the raster."""
+        j = state + self._steps[action]
+        return j if 0 <= j < self._n_anchors else None
 
     def heuristic(self, state: int) -> float:
         return self.world.heuristic_between(self.coord_of(state), self.goal_xy)

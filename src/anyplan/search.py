@@ -10,8 +10,8 @@ import time
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple
 
-from .domain import (DUMMY_ACTION, Edge, EdgeCache, Path, SearchDomain, SuccessorOutcome,
-                     checked_heuristic)
+from .domain import (DUMMY_ACTION, INVALID_OUTCOME, Edge, EdgeCache, Path, SearchDomain,
+                     SuccessorOutcome, checked_heuristic)
 from .structures import INF, OpenQueue, SearchNode, edge_priority
 
 EVENT_DUMMY_EXPAND = "dummy_expand"
@@ -169,6 +169,26 @@ class SearchState:
             if s not in self.be:
                 raise EngineInvariantError(f"state {s} completed while not in BE")
             self._close(s, node, worker)
+
+    def skip_if_useless(self, edge: Edge, worker: int) -> bool:
+        """Relax a popped real edge (s, a) as invalid, without evaluating it,
+        when it provably cannot lower its target's g, and say whether it did.
+        It cannot when the domain names the state t it reaches if valid
+        (``successor_if_valid``) and g(t) <= g(s) + pairwise_heuristic(s, t):
+        the heuristic lower-bounds the edge's cost, and an invalid edge
+        lowers nothing.  Nothing is cached, so a later pass that lowers g(s)
+        tests the edge again.  Both drivers call it on each popped real edge
+        before the edge cache, so a one-worker engine replays the serial
+        search."""
+        s, a = edge
+        t = self.domain.successor_if_valid(s, a)
+        if t is None:
+            return False
+        succ = self.nodes.get(t)
+        if succ is None or succ.g > self.nodes[s].g + self.domain.pairwise_heuristic(s, t):
+            return False
+        self.relax(edge, INVALID_OUTCOME, worker)
+        return True
 
     def _close(self, state: int, node: SearchNode, worker: int) -> None:
         self.be.discard(state)
