@@ -151,8 +151,9 @@ class EdgeCache:
     Guarantees at most one domain evaluation per distinct edge per episode.
     :meth:`store` checks each new outcome against the domain contract once
     (:func:`checked_outcome`, and the successor the domain named for the
-    edge), raising :class:`DomainError` before it is kept.  In the engine only the coordinator calls it: it stores each
-    worker's outcome when it lands.
+    edge), raising :class:`DomainError` before it is kept.  In the engine
+    only the coordinator calls it: it stores each worker's outcome when it
+    lands.
     """
 
     def __init__(self) -> None:

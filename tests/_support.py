@@ -73,7 +73,8 @@ def random_obstacle_map_text(width: int, height: int, density: float, seed: int)
 
 class ToyGraphDomain(SearchDomain):
     """Explicit graph: states are small ints placed at 2D coordinates, the
-    heuristics are euclidean over those coordinates."""
+    heuristics are euclidean over those coordinates.  Each edge names its
+    successor before it is evaluated (``successor_if_valid``)."""
 
     def __init__(self, coords: dict[int, tuple[float, float]],
                  edges: dict[int, list[tuple[int, float]]],
@@ -90,6 +91,9 @@ class ToyGraphDomain(SearchDomain):
         if succ is None:
             return INVALID_OUTCOME
         return SuccessorOutcome(True, succ, cost)
+
+    def successor_if_valid(self, state, action):
+        return self.edges[state][action][0]
 
     def heuristic(self, state):
         if not self.goals:
@@ -131,7 +135,8 @@ class StarDomain(SearchDomain):
 
 
 class CountingDomain(SearchDomain):
-    """Wraps a domain and counts evaluate() invocations (thread safe)."""
+    """Wraps a domain and counts evaluate() invocations (thread safe); every
+    other method is the inner domain's."""
 
     def __init__(self, inner: SearchDomain, delay: float = 0.0):
         self.inner = inner
@@ -151,6 +156,9 @@ class CountingDomain(SearchDomain):
         if self.delay:
             time.sleep(self.delay)
         return self.inner.evaluate(state, action)
+
+    def successor_if_valid(self, state, action):
+        return self.inner.successor_if_valid(state, action)
 
     def heuristic(self, state):
         return self.inner.heuristic(state)

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,7 +18,8 @@ from anyplan.domain import (
     SuccessorOutcome,
 )
 from anyplan.engine import EngineInvariantError, EpisodeContext
-from anyplan.grid2d import sample_start_goal_pairs
+from anyplan.grid2d import (CostModel, GridDomainConfig, GridPlanningProblem, GridWorld,
+                            load_map, sample_start_goal_pairs)
 from anyplan.search import SearchState, backtrack
 
 from _support import (
@@ -36,6 +38,8 @@ from _support import (
     random_obstacle_map_text,
     rewalk_cost,
 )
+
+MAPS_DIR = Path(__file__).resolve().parents[1] / "maps"
 
 
 def test_start_equals_goal_zero_length_path():
@@ -179,19 +183,35 @@ def test_eight_workers_land_every_completion_under_fast_thread_switching():
     assert_no_leaked_workers()
 
 
-def test_the_audit_names_a_closed_state_that_never_leaves_be():
-    # a seeded fault: closing a state no longer takes it out of BE.  The hub
-    # closes first, once its last spoke edge is relaxed.  Left in BE, it
-    # keeps every spoke from passing the independence check, so without the
-    # audit the plan waits out its budget
-    def close_but_keep_in_be(self, state, node, worker):
-        self.closed.add(state)
+def close_but_keep_in_be(self, state, node, worker):
+    """A seeded fault for ``SearchState._close``: closing a state no longer
+    takes it out of BE."""
+    self.closed.add(state)
 
+
+def test_the_audit_names_a_closed_state_that_never_leaves_be():
+    # the hub closes first, once its last spoke edge is relaxed.  Left in
+    # BE, it keeps every spoke from passing the independence check
     with mock.patch.object(SearchState, "_close", close_but_keep_in_be):
         with pytest.raises(EngineInvariantError,
                            match=r"^states \[0\] in BE and CLOSED at once$"):
             audited_plan(PlannerConfig(w0=1.0, n_threads=2, time_budget=2.0),
                          StarDomain(8), 0)
+    assert_no_leaked_workers()
+
+
+def test_a_pass_that_cannot_progress_is_a_named_error():
+    # the same fault through the plain plan: no spoke can pass the
+    # independence check and nothing is in flight, so the pass names the
+    # stall at once instead of waiting out its budget
+    budget = 2.0
+    t0 = time.monotonic()
+    with mock.patch.object(SearchState, "_close", close_but_keep_in_be):
+        with pytest.raises(EngineInvariantError,
+                           match=r"^no edge of OPEN \(8 edges\) is independent and no"
+                                 r" evaluation is in flight; BE \[0\]$"):
+            plan(PlannerConfig(w0=1.0, n_threads=2, time_budget=budget), StarDomain(8), 0)
+    assert time.monotonic() - t0 < budget / 4
     assert_no_leaked_workers()
 
 
@@ -542,3 +562,82 @@ def test_a_rejected_cost_with_evaluations_in_flight_is_named_and_stops_every_wor
     with pytest.raises(DomainError, match=r"Edge\(state=0, action=5\): cost nan"):
         plan(PlannerConfig(w0=1.0, n_threads=4), NanSpoke(16, delay=0.02), 0)
     assert_no_leaked_workers()
+
+
+class LyingHint(ToyGraphDomain):
+    """0 -> 1 -> 3 and 0 -> 2 -> 3, but ``successor_if_valid`` names 3 for
+    edge (0, 1), which reaches 2."""
+
+    def __init__(self):
+        coords = {0: (0.0, 0.0), 1: (1.0, 1.0), 2: (1.0, -1.0), 3: (2.0, 0.0)}
+        super().__init__(coords, {0: [(1, 2.0), (2, 2.0)], 1: [(3, 2.0)], 2: [(3, 2.0)],
+                                  3: []}, goals={3})
+
+    def successor_if_valid(self, state, action):
+        return 3 if (state, action) == (0, 1) else super().successor_if_valid(state, action)
+
+
+@pytest.mark.parametrize("driver,n_threads", [(plan, 1), (plan, 2), (ara_star, 1)])
+def test_a_valid_outcome_that_is_not_the_named_successor_is_a_domain_error(driver, n_threads):
+    # a wrong name would make skipping the edge unsound, so the edge cache
+    # rejects it where it stores the outcome
+    with pytest.raises(DomainError, match=r"^edge Edge\(state=0, action=1\): successor 2 is"
+                                          r" not 3, the one successor_if_valid names$"):
+        driver(PlannerConfig(w0=1.0, n_threads=n_threads), LyingHint(), 0)
+    assert_no_leaked_workers()
+
+
+class UnnamedSuccessors(GridPlanningProblem):
+    """A grid problem that names no successor before evaluating an edge, so
+    the search evaluates every real edge it pops."""
+
+    def successor_if_valid(self, state, action):
+        return None
+
+
+@pytest.mark.parametrize("map_file,footprint,move,w0,delta_w", [
+    ("maze128.map", 8, 12, 1.0, 0.5),  # the C07 set's longest pair, one pass
+    ("open64.map", 2, 3, 50.0, 5.0),  # eleven passes, four better costs
+])
+def test_skipping_useless_edges_changes_only_the_evaluations(map_file, footprint, move,
+                                                             w0, delta_w, monkeypatch):
+    world = GridWorld(load_map(MAPS_DIR / map_file),
+                      GridDomainConfig(footprint_side=footprint, move_length=move),
+                      CostModel("random_factor", rng_seed=5))
+    start, goal = max(sample_start_goal_pairs(world, 20, seed=5),
+                      key=lambda p: math.dist(*p))
+    cfg = PlannerConfig(w0=w0, delta_w=delta_w)
+    unnamed = UnnamedSuccessors(world, start, goal)
+    full = plan(cfg, unnamed, unnamed.start)
+
+    skipped = []
+    skip_if_useless = SearchState.skip_if_useless
+
+    def recording(self, edge, worker):
+        g = self.nodes[edge.state].g
+        if skip_if_useless(self, edge, worker):
+            skipped.append((edge, g))
+            return True
+        return False
+
+    monkeypatch.setattr(SearchState, "skip_if_useless", recording)
+    problem = GridPlanningProblem(world, start, goal)
+    pruned = plan(cfg, problem, problem.start)
+
+    def records(result):
+        return [(r.cost, r.bound_lambda, r.iteration_index) for r in result.records]
+
+    assert pruned.status == full.status == "proved_optimal"
+    assert records(pruned) == records(full)
+    final_g = {s: node.g for s, node in pruned.context.nodes.items()}
+    assert final_g == {s: node.g for s, node in full.context.nodes.items()}
+    assert pruned.context.cache.misses < full.context.cache.misses
+    # evaluated now, no skipped edge could have lowered its target's final g
+    # from the g its source had when it was skipped
+    valid = 0
+    for edge, g in skipped:
+        outcome = problem.evaluate(*edge)
+        if outcome.valid:
+            valid += 1
+            assert final_g[outcome.successor] <= g + outcome.cost
+    assert valid > 0
