@@ -47,7 +47,8 @@ INVALID_OUTCOME = SuccessorOutcome(False)
 class DomainError(Exception):
     """The planner rejected a value a domain gave it: a valid outcome whose
     cost is not finite and non-negative, whose successor is not an int
-    state handle or is not the one ``successor_if_valid`` named, or a
+    state handle, or which is not the outcome ``outcome_if_valid`` named;
+    a named outcome that is not valid or fails the same check; or a
     heuristic that is negative or NaN."""
 
 
@@ -81,14 +82,14 @@ class SearchDomain(ABC):
     def is_goal(self, state: int) -> bool:
         """Whether ``state`` lies in the goal region."""
 
-    def successor_if_valid(self, state: int, action: int) -> int | None:
-        """The state edge (state, action) reaches if it is valid, when the
-        domain knows it without evaluating the edge; None (the default)
-        when it does not.  Validity stays unknown until ``evaluate``.  The
-        search skips evaluating a popped edge whose named successor t
-        already has g(t) <= g(state) + pairwise_heuristic(state, t), which
-        relies on ``pairwise_heuristic`` lower-bounding the edge's cost.
-        A valid outcome that reaches another state is a DomainError."""
+    def outcome_if_valid(self, state: int, action: int) -> SuccessorOutcome | None:
+        """The outcome edge (state, action) has if it is valid, successor and
+        cost, when the domain knows it without the expensive part of
+        ``evaluate``; None (the default) when it does not.  Validity stays
+        unknown until ``evaluate``.  The search skips evaluating a popped
+        edge whose named outcome would lower no g.  A named outcome that is
+        not valid, or is not a valid outcome's, is a DomainError; so is a
+        valid outcome that differs from the named one."""
         return None
 
 
@@ -150,7 +151,7 @@ class EdgeCache:
 
     Guarantees at most one domain evaluation per distinct edge per episode.
     :meth:`store` checks each new outcome against the domain contract once
-    (:func:`checked_outcome`, and the successor the domain named for the
+    (:func:`checked_outcome`, and the outcome the domain named for the
     edge), raising :class:`DomainError` before it is kept.  In the engine
     only the coordinator calls it: it stores each worker's outcome when it
     lands.
@@ -177,15 +178,17 @@ class EdgeCache:
     def store(self, domain: SearchDomain, edge: Edge,
               outcome: SuccessorOutcome) -> SuccessorOutcome:
         """Check a new outcome against the domain contract
-        (:func:`checked_outcome`) and against the successor
-        ``domain.successor_if_valid`` names for the edge, and keep it."""
+        (:func:`checked_outcome`) and against the outcome
+        ``domain.outcome_if_valid`` names for the edge, and keep it."""
         state, action = edge
         checked_outcome(state, action, outcome)
         if outcome.valid:
-            named = domain.successor_if_valid(state, action)
-            if named is not None and named != outcome.successor:
-                raise DomainError(f"edge {edge}: successor {outcome.successor} is not"
-                                  f" {named}, the one successor_if_valid names")
+            named = domain.outcome_if_valid(state, action)
+            if named is not None and named != outcome:
+                raise DomainError(f"edge {edge}: successor {outcome.successor} at cost"
+                                  f" {outcome.cost!r} is not successor {named.successor}"
+                                  f" at cost {named.cost!r}, the outcome outcome_if_valid"
+                                  " names")
         self._data[edge] = outcome
         return outcome
 

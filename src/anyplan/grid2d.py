@@ -303,16 +303,23 @@ class GridWorld:
     def evaluate_anchor(self, i: int, action: int) -> SuccessorOutcome:
         """Evaluate one move from the anchor with raster index ``i``
         (``y * pw + x``), sleeping eval_delay first to simulate a slow edge.
-        A valid outcome's successor is the target's raster index, and its
-        cost is the move's euclidean length, scaled under ``random_factor``
-        by the mean of the factors at its two ends.  An index off the
+        A valid move's outcome is :meth:`valid_outcome`.  An index off the
         placement grid has no valid move.  Pure given (map, config, cost
         model)."""
         if self.config.eval_delay > 0:
             time.sleep(self.config.eval_delay)
-        table, step, _, length = self._moves[action]
+        table = self._moves[action][0]
         if not (0 <= i < len(table) and table[i]):
             return INVALID_OUTCOME
+        return self.valid_outcome(i, action)
+
+    def valid_outcome(self, i: int, action: int) -> SuccessorOutcome:
+        """The outcome the move from anchor ``i`` has if it is valid, with
+        no collision check and no delay: target ``i`` plus the action's flat
+        step, at its euclidean length, scaled under ``random_factor`` by the
+        mean of the factors at its two ends.  Both ends must be on the
+        raster."""
+        _, step, _, length = self._moves[action]
         j = i + step
         f = self._anchor_factors
         return SuccessorOutcome(True, j, length if f is None else length * (f[i] + f[j]) / 2.0)
@@ -369,11 +376,16 @@ class GridPlanningProblem(SearchDomain):
     def evaluate(self, state: int, action: int) -> SuccessorOutcome:
         return self.world.evaluate_anchor(state, action)
 
-    def successor_if_valid(self, state: int, action: int) -> int | None:
-        """The anchor plus the action's flat step, which a valid move never
-        wraps into another row; None when that index is off the raster."""
-        j = state + self._steps[action]
-        return j if 0 <= j < self._n_anchors else None
+    def outcome_if_valid(self, state: int, action: int) -> SuccessorOutcome | None:
+        """The move's outcome if valid (:meth:`GridWorld.valid_outcome`),
+        priced from its two ends without the collision check or the delay;
+        None when either end is off the raster.  A valid move's target,
+        the anchor plus the action's flat step, never wraps into another
+        row."""
+        n = self._n_anchors
+        if not (0 <= state < n and 0 <= state + self._steps[action] < n):
+            return None
+        return self.world.valid_outcome(state, action)
 
     def heuristic(self, state: int) -> float:
         return self.world.heuristic_between(self.coord_of(state), self.goal_xy)

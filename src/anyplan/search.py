@@ -10,8 +10,8 @@ import time
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple
 
-from .domain import (DUMMY_ACTION, INVALID_OUTCOME, Edge, EdgeCache, Path, SearchDomain,
-                     SuccessorOutcome, checked_heuristic)
+from .domain import (DUMMY_ACTION, INVALID_OUTCOME, DomainError, Edge, EdgeCache, Path,
+                     SearchDomain, SuccessorOutcome, checked_heuristic, checked_outcome)
 from .structures import INF, OpenQueue, SearchNode, edge_priority
 
 EVENT_DUMMY_EXPAND = "dummy_expand"
@@ -173,19 +173,25 @@ class SearchState:
     def skip_if_useless(self, edge: Edge, worker: int) -> bool:
         """Relax a popped real edge (s, a) as invalid, without evaluating it,
         when it provably cannot lower its target's g, and say whether it did.
-        It cannot when the domain names the state t it reaches if valid
-        (``successor_if_valid``) and g(t) <= g(s) + pairwise_heuristic(s, t):
-        the heuristic lower-bounds the edge's cost, and an invalid edge
-        lowers nothing.  Nothing is cached, so a later pass that lowers g(s)
-        tests the edge again.  Both drivers call it on each popped real edge
-        before the edge cache, so a one-worker engine replays the serial
-        search."""
+        It cannot when the domain names the outcome the edge has if valid
+        (``outcome_if_valid``), its target t has a node, and g(t) <= g(s) +
+        the named cost: relaxing the named outcome would lower nothing, and
+        an invalid edge lowers nothing either.  A named outcome that is not
+        valid, or fails :func:`checked_outcome`, is a :class:`DomainError`
+        naming the edge, since a skipped edge is never evaluated and so
+        never checked where it is stored.  Nothing is cached, so a later
+        pass that lowers g(s) tests the edge again.  Both drivers call it
+        on each popped real edge before the edge cache, so a one-worker
+        engine replays the serial search."""
         s, a = edge
-        t = self.domain.successor_if_valid(s, a)
-        if t is None:
+        named = self.domain.outcome_if_valid(s, a)
+        if named is None:
             return False
-        succ = self.nodes.get(t)
-        if succ is None or succ.g > self.nodes[s].g + self.domain.pairwise_heuristic(s, t):
+        if not named.valid:
+            raise DomainError(f"edge {edge}: outcome_if_valid names an invalid outcome")
+        checked_outcome(s, a, named)
+        succ = self.nodes.get(named.successor)
+        if succ is None or succ.g > self.nodes[s].g + named.cost:
             return False
         self.relax(edge, INVALID_OUTCOME, worker)
         return True

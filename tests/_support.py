@@ -73,8 +73,8 @@ def random_obstacle_map_text(width: int, height: int, density: float, seed: int)
 
 class ToyGraphDomain(SearchDomain):
     """Explicit graph: states are small ints placed at 2D coordinates, the
-    heuristics are euclidean over those coordinates.  Each edge names its
-    successor before it is evaluated (``successor_if_valid``)."""
+    heuristics are euclidean over those coordinates.  Each valid edge names
+    its outcome before it is evaluated (``outcome_if_valid``)."""
 
     def __init__(self, coords: dict[int, tuple[float, float]],
                  edges: dict[int, list[tuple[int, float]]],
@@ -92,8 +92,9 @@ class ToyGraphDomain(SearchDomain):
             return INVALID_OUTCOME
         return SuccessorOutcome(True, succ, cost)
 
-    def successor_if_valid(self, state, action):
-        return self.edges[state][action][0]
+    def outcome_if_valid(self, state, action):
+        succ, cost = self.edges[state][action]
+        return None if succ is None else SuccessorOutcome(True, succ, cost)
 
     def heuristic(self, state):
         if not self.goals:
@@ -157,8 +158,8 @@ class CountingDomain(SearchDomain):
             time.sleep(self.delay)
         return self.inner.evaluate(state, action)
 
-    def successor_if_valid(self, state, action):
-        return self.inner.successor_if_valid(state, action)
+    def outcome_if_valid(self, state, action):
+        return self.inner.outcome_if_valid(state, action)
 
     def heuristic(self, state):
         return self.inner.heuristic(state)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from anyplan.domain import INVALID_OUTCOME, SuccessorOutcome
 from anyplan.grid2d import (
+    COST_KINDS,
     DIRECTIONS,
     CostModel,
     GridDomainConfig,
@@ -503,25 +504,28 @@ def test_problem_evaluate_equals_evaluate_move_on_every_anchor_randomized():
     assert valid > 1000
 
 
+@pytest.mark.parametrize("cost", COST_KINDS)
 @pytest.mark.parametrize("step", [1, 3])
-def test_the_named_successor_is_where_each_valid_move_lands(step):
+def test_the_named_outcome_is_each_valid_moves_outcome(step, cost):
     world = GridWorld(load_map(MAPS_DIR / "maze64.map"),
-                      GridDomainConfig(footprint_side=2, move_length=4, collision_step=step))
+                      GridDomainConfig(footprint_side=2, move_length=4, collision_step=step),
+                      CostModel(cost, rng_seed=5))
     problem = GridPlanningProblem(world, *free_anchors(world)[:2])
     n = world.placement_ok.size
     valid = 0
     for i in range(n):
         for a in range(8):
-            named = problem.successor_if_valid(i, a)
-            assert named is None or 0 <= named < n
+            named = problem.outcome_if_valid(i, a)
+            assert named is None or (named.valid and 0 <= named.successor < n)
             outcome = problem.evaluate(i, a)
             if outcome.valid:
-                assert named == outcome.successor, (i, a)
+                # exact: the cost is compared with == on the float
+                assert named == outcome and type(named.cost) is float, (i, a)
                 valid += 1
     assert valid > 1000
     # off the raster: north of the first anchor, south of the last
-    assert problem.successor_if_valid(0, 0) is None
-    assert problem.successor_if_valid(n - 1, 4) is None
+    assert problem.outcome_if_valid(0, 0) is None
+    assert problem.outcome_if_valid(n - 1, 4) is None
 
 
 def test_an_invalid_move_on_a_delayed_world_still_takes_the_delay():
