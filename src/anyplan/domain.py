@@ -88,8 +88,9 @@ class SearchDomain(ABC):
         ``evaluate``; None (the default) when it does not.  Validity stays
         unknown until ``evaluate``.  The search skips evaluating a popped
         edge whose named outcome would lower no g.  A named outcome that is
-        not valid, or is not a valid outcome's, is a DomainError; so is a
-        valid outcome that differs from the named one."""
+        not valid or fails :func:`checked_outcome` is a DomainError; so is
+        a valid outcome that differs from the named one in successor or
+        cost."""
         return None
 
 

@@ -521,6 +521,20 @@ def test_cli_run_and_aggregate(tmp_path):
     assert (out2 / "table1.csv").read_bytes() == (out_dir / "table1.csv").read_bytes()
 
 
+def test_the_committed_results_re_aggregate_byte_for_byte(tmp_path):
+    # RESULTS.md reads results/; every file there must be what aggregating
+    # its own runs.ndjson writes
+    from anyplan.cli import main
+
+    results = ROOT / "results"
+    assert main(["aggregate", "--runs", str(results / "runs.ndjson"),
+                 "--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in results.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (results / name).read_bytes(), name
+
+
 def test_cli_aggregate_of_runs_that_cannot_be_paired_exits_2(tmp_path, capsys):
     from anyplan.cli import main
 

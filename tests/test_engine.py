@@ -566,70 +566,48 @@ def test_a_rejected_cost_with_evaluations_in_flight_is_named_and_stops_every_wor
 
 
 class LyingHint(ToyGraphDomain):
-    """0 -> 1 -> 3 and 0 -> 2 -> 3, but ``outcome_if_valid`` names 3 for
-    edge (0, 1), which reaches 2."""
+    """0 -> 1 -> 3 and 0 -> 2 -> 3, each edge at cost 2.0, but
+    ``outcome_if_valid`` names ``named`` for edge (0, 1), which reaches 2."""
 
-    def __init__(self):
+    def __init__(self, named):
         coords = {0: (0.0, 0.0), 1: (1.0, 1.0), 2: (1.0, -1.0), 3: (2.0, 0.0)}
         super().__init__(coords, {0: [(1, 2.0), (2, 2.0)], 1: [(3, 2.0)], 2: [(3, 2.0)],
                                   3: []}, goals={3})
+        self.named = named
 
     def outcome_if_valid(self, state, action):
         if (state, action) == (0, 1):
-            return SuccessorOutcome(True, 3, 2.0)
+            return self.named
         return super().outcome_if_valid(state, action)
 
 
-class LyingCost(LyingHint):
-    """As :class:`LyingHint`, but edge (0, 1) is named at its own successor
-    2 and at cost 1.0, where it costs 2.0."""
-
-    def outcome_if_valid(self, state, action):
-        if (state, action) == (0, 1):
-            return SuccessorOutcome(True, 2, 1.0)
-        return ToyGraphDomain.outcome_if_valid(self, state, action)
-
-
-@pytest.mark.parametrize("domain,found,named", [
-    (LyingHint, "successor 2 at cost 2.0", "successor 3 at cost 2.0"),
-    (LyingCost, "successor 2 at cost 2.0", "successor 2 at cost 1.0"),
+@pytest.mark.parametrize("named,what", [
+    (SuccessorOutcome(True, 3, 2.0), "successor 3 at cost 2.0"),  # another state
+    (SuccessorOutcome(True, 2, 1.0), "successor 2 at cost 1.0"),  # another cost
 ])
 @pytest.mark.parametrize("driver,n_threads", [(plan, 1), (plan, 2), (ara_star, 1)])
 def test_a_valid_outcome_that_is_not_the_named_outcome_is_a_domain_error(
-        domain, found, named, driver, n_threads):
+        named, what, driver, n_threads):
     # a wrong name would make skipping the edge unsound, so the edge cache
     # rejects it where it stores the outcome
-    with pytest.raises(DomainError, match=rf"^edge Edge\(state=0, action=1\): {found} is"
-                                          rf" not {named}, the outcome outcome_if_valid"
-                                          r" names$"):
-        driver(PlannerConfig(w0=1.0, n_threads=n_threads), domain(), 0)
+    with pytest.raises(DomainError, match=r"^edge Edge\(state=0, action=1\): successor 2 at"
+                                          rf" cost 2.0 is not {what}, the outcome"
+                                          r" outcome_if_valid names$"):
+        driver(PlannerConfig(w0=1.0, n_threads=n_threads), LyingHint(named), 0)
     assert_no_leaked_workers()
 
 
-class BadName(LyingHint):
-    """As :class:`LyingHint`, but edge (0, 1) is named with the outcome
-    ``bad``, which no valid edge can have; the edge itself is sound."""
-
-    def __init__(self, bad):
-        super().__init__()
-        self.bad = bad
-
-    def outcome_if_valid(self, state, action):
-        if (state, action) == (0, 1):
-            return self.bad
-        return ToyGraphDomain.outcome_if_valid(self, state, action)
-
-
-@pytest.mark.parametrize("bad,what", [
+@pytest.mark.parametrize("named,what", [
     (SuccessorOutcome(True, 2, math.nan), "cost nan is not finite and >= 0"),
     (SuccessorOutcome(True, 2, -1.0), "cost -1.0 is not finite and >= 0"),
     (INVALID_OUTCOME, "outcome_if_valid names an invalid outcome"),
 ])
 @pytest.mark.parametrize("driver,n_threads", [(plan, 1), (plan, 2), (ara_star, 1)])
-def test_a_named_outcome_outside_the_contract_is_a_domain_error(bad, what, driver, n_threads):
+def test_a_named_outcome_outside_the_contract_is_a_domain_error(named, what, driver,
+                                                                n_threads):
     # a skipped edge is never evaluated, so the skip checks the name itself:
     # a negative cost would skip edges unsoundly, a NaN one would never skip
-    counting = CountingDomain(BadName(bad))
+    counting = CountingDomain(LyingHint(named))
     with pytest.raises(DomainError, match=rf"^edge Edge\(state=0, action=1\): {what}$"):
         driver(PlannerConfig(w0=1.0, n_threads=n_threads), counting, 0)
     assert (0, 1) not in counting.calls_by_edge
