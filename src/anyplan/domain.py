@@ -64,7 +64,10 @@ class SearchDomain(ABC):
 
     @abstractmethod
     def actions(self, state: int) -> Sequence[int]:
-        """Ordered action ids applicable at ``state`` (dummy excluded)."""
+        """Ordered action ids applicable at ``state`` (dummy excluded).
+        Every listed edge costs an ``evaluate``, so a move the domain knows
+        is invalid without its expensive check (one leaving the map, say)
+        should not be listed."""
 
     @abstractmethod
     def evaluate(self, state: int, action: int) -> SuccessorOutcome:

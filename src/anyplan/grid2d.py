@@ -33,6 +33,17 @@ DIRECTIONS: tuple[tuple[int, int], ...] = (
     (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1),
 )
 
+#: The actions whose target stays on the raster, indexed by a 4-bit mask of
+#: the raster borders within one move of the anchor: bit 0 north, bit 1
+#: east, bit 2 south, bit 3 west (the order of ``DIRECTIONS[::2]``).  A move
+#: is dropped when it steps toward a border in the mask.
+ON_RASTER_ACTIONS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(a for a, (dx, dy) in enumerate(DIRECTIONS)
+          if not any(mask >> bit & 1 and dx * bx + dy * by > 0
+                     for bit, (bx, by) in enumerate(DIRECTIONS[::2])))
+    for mask in range(16)
+)
+
 COST_KINDS = ("euclidean", "random_factor")
 
 
@@ -344,8 +355,11 @@ class GridPlanningProblem(SearchDomain):
     """One start/goal query on a :class:`GridWorld`.
 
     A state's handle is its anchor's raster index ``y * pw + x`` on the
-    placement grid (``pw`` placements per row).  The problem holds no
-    per-episode state, so one problem serves any number of episodes.
+    placement grid (``pw`` placements per row).  A state lists only the
+    moves whose target is on the raster (:data:`ON_RASTER_ACTIONS`): a move
+    off the raster is invalid from its coordinates alone, and a listed move
+    costs an evaluation.  The problem holds no per-episode state, so one
+    problem serves any number of episodes.
     """
 
     def __init__(self, world: GridWorld, start: tuple[int, int], goal: tuple[int, int]) -> None:
@@ -358,7 +372,8 @@ class GridPlanningProblem(SearchDomain):
         self.goal_xy = (int(goal[0]), int(goal[1]))
         self._goal = self.state_of(self.goal_xy)
         self.start = self.state_of((int(start[0]), int(start[1])))
-        self._action_ids = tuple(range(len(DIRECTIONS)))
+        self._ph = world._ph
+        self._move = world.config.move_length
         self._steps = tuple(step for _, step, _, _ in world._moves)
         self._n_anchors = world._ph * world._pw
 
@@ -371,7 +386,10 @@ class GridPlanningProblem(SearchDomain):
         return x, y
 
     def actions(self, state: int) -> Sequence[int]:
-        return self._action_ids
+        y, x = divmod(state, self._pw)
+        m = self._move
+        return ON_RASTER_ACTIONS[(y < m) | (x + m >= self._pw) << 1
+                                 | (y + m >= self._ph) << 2 | (x < m) << 3]
 
     def evaluate(self, state: int, action: int) -> SuccessorOutcome:
         return self.world.evaluate_anchor(state, action)

@@ -71,6 +71,15 @@ def random_obstacle_map_text(width: int, height: int, density: float, seed: int)
     return f"type octile\nheight {height}\nwidth {width}\nmap\n" + "\n".join(rows) + "\n"
 
 
+class AllMovesProblem(GridPlanningProblem):
+    """A grid problem that lists all eight moves at every state, those whose
+    target is off the raster too: the reference the on-raster action set
+    is checked against."""
+
+    def actions(self, state):
+        return tuple(range(len(DIRECTIONS)))
+
+
 class ToyGraphDomain(SearchDomain):
     """Explicit graph: states are small ints placed at 2D coordinates, the
     heuristics are euclidean over those coordinates.  Each valid edge names

@@ -11,6 +11,7 @@ from anyplan.domain import INVALID_OUTCOME, SuccessorOutcome
 from anyplan.grid2d import (
     COST_KINDS,
     DIRECTIONS,
+    ON_RASTER_ACTIONS,
     CostModel,
     GridDomainConfig,
     GridPlanningProblem,
@@ -25,6 +26,7 @@ from anyplan.grid2d import (
 )
 
 from _support import (
+    AllMovesProblem,
     all_pairs_optimal,
     audit_consistency,
     edge_cost,
@@ -382,6 +384,96 @@ def test_corner_moves_off_map_are_invalid():
     # N, NE, NW, W, SW all leave the map; E, SE, S remain
     valid_dirs = [i for i, (ok, _t, _c) in enumerate(outcomes) if ok]
     assert valid_dirs == [2, 3, 4]
+
+
+# -- the action set -----------------------------------------------------------
+
+def on_raster_moves(world, xy):
+    """The actions whose target, anchor + move x direction, is an anchor of
+    the placement raster, from the coordinates alone."""
+    ph, pw = world.placement_ok.shape
+    return tuple(a for a in range(len(DIRECTIONS))
+                 if 0 <= move_target(world, xy, a)[0] < pw
+                 and 0 <= move_target(world, xy, a)[1] < ph)
+
+
+@pytest.mark.parametrize("width,height,footprint,move", [
+    (1, 1, 1, 1),
+    (5, 4, 1, 1),
+    (9, 7, 2, 3),
+    (12, 12, 3, 4),
+    (6, 15, 2, 5),
+    (16, 10, 4, 4),
+    (4, 9, 2, 3),  # 3 anchors a row, narrower than one move
+])
+def test_a_state_lists_exactly_the_moves_whose_target_is_on_the_raster(width, height,
+                                                                      footprint, move):
+    # the listing reads the coordinates alone; obstacles only vary which
+    # listed moves are valid
+    world = make_world(random_obstacle_map_text(width, height, 0.1, seed=width * height),
+                       footprint=footprint, move=move, cost="random_factor", cost_seed=3)
+    ph, pw = world.placement_ok.shape
+    anchors = free_anchors(world)
+    problem = GridPlanningProblem(world, anchors[0], anchors[-1])
+    unlisted_any = 0
+    for y in range(ph):
+        for x in range(pw):
+            state = y * pw + x
+            listed = problem.actions(state)
+            assert listed == on_raster_moves(world, (x, y)), (x, y)
+            assert listed in ON_RASTER_ACTIONS
+            for a in set(range(len(DIRECTIONS))) - set(listed):
+                assert world.evaluate_anchor(state, a) == INVALID_OUTCOME, (x, y, a)
+                unlisted_any += 1
+    assert unlisted_any > 0
+
+
+def test_a_move_whose_flat_index_wraps_east_is_not_listed():
+    world = open_world(10, footprint=2, move=3)  # 9 x 9 anchors, all free
+    problem = GridPlanningProblem(world, (0, 0), (8, 8))
+    east = DIRECTIONS.index((1, 0))
+    state = problem.state_of((8, 4))
+    # three flat steps east of the last column is the free anchor (2, 5)
+    assert problem.coord_of(state + 3) == (2, 5) and world.placement_free(2, 5)
+    assert problem.actions(state) == (0, 4, 5, 6, 7)  # N, S, SW, W, NW
+    assert world.evaluate_anchor(state, east) == INVALID_OUTCOME
+
+
+def test_a_raster_narrower_than_one_move_lists_no_horizontal_move():
+    world = make_world(open_map_text(4, 12), footprint=2, move=3)  # 3 x 11 anchors
+    problem = GridPlanningProblem(world, (0, 0), (2, 10))
+    north, south = DIRECTIONS.index((0, -1)), DIRECTIONS.index((0, 1))
+    for y in range(11):
+        expected = tuple(a for a, ok in ((north, y >= 3), (south, y <= 7)) if ok)
+        assert [problem.actions(problem.state_of((x, y))) for x in range(3)] == [expected] * 3
+
+
+@pytest.mark.parametrize("w0,max_iterations", [(1.0, 1), (50.0, None)])
+def test_listing_only_on_raster_moves_changes_only_the_evaluations(w0, max_iterations):
+    from anyplan.baselines import ara_star, dijkstra_oracle
+    from anyplan.controller import PlannerConfig, plan
+
+    world = GridWorld(load_map(MAPS_DIR / "maze128.map"),
+                      GridDomainConfig(footprint_side=8, move_length=12),
+                      CostModel("random_factor", rng_seed=5))
+    cfg = PlannerConfig(w0=w0, delta_w=0.5, n_threads=1, max_iterations=max_iterations)
+
+    def records(result):
+        assert result.status == "proved_optimal"
+        return [(r.cost.hex(), r.bound_lambda, r.iteration_index, r.path.states)
+                for r in result.records]
+
+    # the three longest of the benchmark's pairs
+    for start, goal in sorted(sample_start_goal_pairs(world, 20, seed=5),
+                              key=lambda pair: math.dist(*pair))[-3:]:
+        listed = GridPlanningProblem(world, start, goal)
+        every = AllMovesProblem(world, start, goal)
+        assert (dijkstra_oracle(listed, listed.start).cost
+                == dijkstra_oracle(every, every.start).cost)
+        for driver in (plan, ara_star):
+            ours, reference = driver(cfg, listed, listed.start), driver(cfg, every, every.start)
+            assert records(ours) == records(reference), (start, goal, driver.__name__)
+            assert ours.context.cache.misses < reference.context.cache.misses
 
 
 def test_factor_map_golden_value_and_determinism():
