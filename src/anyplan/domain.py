@@ -79,7 +79,12 @@ class SearchDomain(ABC):
 
     @abstractmethod
     def pairwise_heuristic(self, a: int, b: int) -> float:
-        """Forward-backward consistent estimate of the cost from a to b."""
+        """A bound h(a, b) on the cost from a to b with h(a, a) = 0,
+        h(a, b) <= c*(a, b) (admissible) and h(a, b) <= h(a, c) + h(c, b)
+        (forward-backward consistent).  Only the independence filter reads
+        it, and only at more than one worker: a popped edge from s runs
+        beside s' when g(s) - g(s') <= eps * h(s', s), so a tighter bound
+        lets more popped edges run at once."""
 
     @abstractmethod
     def is_goal(self, state: int) -> bool:

@@ -172,7 +172,7 @@ class GridDomainConfig:
 @dataclass(frozen=True)
 class CostModel:
     """Edge-cost model: plain euclidean length, or length scaled by the mean
-    of a per-cell random factor in [1, 100] at the move's two endpoints."""
+    of a per-cell random factor in [1, 100) at the move's two endpoints."""
 
     kind: str = "euclidean"
     rng_seed: int = 0
@@ -183,7 +183,7 @@ class CostModel:
 
 
 def build_factor_map(seed: int, width: int, height: int) -> np.ndarray:
-    """Deterministic per-cell factors, uniform in [1, 100].
+    """Deterministic per-cell factors, uniform in [1, 100).
 
     Recipe (pinned for cross-run reproducibility): for the cell with
     row-major index i, mix z = seed + (i + 1) * 0x9E3779B97F4A7C15 through
@@ -335,6 +335,30 @@ class GridWorld:
         f = self._anchor_factors
         return SuccessorOutcome(True, j, length if f is None else length * (f[i] + f[j]) / 2.0)
 
+    def pairwise_bound(self, i: int, j: int) -> float:
+        """A lower bound on the cost of any path from anchor ``i`` to anchor
+        ``j`` (raster indices), consistent in the triangle sense: 0 when
+        ``i == j``, else the euclidean distance between them plus, under
+        ``random_factor``, ``m/2 * (f - 1)`` for the factor f at each end
+        (m the move length).
+
+        A path from i to j != i has a first and a last move, each at least m
+        long, and a move costs its length plus its half-length times
+        ``f - 1`` at each of its ends, with every factor >= 1.  Between two
+        bounds through a third anchor c the slack is ``m * (f[c] - 1)`` on
+        top of the euclidean triangle inequality.
+        """
+        if i == j:
+            return 0.0
+        pw = self._pw
+        yi, xi = divmod(i, pw)
+        yj, xj = divmod(j, pw)
+        d = math.hypot(xi - xj, yi - yj)
+        f = self._anchor_factors
+        if f is None:
+            return d
+        return d + self.config.move_length * (f[i] + f[j] - 2.0) / 2.0
+
     def evaluate_move(self, xy: tuple[int, int], action: int
                       ) -> tuple[bool, tuple[int, int] | None, float | None]:
         """:meth:`evaluate_anchor` on ``(x, y)`` coordinates."""
@@ -409,7 +433,7 @@ class GridPlanningProblem(SearchDomain):
         return self.world.heuristic_between(self.coord_of(state), self.goal_xy)
 
     def pairwise_heuristic(self, a: int, b: int) -> float:
-        return self.world.heuristic_between(self.coord_of(a), self.coord_of(b))
+        return self.world.pairwise_bound(a, b)
 
     def is_goal(self, state: int) -> bool:
         return state == self._goal

@@ -670,3 +670,46 @@ def test_skipping_useless_edges_changes_only_the_evaluations(map_file, footprint
             valid += 1
             assert final_g[outcome.successor] <= g + outcome.cost
     assert valid > 0
+
+
+def longest_maze_pairs(count):
+    """The perfbench maze workloads' instances without the edge delay:
+    maze128, footprint 8, move 12, cost seed 5, the ``count`` longest of 20
+    pairs sampled with seed 5."""
+    world = GridWorld(load_map(MAPS_DIR / "maze128.map"),
+                      GridDomainConfig(footprint_side=8, move_length=12),
+                      CostModel("random_factor", rng_seed=5))
+    pairs = sorted(sample_start_goal_pairs(world, 20, seed=5), key=lambda p: -math.dist(*p))
+    return world, pairs[:count]
+
+
+@pytest.mark.parametrize("n_threads", [2, 4])
+def test_one_pass_at_w1_on_the_maze_is_optimal_at_every_worker_count(n_threads):
+    # the independence check at eps = 1 rests on the grid's pairwise bound:
+    # an inadmissible or inconsistent one could let a worker run an edge
+    # early and the pass return a cost above the optimum
+    world, pairs = longest_maze_pairs(3)
+    cfg = PlannerConfig(w0=1.0, n_threads=n_threads, max_iterations=1)
+    for start, goal in pairs:
+        oracle = dijkstra_oracle(GridPlanningProblem(world, start, goal),
+                                 GridPlanningProblem(world, start, goal).start).cost
+        for _rep in range(10):
+            problem = GridPlanningProblem(world, start, goal)
+            result = plan(cfg, problem, problem.start)
+            assert result.status == "proved_optimal"
+            assert result.final_cost == pytest.approx(oracle, rel=1e-9), (start, goal)
+    assert_no_leaked_workers()
+
+
+def test_one_worker_never_reads_the_pairwise_heuristic(monkeypatch):
+    # one worker pops with eps = inf, so the pairwise bound cannot move a
+    # one-worker record
+    def refuse(self, a, b):
+        raise AssertionError(f"pairwise_heuristic({a}, {b}) read at one worker")
+
+    monkeypatch.setattr(GridPlanningProblem, "pairwise_heuristic", refuse)
+    world, [(start, goal)] = longest_maze_pairs(1)
+    for cfg in (PlannerConfig(w0=1.0, n_threads=1, max_iterations=1),
+                PlannerConfig(w0=50.0, delta_w=0.5, n_threads=1)):
+        problem = GridPlanningProblem(world, start, goal)
+        assert plan(cfg, problem, problem.start).status == "proved_optimal"

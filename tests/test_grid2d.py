@@ -733,6 +733,53 @@ def test_heuristic_admissible_all_pairs_8x8():
         assert problem.pairwise_heuristic(s, t) <= d + 1e-9
 
 
+@pytest.mark.parametrize("footprint", [1, 2])
+@pytest.mark.parametrize("move", [1, 3])
+@pytest.mark.parametrize("cost_seed", [3, 5, 11])
+def test_pairwise_bound_is_admissible_and_consistent_under_random_factor(cost_seed, move,
+                                                                        footprint):
+    world = make_world(random_obstacle_map_text(12, 12, 0.05, seed=cost_seed),
+                       footprint=footprint, move=move, cost="random_factor",
+                       cost_seed=cost_seed)
+    anchors = free_anchors(world)
+    problem = GridPlanningProblem(world, anchors[0], anchors[-1])
+    states = [problem.state_of(xy) for xy in anchors]
+    assert all(problem.pairwise_heuristic(s, s) == 0.0 for s in states)
+    optimal = all_pairs_optimal(problem, states)
+    assert len(optimal) > 5 * len(states)
+    for (s, t), d in optimal.items():
+        assert problem.pairwise_heuristic(s, t) <= d + 1e-9
+    # h(a, b) <= h(a, c) + h(c, b) over every triple, c on the middle axis
+    h = np.array([[problem.pairwise_heuristic(a, b) for b in states] for a in states])
+    assert (h[:, None, :] <= h[:, :, None] + h[None, :, :] + 1e-9).all()
+
+
+@pytest.mark.parametrize("cost", COST_KINDS)
+def test_pairwise_bound_is_the_cost_of_a_single_straight_move(cost):
+    world = open_world(9, footprint=2, move=3, cost=cost, cost_seed=5)
+    problem = GridPlanningProblem(world, (0, 0), (7, 7))
+    moves = 0
+    for i in range(world.placement_ok.size):
+        for action in (0, 2, 4, 6):  # N, E, S, W
+            outcome = world.evaluate_anchor(i, action)
+            if outcome.valid:
+                moves += 1
+                assert problem.pairwise_heuristic(i, outcome.successor) == pytest.approx(
+                    outcome.cost, rel=0, abs=1e-9)
+    assert moves == 4 * 5 * 8
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 11, 2**63 + 7])
+@pytest.mark.parametrize("width,height", [(1, 1), (7, 3), (64, 64), (128, 100)])
+def test_every_cost_factor_lies_in_one_to_a_hundred(seed, width, height):
+    # the pairwise bound is admissible only because every factor is >= 1
+    factors = build_factor_map(seed, width, height)
+    assert factors.shape == (height, width)
+    assert factors.min() >= 1.0 and factors.max() < 100.0
+    world = make_world(open_map_text(width, height), cost="random_factor", cost_seed=seed)
+    assert min(world._anchor_factors) >= 1.0
+
+
 def test_heuristic_consistent_under_random_factor_costs():
     world = open_world(12, move=3, cost="random_factor", cost_seed=11)
     problem = GridPlanningProblem(world, (0, 0), (9, 9))
