@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 from .controller import IterationStats, PlannerConfig, PlanResult, repair_passes, run_anytime
 from .domain import (
-    DUMMY_ACTION,
     Edge,
     Path,
     SearchDomain,
@@ -174,10 +173,7 @@ def ara_star(config: PlannerConfig, domain: SearchDomain, start: int, *,
             if not state.open:
                 return ImproveOutcome.EXHAUSTED
             edge = state.open.pop_min()
-            state.begin_expansion(edge, 0)
-            if edge.action == DUMMY_ACTION:
-                state.spill(edge.state, 0)
-            elif not state.skip_if_useless(edge, 0):
-                state.relax(edge, state.evaluate(edge, 0), 0)
+            if state.expand(edge, 0):
+                state.land(edge, domain.evaluate(edge.state, edge.action), 0)
 
     return run_anytime(config, repair_passes(state, improve), sink=sink, context=state)

@@ -97,16 +97,8 @@ class PlanResult:
         return self.context.events if self.context is not None else []
 
     @property
-    def unjustified_reexpansions(self) -> int:
-        return self.context.unjustified_reexpansions if self.context is not None else 0
-
-    @property
     def final_cost(self) -> float:
         return self.records[-1].cost if self.records else INF
-
-    @property
-    def published_costs(self) -> list[float]:
-        return [r.cost for r in self.records]
 
     @property
     def expansions_per_iteration(self) -> list[int]:

@@ -161,9 +161,10 @@ class EdgeCache:
     Guarantees at most one domain evaluation per distinct edge per episode.
     :meth:`store` checks each new outcome against the domain contract once
     (:func:`checked_outcome`, and the outcome the domain named for the
-    edge), raising :class:`DomainError` before it is kept.  In the engine
-    only the coordinator calls it: it stores each worker's outcome when it
-    lands.
+    edge), raising :class:`DomainError` before it is kept.  The cache
+    evaluates nothing: ``SearchState.expand`` reads it and counts its hits,
+    and ``SearchState.land`` stores each miss's outcome.  In the engine only
+    the coordinator calls it.
     """
 
     def __init__(self) -> None:
@@ -174,15 +175,6 @@ class EdgeCache:
     def misses(self) -> int:
         """Domain evaluations made for this episode: one per stored outcome."""
         return len(self._data)
-
-    def evaluate(self, domain: SearchDomain, edge: Edge) -> SuccessorOutcome:
-        if edge.action == DUMMY_ACTION:
-            raise ValueError("dummy edges are never evaluated")
-        cached = self._data.get(edge)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        return self.store(domain, edge, domain.evaluate(edge.state, edge.action))
 
     def store(self, domain: SearchDomain, edge: Edge,
               outcome: SuccessorOutcome) -> SuccessorOutcome:

@@ -3,13 +3,12 @@ evaluation-only workers.
 
 Only the coordinator, the thread in :func:`improve_path`, touches the
 episode: its :class:`~anyplan.search.SearchState`, edge cache and event log.
-It pops independent edges, spills dummy edges, relaxes edge-cache hits and
-skips edges that provably cannot lower a g (``SearchState.skip_if_useless``)
-itself, and hands each other edge to an idle worker, which calls
-``domain.evaluate`` and nothing else and puts the outcome on one completion
-queue.  The coordinator lands it: it stores it in the edge cache and relaxes
-it.  It pops only when an idle worker exists, so a popped edge never waits
-and ``n_threads=1`` replays the serial search.
+It pops independent edges and expands each with ``SearchState.expand``, as
+the serial search does.  It hands each edge-cache miss to an idle worker,
+which calls ``domain.evaluate`` and nothing else and puts the outcome on one
+completion queue, and lands the outcome with ``SearchState.land``.  It pops
+only when an idle worker exists, so a popped edge never waits and
+``n_threads=1`` replays the serial search.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .domain import DUMMY_ACTION, Edge, SearchDomain, SuccessorOutcome
-from .search import (EVENT_EVAL_END, EVENT_EVAL_START, EngineInvariantError,
-                     ImproveOutcome, SearchState)
+from .domain import Edge, SearchDomain, SuccessorOutcome
+from .search import EngineInvariantError, ImproveOutcome, SearchState
 from .structures import INF, pop_independent
 
 #: How long the coordinator waits for a completion before it re-checks the
@@ -109,14 +107,7 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
                     f" evaluation is in flight; BE {sorted(ctx.be)}")
             _land(ctx, wait=True)
             continue
-        ctx.begin_expansion(edge, wid)
-        if edge.action == DUMMY_ACTION:
-            ctx.spill(edge.state, wid)
-        elif ctx.skip_if_useless(edge, wid):
-            pass  # relaxed as invalid, unevaluated
-        elif ctx.cache.get(edge) is not None:
-            ctx.relax(edge, ctx.evaluate(edge, wid), wid)  # a hit, still logged
-        else:
+        if ctx.expand(edge, wid):
             _assign(ctx, wid, edge)
 
 
@@ -141,14 +132,13 @@ def _assign(ctx: EpisodeContext, wid: int, edge: Edge) -> None:
             target=_worker_loop, args=(ctx.domain, slot.inbox, ctx.done, wid),
             name=f"anyplan-worker-{wid}", daemon=True)
         slot.thread.start()
-    ctx.log(EVENT_EVAL_START, wid, edge, ctx.nodes[edge.state].g)
     slot.inbox.put(edge)
 
 
 def _land(ctx: EpisodeContext, wait: bool) -> None:
     """Land every completed evaluation already queued; with ``wait``, first
-    wait up to WAIT_SLICE for one.  An outcome is logged, checked and stored
-    in the edge cache (a rejected one raises at once) and relaxed.  A worker's
+    wait up to WAIT_SLICE for one.  An outcome is landed with
+    ``SearchState.land`` (a rejected one raises at once).  A worker's
     exception is kept in ``worker_error``; after it, landing only frees the
     slot, so the first error wins."""
     try:
@@ -160,8 +150,7 @@ def _land(ctx: EpisodeContext, wait: bool) -> None:
                 if ctx.worker_error is None:
                     ctx.worker_error = result
             elif ctx.worker_error is None:
-                ctx.log(EVENT_EVAL_END, wid, edge, ctx.nodes[edge.state].g)
-                ctx.relax(edge, ctx.cache.store(ctx.domain, edge, result), wid)
+                ctx.land(edge, result, wid)
             item = ctx.done.get_nowait()
     except queue.Empty:
         pass

@@ -350,14 +350,19 @@ class GridWorld:
         """
         if i == j:
             return 0.0
-        pw = self._pw
-        yi, xi = divmod(i, pw)
-        yj, xj = divmod(j, pw)
-        d = math.hypot(xi - xj, yi - yj)
+        d = self.distance(i, j)
         f = self._anchor_factors
         if f is None:
             return d
         return d + self.config.move_length * (f[i] + f[j] - 2.0) / 2.0
+
+    def distance(self, i: int, j: int) -> float:
+        """The euclidean distance between anchors ``i`` and ``j`` (raster
+        indices): the goal heuristic, and the first term of
+        :meth:`pairwise_bound`."""
+        yi, xi = divmod(i, self._pw)
+        yj, xj = divmod(j, self._pw)
+        return math.hypot(xi - xj, yi - yj)
 
     def evaluate_move(self, xy: tuple[int, int], action: int
                       ) -> tuple[bool, tuple[int, int] | None, float | None]:
@@ -370,9 +375,6 @@ class GridWorld:
             return False, None, None
         dx, dy = self._moves[action][2]
         return True, (x + dx, y + dy), out.cost
-
-    def heuristic_between(self, a: tuple[int, int], b: tuple[int, int]) -> float:
-        return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 class GridPlanningProblem(SearchDomain):
@@ -393,8 +395,7 @@ class GridPlanningProblem(SearchDomain):
             raise ValueError(f"goal {goal} is not a free footprint placement")
         self.world = world
         self._pw = world._pw
-        self.goal_xy = (int(goal[0]), int(goal[1]))
-        self._goal = self.state_of(self.goal_xy)
+        self._goal = self.state_of((int(goal[0]), int(goal[1])))
         self.start = self.state_of((int(start[0]), int(start[1])))
         self._ph = world._ph
         self._move = world.config.move_length
@@ -430,7 +431,7 @@ class GridPlanningProblem(SearchDomain):
         return self.world.valid_outcome(state, action)
 
     def heuristic(self, state: int) -> float:
-        return self.world.heuristic_between(self.coord_of(state), self.goal_xy)
+        return self.world.distance(state, self._goal)
 
     def pairwise_heuristic(self, a: int, b: int) -> float:
         return self.world.pairwise_bound(a, b)

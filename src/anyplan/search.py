@@ -1,8 +1,10 @@
 """The state of one repair search and every move of the edge-expansion
-discipline on it, without locks.  The serial repair search
-(``baselines.ara_star``) makes these moves from one thread.  So does the
-parallel engine: its coordinator owns the state, and its workers only call
-the domain's ``evaluate``."""
+discipline on it, without locks.  Both drivers expand a popped edge with
+:meth:`SearchState.expand` and land a cache miss's outcome with
+:meth:`SearchState.land`; they differ only in where the miss is evaluated.
+The serial repair search (``baselines.ara_star``) evaluates it inline.  The
+parallel engine's coordinator, which owns the state, hands it to a worker,
+which only calls the domain's ``evaluate``."""
 
 from __future__ import annotations
 
@@ -67,9 +69,6 @@ class SearchState:
         self.events: list[ExpansionEvent] = []
         self.iter_dummy_expansions = 0
         self.iter_real_expansions = 0
-        #: dummy expansions of a state whose g did not drop since its last
-        #: completed expansion (anytime-efficiency property; must stay 0)
-        self.unjustified_reexpansions = 0
 
         node = self.ensure_node(start)
         node.g = 0.0
@@ -95,16 +94,6 @@ class SearchState:
             time.monotonic_ns(), self.iteration, worker, edge.state,
             edge.action, g, g + self.w * h, kind))
 
-    def evaluate(self, edge: Edge, worker: int) -> SuccessorOutcome:
-        """Evaluate a real edge through the edge cache, logged.  The serial
-        search calls it for every real edge, the engine's coordinator for
-        each edge-cache hit; the engine's workers never call it."""
-        g = self.nodes[edge.state].g
-        self.log(EVENT_EVAL_START, worker, edge, g)
-        outcome = self.cache.evaluate(self.domain, edge)
-        self.log(EVENT_EVAL_END, worker, edge, g)
-        return outcome
-
     def begin_pass(self, index: int, w: float, eps: float) -> None:
         """Zero the pass counters and reopen CLOSED; the caller then folds
         INCON into OPEN and re-keys OPEN at ``w``."""
@@ -121,10 +110,6 @@ class SearchState:
         edge is relaxed, so the independence check sees it throughout."""
         node = self.nodes[edge.state]
         if edge.action == DUMMY_ACTION:
-            if node.g >= node.g_expanded:
-                self.unjustified_reexpansions += 1
-            node._g_expanded_prev = node.g_expanded
-            node.g_expanded = node.g
             self.be.add(edge.state)
             node.n_actions = len(self.domain.actions(edge.state))
             node.n_successors_generated = 0
@@ -134,6 +119,37 @@ class SearchState:
             self.iter_real_expansions += 1
         if node.g < self.goal_g() and self.domain.is_goal(edge.state):
             self.goal_found = edge.state
+
+    def expand(self, edge: Edge, worker: int) -> bool:
+        """Expand ``edge``, just popped off OPEN: the pop-time bookkeeping,
+        then spill a dummy edge, relax a real edge that cannot lower a g as
+        invalid (:meth:`skip_if_useless`), or relax an edge-cache hit.  A
+        real edge that is not skipped logs ``eval_start`` here.  Return True
+        only for an edge-cache miss: the caller evaluates it and hands the
+        outcome to :meth:`land`."""
+        self.begin_expansion(edge, worker)
+        if edge.action == DUMMY_ACTION:
+            self.spill(edge.state, worker)
+            return False
+        if self.skip_if_useless(edge, worker):
+            return False
+        g = self.nodes[edge.state].g
+        self.log(EVENT_EVAL_START, worker, edge, g)
+        outcome = self.cache.get(edge)
+        if outcome is None:
+            return True
+        self.cache.hits += 1
+        self.log(EVENT_EVAL_END, worker, edge, g)
+        self.relax(edge, outcome, worker)
+        return False
+
+    def land(self, edge: Edge, outcome: SuccessorOutcome, worker: int) -> None:
+        """Land the outcome of an edge :meth:`expand` found missing from the
+        edge cache: log ``eval_end``, check and store the outcome
+        (:meth:`EdgeCache.store`, which raises on a rejected one) and relax
+        it."""
+        self.log(EVENT_EVAL_END, worker, edge, self.nodes[edge.state].g)
+        self.relax(edge, self.cache.store(self.domain, edge, outcome), worker)
 
     def spill(self, state: int, worker: int) -> None:
         """Expand a dummy edge: put the state's real edges into OPEN at its
@@ -180,9 +196,8 @@ class SearchState:
         valid, or fails :func:`checked_outcome`, is a :class:`DomainError`
         naming the edge, since a skipped edge is never evaluated and so
         never checked where it is stored.  Nothing is cached, so a later
-        pass that lowers g(s) tests the edge again.  Both drivers call it
-        on each popped real edge before the edge cache, so a one-worker
-        engine replays the serial search."""
+        pass that lowers g(s) tests the edge again.  :meth:`expand` calls
+        it on each popped real edge before the edge cache."""
         s, a = edge
         named = self.domain.outcome_if_valid(s, a)
         if named is None:
@@ -207,8 +222,7 @@ class SearchState:
         States left in BE when a pass exits have unexpanded real edges in
         OPEN; those edges are withdrawn and each state is re-queued as a
         dummy edge (unless deferred to INCON), so the next pass redoes the
-        expansion from cached evaluations.  The interrupted expansion does
-        not count as one: its recorded expansion g-value is rolled back.
+        expansion from cached evaluations.
         """
         for s in sorted(self.be):
             node = self.nodes[s]
@@ -216,7 +230,6 @@ class SearchState:
                 self.open.discard(Edge(s, a))
             node.n_successors_generated = 0
             node.n_actions = -1
-            node.g_expanded = node._g_expanded_prev
             if s not in self.incons:
                 self.open.upsert(Edge(s, DUMMY_ACTION),
                                  edge_priority(node.g, node.h, self.w), node.h)

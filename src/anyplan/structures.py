@@ -20,21 +20,14 @@ INF = math.inf
 
 @dataclass(slots=True)
 class SearchNode:
-    """Per-state search record for one planning episode.
-
-    ``g`` only ever decreases.  ``g_expanded`` is the g-value at the state's
-    most recent *committed* dummy expansion (inf if never expanded, or if the
-    expansion was interrupted and rolled back); it backs the local-
-    inconsistency assertions.
-    """
+    """Per-state search record for one planning episode; ``g`` only ever
+    decreases."""
 
     g: float = INF
     h: float = 0.0
     parent: Edge | None = None
     n_successors_generated: int = 0
     n_actions: int = -1
-    g_expanded: float = INF
-    _g_expanded_prev: float = INF
 
 
 def edge_priority(g: float, h: float, w: float) -> float:

@@ -381,6 +381,11 @@ def all_pairs_optimal(domain, states) -> dict[tuple[int, int], float]:
     return table
 
 
+def published_costs(result: controller.PlanResult) -> list[float]:
+    """The cost of each record ``result`` published, in order."""
+    return [r.cost for r in result.records]
+
+
 def committed_expansion_check(events) -> int:
     """Re-derive the local-inconsistency-at-expansion property from a log.
 

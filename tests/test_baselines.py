@@ -13,8 +13,8 @@ from anyplan.controller import (
 )
 from anyplan.search import SearchState
 
-from _support import (grid_problem, make_world, open_world, random_obstacle_map_text,
-                      rewalk_cost)
+from _support import (committed_expansion_check, grid_problem, make_world, open_world,
+                      published_costs, random_obstacle_map_text, rewalk_cost)
 
 SQ2 = math.sqrt(2)
 SRC = Path(__file__).resolve().parents[1] / "src" / "anyplan"
@@ -191,7 +191,7 @@ def test_ara_star_result_carries_its_search_state():
     res = ara_star(PlannerConfig(w0=3.0), problem, problem.start, log_events=True)
     assert type(res.context) is SearchState
     assert res.events is res.context.events and res.events
-    assert res.unjustified_reexpansions == res.context.unjustified_reexpansions == 0
+    assert committed_expansion_check(res.events) == 0
 
 
 def test_ara_w0_1_single_iteration_optimal():
@@ -209,16 +209,16 @@ def test_ara_full_schedule_monotone_and_optimal():
     problem = grid_problem(world, (0, 0), (16, 16))
     oracle = dijkstra_oracle(problem, problem.start).cost
     fresh = grid_problem(world, (0, 0), (16, 16))
-    res = ara_star(PlannerConfig(w0=50.0, delta_w=0.5), fresh, fresh.start)
+    res = ara_star(PlannerConfig(w0=50.0, delta_w=0.5), fresh, fresh.start, log_events=True)
     assert res.status == STATUS_PROVED_OPTIMAL
-    costs = res.published_costs
+    costs = published_costs(res)
     assert all(a >= b for a, b in zip(costs, costs[1:]))
     assert costs[-1] == pytest.approx(oracle, rel=1e-9)
     # every record respects its published bound
     for rec in res.records:
         assert rec.cost <= rec.bound_lambda * oracle * (1 + 1e-9)
     # anytime-efficiency: no state re-expanded without a g drop
-    assert res.unjustified_reexpansions == 0
+    assert committed_expansion_check(res.events) == 0
 
 
 def test_ara_infeasible_reports_empty_records():

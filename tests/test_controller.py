@@ -23,7 +23,8 @@ from anyplan.controller import (
 )
 from anyplan.search import ImproveOutcome
 
-from _support import CountingDomain, audited_plan, grid_problem, make_world, open_world
+from _support import (CountingDomain, audited_plan, grid_problem, make_world, open_world,
+                      published_costs)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "anyplan"
 
@@ -126,7 +127,7 @@ def test_plan_anytime_non_increasing_costs_and_final_optimum():
     fresh = grid_problem(world, (0, 0), (18, 18))
     result = plan(PlannerConfig(w0=50.0, delta_w=0.5, n_threads=2), fresh, fresh.start)
     assert result.status == STATUS_PROVED_OPTIMAL
-    costs = result.published_costs
+    costs = published_costs(result)
     assert len(costs) == 99
     assert all(a >= b for a, b in zip(costs, costs[1:]))
     assert costs[-1] == pytest.approx(oracle, rel=1e-9)
@@ -145,7 +146,7 @@ def test_plan_publishes_identical_cost_iterations_unconditionally():
     problem = grid_problem(open_world(9), (0, 0), (8, 8))
     result = plan(PlannerConfig(w0=3.0, delta_w=1.0), problem, problem.start)
     assert result.status == STATUS_PROVED_OPTIMAL
-    costs = result.published_costs
+    costs = published_costs(result)
     assert len(costs) == 3  # w = 3, 2, 1: one record each
     assert any(a == b for a, b in zip(costs, costs[1:]))
 
@@ -226,7 +227,7 @@ def test_plan_naive_restarts_do_not_share_evaluations():
     assert max(problem.calls_by_edge.values()) > 1
     oracle = dijkstra_oracle(problem.inner, start).cost
     assert result.final_cost == pytest.approx(oracle, rel=1e-9)
-    costs = result.published_costs
+    costs = published_costs(result)
     assert all(a >= b for a, b in zip(costs, costs[1:]))
 
 

@@ -11,7 +11,6 @@ from anyplan.baselines import (
 )
 from anyplan.controller import PlannerConfig, plan
 from anyplan.domain import (
-    DUMMY_ACTION,
     DomainError,
     Edge,
     EdgeCache,
@@ -39,32 +38,51 @@ def chain_domain():
     return ToyGraphDomain(coords, edges, goals={2})
 
 
-def test_cache_first_call_invokes_domain_once():
-    domain = CountingDomain(chain_domain(), delay=0.002)
+def test_cache_store_keeps_an_outcome_as_one_miss():
+    domain = chain_domain()
     cache = EdgeCache()
-    out = cache.evaluate(domain, Edge(0, 0))
-    assert out == SuccessorOutcome(True, 1, 2.0)
-    assert domain.calls == 1
+    outcome = domain.evaluate(0, 0)
+    assert cache.store(domain, Edge(0, 0), outcome) is outcome
+    assert outcome == SuccessorOutcome(True, 1, 2.0)
+    assert cache.misses == 1 and cache.hits == 0
+
+
+def test_cache_get_returns_the_stored_outcome():
+    domain = chain_domain()
+    cache = EdgeCache()
+    assert cache.get(Edge(0, 0)) is None
+    first = cache.store(domain, Edge(0, 0), domain.evaluate(0, 0))
+    assert cache.get(Edge(0, 0)) is first
+    assert cache.get(Edge(1, 0)) is None
     assert cache.misses == 1
 
 
-def test_cache_hit_returns_identical_outcome_without_domain_call():
-    domain = CountingDomain(chain_domain())
-    cache = EdgeCache()
-    first = cache.evaluate(domain, Edge(0, 0))
-    second = cache.evaluate(domain, Edge(0, 0))
-    assert second is first
-    assert domain.calls == 1
-    assert cache.hits == 1
-
-
 def test_cache_invalid_edges_are_outcomes_not_errors():
-    domain = CountingDomain(chain_domain())
+    domain = chain_domain()
     cache = EdgeCache()
-    out = cache.evaluate(domain, Edge(0, 1))
+    out = cache.store(domain, Edge(0, 1), domain.evaluate(0, 1))
     assert not out.valid and out.successor is None and out.cost is None
-    assert cache.evaluate(domain, Edge(0, 1)) is out
-    assert domain.calls == 1
+    assert cache.get(Edge(0, 1)) is out
+    assert cache.misses == 1
+
+
+def test_the_domain_is_evaluated_once_per_cache_miss():
+    # at cost seed 7 later passes pop again edges an earlier pass evaluated
+    world = open_world(18, footprint=2, move=2, cost="random_factor", cost_seed=7)
+    caches = {}
+    for name, driver, n_threads in (("ara_star", ara_star, 1), ("plan-1", plan, 1),
+                                    ("plan-4", plan, 4)):
+        problem = grid_problem(world, (0, 0), (14, 14))
+        domain = CountingDomain(problem)
+        result = driver(PlannerConfig(w0=50.0, delta_w=0.5, n_threads=n_threads),
+                        domain, problem.start)
+        assert result.status == "proved_optimal"
+        assert domain.calls == result.context.cache.misses
+        caches[name] = result.context.cache
+    assert caches["plan-4"].hits > 0
+    # a one-worker plan replays the serial search
+    assert caches["plan-1"].hits == caches["ara_star"].hits > 0
+    assert_no_leaked_workers()
 
 
 BAD_FIRST_EDGES = [((1, math.nan), "cost nan"), ((1, -1.0), "cost -1.0"),
@@ -141,16 +159,11 @@ def test_a_reference_search_names_a_bad_outcome_on_an_edge_that_is_never_a_paren
 
 
 def test_cache_stores_no_outcome_outside_the_contract():
+    domain = bad_first_edge_domain((1, -1.0))
     cache = EdgeCache()
     with pytest.raises(DomainError):
-        cache.evaluate(bad_first_edge_domain((1, -1.0)), Edge(0, 0))
+        cache.store(domain, Edge(0, 0), domain.evaluate(0, 0))
     assert cache.misses == 0 and cache.get(Edge(0, 0)) is None
-
-
-def test_cache_rejects_dummy_edges():
-    cache = EdgeCache()
-    with pytest.raises(ValueError):
-        cache.evaluate(chain_domain(), Edge(0, DUMMY_ACTION))
 
 
 def test_interner_is_bijective_and_stable():
@@ -185,7 +198,7 @@ def test_heuristic_consistency_audit_on_grid_episode():
     while frontier:
         s = frontier.pop()
         for a in problem.actions(s):
-            out = cache.evaluate(problem, Edge(s, a))
+            out = cache.store(problem, Edge(s, a), problem.evaluate(s, a))
             if out.valid and out.successor not in seen:
                 seen.add(out.successor)
                 frontier.append(out.successor)

@@ -722,6 +722,18 @@ def test_heuristic_zero_at_goal_and_345_triangle():
     assert problem.pairwise_heuristic(problem.start, problem.start) == 0.0
 
 
+@pytest.mark.parametrize("cost", COST_KINDS)
+@pytest.mark.parametrize("map_name", ["maze64.map", "open64.map"])
+def test_heuristic_is_the_euclidean_distance_of_the_coordinates(map_name, cost):
+    world = GridWorld(load_map(MAPS_DIR / map_name),
+                      GridDomainConfig(footprint_side=4, move_length=6), CostModel(cost, 5))
+    anchors = free_anchors(world)
+    gx, gy = goal = anchors[len(anchors) // 2]
+    problem = GridPlanningProblem(world, anchors[0], goal)
+    for x, y in anchors:  # bit for bit
+        assert problem.heuristic(problem.state_of((x, y))) == math.hypot(x - gx, y - gy)
+
+
 def test_heuristic_admissible_all_pairs_8x8():
     world = open_world(8)
     problem = GridPlanningProblem(world, (0, 0), (7, 7))
@@ -791,7 +803,7 @@ def test_heuristic_consistent_under_random_factor_costs():
     reachable = dijkstra_distances(problem, problem.start)
     for state in reachable:
         for action in problem.actions(state):
-            cache.evaluate(problem, Edge(state, action))
+            cache.store(problem, Edge(state, action), problem.evaluate(state, action))
     assert audit_consistency(problem, cache, reachable) > 0
 
 

@@ -37,12 +37,13 @@ TEST_ONLY_ALLOWED = {
 def referenced_names(tree: ast.AST) -> Counter:
     """How often each name is referenced in ``tree``: ``x`` counts the reads
     of ``x`` as a module-level name (a bare-name load, an import, an
-    attribute read off a package module), ``.x`` every other attribute read."""
+    attribute read off a package module), ``.x`` every other attribute read.
+    A store to an attribute (``r.x = ...``, ``r.x += 1``) is not a read."""
     names: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             owner = node.value
             owner = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
             names[node.attr if owner in MODULES else "." + node.attr] += 1
@@ -139,12 +140,14 @@ def test_the_check_finds_an_unreferenced_definition():
 
 
 def test_a_reader_field_of_the_same_name_is_not_a_read():
-    module = "def cost():\n    pass\nclass Walk:\n    def total(self):\n        pass\n"
-    reader = ("class Record:\n    cost: float\n    total: float\n"
-              "def check(r):\n    return r.cost + r.total\nWalk()\n")
+    module = ("def cost():\n    pass\nclass Walk:\n    def total(self):\n        pass\n"
+              "    def length(self):\n        pass\n")
+    reader = ("class Record:\n    cost: float\n    total: float\n    length: float\n"
+              "def check(r):\n    return r.cost + r.total\n"
+              "def fill(r):\n    r.length = 1.0\n    r.length += 1.0\nWalk()\n")
     used = referenced_names(ast.parse(module)) + referenced_names(ast.parse(reader))
-    # a method is still read by its name, off anything
-    assert unreferenced(module, used) == ["line 1: cost"]
+    # a method is still read by its name, off anything, but not by a store
+    assert unreferenced(module, used) == ["line 1: cost", "line 6: length"]
 
 
 def test_the_check_finds_a_definition_only_the_tests_read():
