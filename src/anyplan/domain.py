@@ -162,9 +162,9 @@ class EdgeCache:
     :meth:`store` checks each new outcome against the domain contract once
     (:func:`checked_outcome`, and the outcome the domain named for the
     edge), raising :class:`DomainError` before it is kept.  The cache
-    evaluates nothing: ``SearchState.expand`` reads it and counts its hits,
-    and ``SearchState.land`` stores each miss's outcome.  In the engine only
-    the coordinator calls it.
+    evaluates nothing: ``SearchState.expand`` reads it with :meth:`lookup`,
+    which counts ``hits``, and ``SearchState.land`` stores each miss's
+    outcome.  In the engine only the coordinator calls it.
     """
 
     def __init__(self) -> None:
@@ -195,6 +195,13 @@ class EdgeCache:
 
     def get(self, edge: Edge) -> SuccessorOutcome | None:
         return self._data.get(edge)
+
+    def lookup(self, edge: Edge) -> SuccessorOutcome | None:
+        """:meth:`get` for an expansion: a stored outcome counts as a hit."""
+        outcome = self._data.get(edge)
+        if outcome is not None:
+            self.hits += 1
+        return outcome
 
 
 @dataclass(frozen=True)

@@ -135,10 +135,9 @@ class SearchState:
             return False
         g = self.nodes[edge.state].g
         self.log(EVENT_EVAL_START, worker, edge, g)
-        outcome = self.cache.get(edge)
+        outcome = self.cache.lookup(edge)
         if outcome is None:
             return True
-        self.cache.hits += 1
         self.log(EVENT_EVAL_END, worker, edge, g)
         self.relax(edge, outcome, worker)
         return False

@@ -82,6 +82,7 @@ class Instance:
 class SessionStats:
     plan_calls: int = 0
     shutdown_violations: list = field(default_factory=list)
+    reexpansions: int = 0
     audited_edges: int = 0
     audit_failures: list = field(default_factory=list)
 
@@ -92,11 +93,13 @@ def stats() -> SessionStats:
 
 
 def run_plan(stats: SessionStats, cfg: PlannerConfig, instance: Instance,
-             **kwargs) -> PlanResult:
-    """plan() plus the bookkeeping the cross-cutting criteria need."""
+             log_events: bool = True) -> PlanResult:
+    """plan() plus the bookkeeping the cross-cutting criteria need.  A
+    logged run adds its expansions without a g drop to the session count."""
     problem = instance.problem()
-    result = plan(cfg, problem, problem.start, **kwargs)
+    result = plan(cfg, problem, problem.start, log_events=log_events)
     stats.plan_calls += 1
+    stats.reexpansions += committed_expansion_check(result.events)
     t0 = time.monotonic()
     import threading
 
@@ -150,7 +153,7 @@ def anytime_results(instance_set, stats):
     cfg = PlannerConfig(w0=50.0, delta_w=0.5, n_threads=4)
     results = []
     for instance in subset:
-        engine = run_plan(stats, cfg, instance, log_events=True)
+        engine = run_plan(stats, cfg, instance)
         serial_problem = instance.problem()
         serial = ara_star(replace(cfg, n_threads=1), serial_problem,
                           serial_problem.start, log_events=True)
@@ -192,7 +195,7 @@ def test_criterion_01_optimal_equivalence(instance_set, stats):
                 cfg = PlannerConfig(
                     w0=1.0, n_threads=n_threads,
                     max_iterations=1 if algorithm == "epase" else None)
-                result = run_plan(stats, cfg, instance, log_events=False)
+                result = run_plan(stats, cfg, instance)
                 runs += 1
                 if result.status != STATUS_PROVED_OPTIMAL or not math.isclose(
                         result.final_cost, instance.oracle_cost, rel_tol=REL_TOL):
@@ -213,7 +216,7 @@ def test_criterion_02_bounded_suboptimality(instance_set, stats):
     for w in (1.5, 3.0, 50.0):
         for instance in instance_set:
             cfg = PlannerConfig(w0=w, n_threads=4, max_iterations=1)
-            result = run_plan(stats, cfg, instance, log_events=False)
+            result = run_plan(stats, cfg, instance)
             runs += 1
             if result.final_cost > w * instance.oracle_cost * (1 + REL_TOL):
                 violations += 1
@@ -238,14 +241,15 @@ def test_criterion_03_anytime_correctness(anytime_results):
            not bad, f"{2 * len(anytime_results)} anytime runs, issues: {bad[:3]}")
 
 
-def test_criterion_04_anytime_efficiency(anytime_results):
-    engine_violations = sum(committed_expansion_check(engine.events)
-                            for _i, engine, _s in anytime_results)
+def test_criterion_04_anytime_efficiency(anytime_results, stats):
+    # every logged plan() so far: the anytime engine runs, and the C01 and
+    # C02 runs at 1, 2, 4 and 8 threads when the whole suite runs
+    plan_violations = stats.reexpansions
     serial_violations = sum(committed_expansion_check(serial.events)
                             for _i, _e, serial in anytime_results)
     report(4, "expansions only of locally inconsistent states",
-           engine_violations == 0 and serial_violations == 0,
-           f"log-derived: engine={engine_violations}, serial={serial_violations}")
+           plan_violations == 0 and serial_violations == 0,
+           f"log-derived: plan={plan_violations}, serial={serial_violations}")
 
 
 def test_criterion_05_at_most_once_per_pass(anytime_results):
@@ -288,7 +292,7 @@ def test_criterion_06_serial_reduction(stats):
                             oracle_cost=math.nan)
         probe = instance.problem()
         instance.oracle_cost = dijkstra_oracle(probe, probe.start).cost
-        engine = run_plan(stats, cfg, instance, log_events=True)
+        engine = run_plan(stats, cfg, instance)
         serial_problem = instance.problem()
         serial = ara_star(cfg, serial_problem, serial_problem.start, log_events=True)
         compared += 1

@@ -13,6 +13,7 @@ from anyplan.controller import PlannerConfig, plan
 from anyplan.domain import (
     DomainError,
     Edge,
+    INVALID_OUTCOME,
     EdgeCache,
     Path,
     StateInterner,
@@ -38,32 +39,21 @@ def chain_domain():
     return ToyGraphDomain(coords, edges, goals={2})
 
 
-def test_cache_store_keeps_an_outcome_as_one_miss():
+@pytest.mark.parametrize("action,expected", [(0, SuccessorOutcome(True, 1, 2.0)),
+                                             (1, INVALID_OUTCOME)])
+def test_cache_keeps_a_stored_outcome_as_one_miss(action, expected):
+    # an invalid edge is an outcome like any other, not an error
     domain = chain_domain()
     cache = EdgeCache()
-    outcome = domain.evaluate(0, 0)
-    assert cache.store(domain, Edge(0, 0), outcome) is outcome
-    assert outcome == SuccessorOutcome(True, 1, 2.0)
+    edge = Edge(0, action)
+    assert cache.get(edge) is None
+    outcome = domain.evaluate(0, action)
+    assert cache.store(domain, edge, outcome) is outcome
+    assert outcome == expected
+    assert cache.get(edge) is outcome and cache.get(Edge(1, 0)) is None
     assert cache.misses == 1 and cache.hits == 0
-
-
-def test_cache_get_returns_the_stored_outcome():
-    domain = chain_domain()
-    cache = EdgeCache()
-    assert cache.get(Edge(0, 0)) is None
-    first = cache.store(domain, Edge(0, 0), domain.evaluate(0, 0))
-    assert cache.get(Edge(0, 0)) is first
-    assert cache.get(Edge(1, 0)) is None
-    assert cache.misses == 1
-
-
-def test_cache_invalid_edges_are_outcomes_not_errors():
-    domain = chain_domain()
-    cache = EdgeCache()
-    out = cache.store(domain, Edge(0, 1), domain.evaluate(0, 1))
-    assert not out.valid and out.successor is None and out.cost is None
-    assert cache.get(Edge(0, 1)) is out
-    assert cache.misses == 1
+    assert cache.lookup(edge) is outcome and cache.lookup(Edge(1, 0)) is None
+    assert cache.hits == 1
 
 
 def test_the_domain_is_evaluated_once_per_cache_miss():
