@@ -337,32 +337,29 @@ class GridWorld:
 
     def pairwise_bound(self, i: int, j: int) -> float:
         """A lower bound on the cost of any path from anchor ``i`` to anchor
-        ``j`` (raster indices), consistent in the triangle sense: 0 when
-        ``i == j``, else the euclidean distance between them plus, under
-        ``random_factor``, ``m/2 * (f - 1)`` for the factor f at each end
-        (m the move length).
+        ``j`` (raster indices): 0 when ``i == j``, else the euclidean distance
+        between them plus, under ``random_factor``, ``m/2 * (f - 1)`` for the
+        factor f at each end (m the move length).  Both heuristics read it.
 
         A path from i to j != i has a first and a last move, each at least m
-        long, and a move costs its length plus its half-length times
-        ``f - 1`` at each of its ends, with every factor >= 1.  Between two
-        bounds through a third anchor c the slack is ``m * (f[c] - 1)`` on
-        top of the euclidean triangle inequality.
+        long, every factor is >= 1, and a move s -> s' of length len >= m
+        costs ``len * (f_s + f_s') / 2 = len + len/2 * (f_s - 1) + len/2 *
+        (f_s' - 1)``.  So the goal heuristic h(s) = bound(s, goal) is
+        consistent: it is 0 at the goal, and h(s) - h(s') is at most len (the
+        euclidean triangle inequality) plus ``m/2 * (f - 1)`` at each end of
+        the move.  Between two bounds through a third anchor c the slack is
+        ``m * (f[c] - 1)``.  Under ``euclidean`` costs it is the distance
+        alone, bit for bit.
         """
         if i == j:
             return 0.0
-        d = self.distance(i, j)
+        yi, xi = divmod(i, self._pw)
+        yj, xj = divmod(j, self._pw)
+        d = math.hypot(xi - xj, yi - yj)
         f = self._anchor_factors
         if f is None:
             return d
         return d + self.config.move_length * (f[i] + f[j] - 2.0) / 2.0
-
-    def distance(self, i: int, j: int) -> float:
-        """The euclidean distance between anchors ``i`` and ``j`` (raster
-        indices): the goal heuristic, and the first term of
-        :meth:`pairwise_bound`."""
-        yi, xi = divmod(i, self._pw)
-        yj, xj = divmod(j, self._pw)
-        return math.hypot(xi - xj, yi - yj)
 
     def evaluate_move(self, xy: tuple[int, int], action: int
                       ) -> tuple[bool, tuple[int, int] | None, float | None]:
@@ -431,7 +428,7 @@ class GridPlanningProblem(SearchDomain):
         return self.world.valid_outcome(state, action)
 
     def heuristic(self, state: int) -> float:
-        return self.world.distance(state, self._goal)
+        return self.world.pairwise_bound(state, self._goal)
 
     def pairwise_heuristic(self, a: int, b: int) -> float:
         return self.world.pairwise_bound(a, b)
