@@ -83,7 +83,9 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
             # Declare termination only at a quiescent instant: an in-flight
             # evaluation may still push an edge under the incumbent's
             # priority, so land it and re-check.  This is what makes
-            # one-thread runs replay the serial search.
+            # one-thread runs replay the serial search.  Nor may BE carry
+            # into the next pass: a state popped here has a g bounded only at
+            # this pass's larger eps, which would break the next pass's bound.
             if _busy(ctx):
                 _land(ctx, wait=True)
                 continue

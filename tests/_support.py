@@ -337,10 +337,14 @@ def reachable_anchors(world: GridWorld, start: tuple[int, int]) -> set[tuple[int
     return {(i % pw, i // pw) for i in reachable_indices(world, y * pw + x)}
 
 
-def audit_consistency(domain: SearchDomain, cache: EdgeCache, states) -> int:
+def audit_consistency(domain: SearchDomain, cache: EdgeCache, states,
+                      named: bool = False) -> int:
     """Check h(s) <= c(s,a) + h(s') over every valid edge in ``cache`` out
     of ``states``, which must hold the source of every cached edge (an
     episode's ``nodes``, or the states a test evaluated every edge of).
+    With ``named``, a listed edge the cache holds no outcome for is audited
+    at the outcome ``outcome_if_valid`` names for it, if any: the edges a
+    search skipped or never popped, priced as if valid.
 
     Returns the number of edges audited; raises AssertionError on the first
     violation.  A slack of 1e-9 absorbs float rounding of exact-equality
@@ -352,6 +356,8 @@ def audit_consistency(domain: SearchDomain, cache: EdgeCache, states) -> int:
         for a in domain.actions(s):
             edge = Edge(s, a)
             out = cache.get(edge)
+            if out is None and named:
+                out = domain.outcome_if_valid(s, a)
             if out is None or not out.valid:
                 continue
             hs2 = domain.heuristic(out.successor)

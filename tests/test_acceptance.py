@@ -110,7 +110,7 @@ def run_plan(stats: SessionStats, cfg: PlannerConfig, instance: Instance,
         time.sleep(0.001)
     try:
         ctx = result.context
-        stats.audited_edges += audit_consistency(problem, ctx.cache, ctx.nodes)
+        stats.audited_edges += audit_consistency(problem, ctx.cache, ctx.nodes, named=True)
     except AssertionError as exc:
         stats.audit_failures.append(str(exc))
     return result

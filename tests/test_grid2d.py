@@ -722,16 +722,42 @@ def test_heuristic_zero_at_goal_and_345_triangle():
     assert problem.pairwise_heuristic(problem.start, problem.start) == 0.0
 
 
-@pytest.mark.parametrize("cost", COST_KINDS)
-@pytest.mark.parametrize("map_name", ["maze64.map", "open64.map"])
-def test_heuristic_is_the_euclidean_distance_of_the_coordinates(map_name, cost):
+def goal_query(map_name: str, cost: str):
+    """A 64x64 fixture world, footprint 4 and move 6, and a query to its
+    middle free anchor: the world, the query, the free anchors, the goal."""
     world = GridWorld(load_map(MAPS_DIR / map_name),
                       GridDomainConfig(footprint_side=4, move_length=6), CostModel(cost, 5))
     anchors = free_anchors(world)
-    gx, gy = goal = anchors[len(anchors) // 2]
-    problem = GridPlanningProblem(world, anchors[0], goal)
+    goal = anchors[len(anchors) // 2]
+    return world, GridPlanningProblem(world, anchors[0], goal), anchors, goal
+
+
+@pytest.mark.parametrize("cost", COST_KINDS)
+@pytest.mark.parametrize("map_name", ["maze64.map", "open64.map"])
+def test_heuristic_is_the_pairwise_bound_to_the_goal(map_name, cost):
+    world, problem, anchors, (gx, gy) = goal_query(map_name, cost)
+    goal = problem.state_of((gx, gy))
     for x, y in anchors:  # bit for bit
-        assert problem.heuristic(problem.state_of((x, y))) == math.hypot(x - gx, y - gy)
+        s = problem.state_of((x, y))
+        assert problem.heuristic(s) == world.pairwise_bound(s, goal)
+        if cost == "euclidean":
+            assert problem.heuristic(s) == math.hypot(x - gx, y - gy)
+
+
+@pytest.mark.parametrize("cost", COST_KINDS)
+@pytest.mark.parametrize("map_name", ["maze64.map", "open64.map"])
+def test_heuristic_is_consistent_over_every_valid_move(map_name, cost):
+    _, problem, anchors, goal = goal_query(map_name, cost)
+    assert problem.heuristic(problem.state_of(goal)) == 0.0
+    moves = 0
+    for xy in anchors:
+        s = problem.state_of(xy)
+        for action in problem.actions(s):
+            out = problem.evaluate(s, action)
+            if out.valid:
+                moves += 1
+                assert problem.heuristic(s) <= out.cost + problem.heuristic(out.successor) + 1e-9
+    assert moves > len(anchors)
 
 
 def test_heuristic_admissible_all_pairs_8x8():
@@ -761,6 +787,9 @@ def test_pairwise_bound_is_admissible_and_consistent_under_random_factor(cost_se
     assert len(optimal) > 5 * len(states)
     for (s, t), d in optimal.items():
         assert problem.pairwise_heuristic(s, t) <= d + 1e-9
+    # the goal heuristic against the Dijkstra costs to the goal
+    to_goal = [(s, d) for (s, t), d in optimal.items() if t == states[-1]]
+    assert len(to_goal) > 1 and all(problem.heuristic(s) <= d + 1e-9 for s, d in to_goal)
     # h(a, b) <= h(a, c) + h(c, b) over every triple, c on the middle axis
     h = np.array([[problem.pairwise_heuristic(a, b) for b in states] for a in states])
     assert (h[:, None, :] <= h[:, :, None] + h[None, :, :] + 1e-9).all()
