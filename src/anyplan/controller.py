@@ -208,7 +208,10 @@ def plan(config: PlannerConfig, domain: SearchDomain, start: int, *,
     Emits one :class:`SolutionRecord` per completed pass that holds a
     solution (the incumbent is kept between passes and only improved).
     Workers are joined before this function returns; ``wall_time``, like
-    the records' times, leaves out the episode build and the join.
+    the records' times, leaves out the episode build and the join.  The
+    episode build reads the start's heuristic, so a table the domain builds
+    lazily on its first heuristic call (the grid's relaxed cost to the
+    goal) is part of it: the call's own wall time includes it.
     ``log_events`` keeps the per-event expansion log in ``PlanResult.events``;
     it is off by default because it adds about a quarter to the plan time
     of a large zero-delay instance.

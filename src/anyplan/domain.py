@@ -48,8 +48,9 @@ class DomainError(Exception):
     """The planner rejected a value a domain gave it: a valid outcome whose
     cost is not finite and non-negative, whose successor is not an int
     state handle, or which is not the outcome ``outcome_if_valid`` named;
-    a named outcome that is not valid or fails the same check; or a
-    heuristic that is negative or NaN."""
+    a named outcome that is not valid or fails the same check; a
+    heuristic that is negative or NaN; or an action listing that repeats
+    an id or lists ``DUMMY_ACTION``."""
 
 
 class SearchDomain(ABC):
@@ -64,7 +65,8 @@ class SearchDomain(ABC):
 
     @abstractmethod
     def actions(self, state: int) -> Sequence[int]:
-        """Ordered action ids applicable at ``state`` (dummy excluded).
+        """Ordered, distinct action ids applicable at ``state``, never
+        ``DUMMY_ACTION`` (the search raises :class:`DomainError` otherwise).
         Every listed edge costs an ``evaluate``, so a move the domain knows
         is invalid without its expensive check (one leaving the map, say)
         should not be listed."""
@@ -75,7 +77,8 @@ class SearchDomain(ABC):
 
     @abstractmethod
     def heuristic(self, state: int) -> float:
-        """Consistent estimate of the remaining cost from ``state``."""
+        """Consistent estimate of the remaining cost from ``state``: inf
+        is allowed, and means no path from ``state`` reaches a goal."""
 
     @abstractmethod
     def pairwise_heuristic(self, a: int, b: int) -> float:
@@ -125,6 +128,18 @@ def checked_heuristic(domain: SearchDomain, state: int) -> float:
     if not h >= 0.0:  # also catches NaN
         raise DomainError(f"state {state}: heuristic {h!r} is not >= 0")
     return h
+
+
+def checked_actions(domain: SearchDomain, state: int) -> Sequence[int]:
+    """``domain.actions(state)``, or :class:`DomainError` naming the state
+    when the listing repeats an id or lists ``DUMMY_ACTION``: the dummy edge
+    would re-spill itself, and a repeated id would leave the state one edge
+    short of closing, so either makes a pass loop forever."""
+    actions = domain.actions(state)
+    if DUMMY_ACTION in actions or len(set(actions)) != len(actions):
+        raise DomainError(f"state {state}: actions {tuple(actions)!r} repeat an id"
+                          f" or list DUMMY_ACTION ({DUMMY_ACTION})")
+    return actions
 
 
 class StateInterner:

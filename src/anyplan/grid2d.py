@@ -12,6 +12,7 @@ footprint's minimum corner: the footprint covers
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import time
@@ -339,7 +340,8 @@ class GridWorld:
         """A lower bound on the cost of any path from anchor ``i`` to anchor
         ``j`` (raster indices): 0 when ``i == j``, else the euclidean distance
         between them plus, under ``random_factor``, ``m/2 * (f - 1)`` for the
-        factor f at each end (m the move length).  Both heuristics read it.
+        factor f at each end (m the move length).  Both heuristics of a
+        :class:`GridPlanningProblem` build on it.
 
         A path from i to j != i has a first and a last move, each at least m
         long, every factor is >= 1, and a move s -> s' of length len >= m
@@ -382,7 +384,9 @@ class GridPlanningProblem(SearchDomain):
     moves whose target is on the raster (:data:`ON_RASTER_ACTIONS`): a move
     off the raster is invalid from its coordinates alone, and a listed move
     costs an evaluation.  The problem holds no per-episode state, so one
-    problem serves any number of episodes.
+    problem serves any number of episodes.  Its one table, the relaxed cost
+    to the goal that both heuristics read (:meth:`_bound`), is built on the
+    first heuristic call and kept for every later episode.
     """
 
     def __init__(self, world: GridWorld, start: tuple[int, int], goal: tuple[int, int]) -> None:
@@ -398,6 +402,7 @@ class GridPlanningProblem(SearchDomain):
         self._move = world.config.move_length
         self._steps = tuple(step for _, step, _, _ in world._moves)
         self._n_anchors = world._ph * world._pw
+        self._to_goal: dict[int, float] | None = None  # built on first use
 
     def state_of(self, xy: tuple[int, int]) -> int:
         """The handle of an on-map anchor; the inverse of :meth:`coord_of`."""
@@ -408,6 +413,9 @@ class GridPlanningProblem(SearchDomain):
         return x, y
 
     def actions(self, state: int) -> Sequence[int]:
+        return self._on_raster_actions(state)
+
+    def _on_raster_actions(self, state: int) -> tuple[int, ...]:
         y, x = divmod(state, self._pw)
         m = self._move
         return ON_RASTER_ACTIONS[(y < m) | (x + m >= self._pw) << 1
@@ -428,10 +436,75 @@ class GridPlanningProblem(SearchDomain):
         return self.world.valid_outcome(state, action)
 
     def heuristic(self, state: int) -> float:
-        return self.world.pairwise_bound(state, self._goal)
+        return self._bound(state, self._goal)
 
     def pairwise_heuristic(self, a: int, b: int) -> float:
-        return self.world.pairwise_bound(a, b)
+        return self._bound(a, b)
+
+    def _bound(self, a: int, b: int) -> float:
+        """The bound both heuristics read: h(a, b) = 0 when a == b; inf when
+        a and b lie in different residue classes mod the move length m (a
+        move shifts x and y by multiples of m, so no path joins them); else
+        ``pairwise_bound(a, b)``, raised to |D(a) - D(b)| when both lie in
+        the goal's class, for D the relaxed cost to the goal
+        (:meth:`_cost_to_goal`).  The goal heuristic is h(s, goal) = D(s)
+        itself.
+
+        D is the exact shortest-path cost to the goal on the goal's move
+        lattice with the collision check dropped, every move priced at its
+        valid outcome.  That graph holds every on-raster move the goal's
+        class can make, at the same float cost, and its moves come in
+        opposite pairs of equal cost.  So D(a) <= c(a, b) + D(b) for every
+        move a -> b and, by symmetry, |D(a) - D(b)| <= c*(a, b) for every
+        path: the goal heuristic is admissible and consistent over every
+        on-raster move, and the pairwise bound stays admissible and keeps
+        h(a, b) <= h(a, c) + h(c, b), as the max of two bounds that each
+        keep it.  In float, D(a) <= c(a, b) + D(b) holds exactly, since the
+        Dijkstra relaxed every move with that very sum.  ``pairwise_bound``
+        lower-bounds every relaxed path too, so D dominates it (to
+        rounding).  Under ``euclidean`` costs D is the lattice's octile
+        distance.
+        """
+        if a == b:
+            return 0.0
+        m, pw = self._move, self._pw
+        if (a % pw - b % pw) % m or (a // pw - b // pw) % m:
+            return math.inf
+        to_goal = self._to_goal
+        if to_goal is None:
+            to_goal = self._to_goal = self._cost_to_goal()
+        d_a = to_goal.get(a)
+        if d_a is None:  # off the goal's class
+            return self.world.pairwise_bound(a, b)
+        if b == self._goal:  # D(a) as the Dijkstra summed it: consistent bit for bit
+            return d_a
+        return max(self.world.pairwise_bound(a, b), abs(d_a - to_goal[b]))
+
+    def _cost_to_goal(self) -> dict[int, float]:
+        """The relaxed cost to the goal, D, of every anchor in the goal's
+        class: a Dijkstra from the goal over the raster anchors whose
+        offsets from it are multiples of the move length, along the
+        on-raster moves (:data:`ON_RASTER_ACTIONS`, not :meth:`actions`,
+        which a subclass may widen), each priced by
+        :meth:`GridWorld.valid_outcome` with no collision table read.  The
+        move into the settled anchor is priced from its own start, the
+        opposite action from the neighbor.  Built per query on first use,
+        never on the map's memo."""
+        valid_outcome, steps = self.world.valid_outcome, self._steps
+        dist = {self._goal: 0.0}
+        heap = [(0.0, self._goal)]
+        while heap:
+            d, i = heapq.heappop(heap)
+            if d > dist[i]:
+                continue
+            for a in self._on_raster_actions(i):
+                j = i + steps[a]
+                # DIRECTIONS is compass-ordered: action a + 4 is a's opposite
+                nd = d + valid_outcome(j, (a + 4) % 8).cost
+                if nd < dist.get(j, math.inf):
+                    dist[j] = nd
+                    heapq.heappush(heap, (nd, j))
+        return dist
 
     def is_goal(self, state: int) -> bool:
         return state == self._goal

@@ -13,7 +13,8 @@ from enum import Enum
 from typing import Callable, Mapping, NamedTuple
 
 from .domain import (DUMMY_ACTION, INVALID_OUTCOME, DomainError, Edge, EdgeCache, Path,
-                     SearchDomain, SuccessorOutcome, checked_heuristic, checked_outcome)
+                     SearchDomain, SuccessorOutcome, checked_actions, checked_heuristic,
+                     checked_outcome)
 from .structures import INF, OpenQueue, SearchNode, edge_priority
 
 EVENT_DUMMY_EXPAND = "dummy_expand"
@@ -107,11 +108,12 @@ class SearchState:
     def begin_expansion(self, edge: Edge, worker: int) -> None:
         """Pop-time bookkeeping of ``edge``, just taken off OPEN.  A dummy
         edge's state enters BE here and stays there until its last real
-        edge is relaxed, so the independence check sees it throughout."""
+        edge is relaxed, so the independence check sees it throughout.  Its
+        action listing is checked here (:func:`checked_actions`)."""
         node = self.nodes[edge.state]
         if edge.action == DUMMY_ACTION:
             self.be.add(edge.state)
-            node.n_actions = len(self.domain.actions(edge.state))
+            node.n_actions = len(checked_actions(self.domain, edge.state))
             node.n_successors_generated = 0
             self.iter_dummy_expansions += 1
             self.log(EVENT_DUMMY_EXPAND, worker, edge, node.g)
