@@ -340,16 +340,17 @@ class GridWorld:
         """A lower bound on the cost of any path from anchor ``i`` to anchor
         ``j`` (raster indices): 0 when ``i == j``, else the euclidean distance
         between them plus, under ``random_factor``, ``m/2 * (f - 1)`` for the
-        factor f at each end (m the move length).  Both heuristics of a
-        :class:`GridPlanningProblem` build on it.
+        factor f at each end (m the move length).  The pairwise heuristic of
+        a :class:`GridPlanningProblem` reads it
+        (:meth:`GridPlanningProblem._bound`).
 
         A path from i to j != i has a first and a last move, each at least m
         long, every factor is >= 1, and a move s -> s' of length len >= m
         costs ``len * (f_s + f_s') / 2 = len + len/2 * (f_s - 1) + len/2 *
-        (f_s' - 1)``.  So the goal heuristic h(s) = bound(s, goal) is
-        consistent: it is 0 at the goal, and h(s) - h(s') is at most len (the
-        euclidean triangle inequality) plus ``m/2 * (f - 1)`` at each end of
-        the move.  Between two bounds through a third anchor c the slack is
+        (f_s' - 1)``.  So the bound to a fixed anchor t is consistent: it is
+        0 at t, and bound(s, t) - bound(s', t) is at most len (the euclidean
+        triangle inequality) plus ``m/2 * (f - 1)`` at each end of the move.
+        Between two bounds through a third anchor c the slack is
         ``m * (f[c] - 1)``.  Under ``euclidean`` costs it is the distance
         alone, bit for bit.
         """
@@ -486,10 +487,10 @@ class GridPlanningProblem(SearchDomain):
         offsets from it are multiples of the move length, along the
         on-raster moves (:data:`ON_RASTER_ACTIONS`, not :meth:`actions`,
         which a subclass may widen), each priced by
-        :meth:`GridWorld.valid_outcome` with no collision table read.  The
-        move into the settled anchor is priced from its own start, the
-        opposite action from the neighbor.  Built per query on first use,
-        never on the map's memo."""
+        :meth:`GridWorld.valid_outcome` with no collision table read.  A
+        neighbor j of the settled anchor i gets D(i) plus the cost of j's own
+        move into i, so D(j) <= c(j, i) + D(i) is the very sum made here.
+        Built per query on first use, never on the map's memo."""
         valid_outcome, steps = self.world.valid_outcome, self._steps
         dist = {self._goal: 0.0}
         heap = [(0.0, self._goal)]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from anyplan.baselines import (
 )
 from anyplan.controller import PlannerConfig, plan
 from anyplan.domain import (
+    DUMMY_ACTION,
     DomainError,
     Edge,
     INVALID_OUTCOME,
@@ -119,6 +121,31 @@ def test_a_heuristic_outside_the_contract_is_named(h, what, bad_state, planner):
             {"ara_star": ara_star, "wastar": wastar}[planner](PlannerConfig(w0=1.0), domain, 0)
         else:
             plan(PlannerConfig(w0=1.0, n_threads=int(planner[-1])), domain, 0)
+    assert_no_leaked_workers()
+
+
+class HostileActions(ToyGraphDomain):
+    """0 -> 1 -> 2 with the goal reachable; state 1 lists ``listing``."""
+
+    def __init__(self, listing):
+        super().__init__({0: (0, 0), 1: (1, 0), 2: (2, 0)},
+                         {0: [(1, 2.0)], 1: [(2, 3.0)], 2: []}, goals={2})
+        self.listing = listing
+
+    def actions(self, state):
+        return self.listing if state == 1 else super().actions(state)
+
+
+@pytest.mark.parametrize("listing", [(0, DUMMY_ACTION), (DUMMY_ACTION,), (0, 0)])
+@pytest.mark.parametrize("driver,n_threads", [(plan, 1), (plan, 2), (ara_star, 1)])
+def test_an_action_listing_outside_the_contract_is_named(listing, driver, n_threads):
+    # a listed dummy edge re-spills itself ahead of the real edge and a
+    # repeated id leaves the state one edge short of closing: either made
+    # every driver loop until its budget ran out
+    with pytest.raises(DomainError, match=rf"^state 1: actions {re.escape(repr(listing))}"
+                                          r" repeat an id or list DUMMY_ACTION \(-1\)$"):
+        driver(PlannerConfig(w0=1.0, n_threads=n_threads, time_budget=5.0),
+               HostileActions(listing), 0)
     assert_no_leaked_workers()
 
 

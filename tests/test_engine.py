@@ -228,8 +228,13 @@ class ReopenEveryClosedState(EpisodeContext):
 
 
 def test_the_log_check_counts_an_expansion_without_a_g_drop():
-    world = open_world(18, footprint=2, move=2, cost="random_factor", cost_seed=5)
-    problem = grid_problem(world, (0, 0), (14, 14))
+    # a maze query whose later passes expand states again: on an open map
+    # the relaxed cost to the goal is nearly exact, the first pass proves
+    # the optimum and the fault has nothing to re-expand
+    world = GridWorld(load_map(MAPS_DIR / "maze64.map"),
+                      GridDomainConfig(footprint_side=4, move_length=6),
+                      CostModel("random_factor", rng_seed=5))
+    problem = grid_problem(world, *sample_start_goal_pairs(world, 1, seed=5)[0])
     with mock.patch.object(controller, "EpisodeContext", ReopenEveryClosedState):
         result = controller.plan(PlannerConfig(w0=50.0, delta_w=0.5, n_threads=2),
                                  problem, problem.start, log_events=True)

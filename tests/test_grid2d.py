@@ -716,10 +716,13 @@ def test_a_shared_placement_table_refuses_writes():
 def test_heuristic_zero_at_goal_and_345_triangle():
     world = open_world(10)
     problem = GridPlanningProblem(world, (0, 0), (3, 4))
-    assert problem.heuristic(problem.start) == pytest.approx(5.0)
+    # the relaxed cost to the goal: three diagonal moves and one straight
+    assert problem.heuristic(problem.start) == pytest.approx(3 * math.sqrt(2) + 1)
     goal_key = problem.state_of((3, 4))
     assert problem.heuristic(goal_key) == 0.0
     assert problem.pairwise_heuristic(problem.start, problem.start) == 0.0
+    assert problem.pairwise_heuristic(problem.start, goal_key) == problem.heuristic(
+        problem.start)
 
 
 def goal_query(map_name: str, cost: str):
@@ -732,16 +735,47 @@ def goal_query(map_name: str, cost: str):
     return world, GridPlanningProblem(world, anchors[0], goal), anchors, goal
 
 
+class RelaxedProblem(GridPlanningProblem):
+    """The query's move graph with the collision check dropped: every listed
+    move is valid, at the outcome the problem names for it."""
+
+    def evaluate(self, state, action):
+        return self.outcome_if_valid(state, action)
+
+
+def relaxed_cost_to_goal(world: GridWorld, goal: tuple[int, int]) -> dict[int, float]:
+    """The reference relaxed cost to ``goal`` of every anchor that can reach
+    it: a Dijkstra from the goal (the relaxed moves come in opposite pairs
+    of equal cost)."""
+    from anyplan.baselines import dijkstra_distances
+
+    relaxed = RelaxedProblem(world, goal, goal)
+    return dijkstra_distances(relaxed, relaxed.start)
+
+
 @pytest.mark.parametrize("cost", COST_KINDS)
 @pytest.mark.parametrize("map_name", ["maze64.map", "open64.map"])
-def test_heuristic_is_the_pairwise_bound_to_the_goal(map_name, cost):
-    world, problem, anchors, (gx, gy) = goal_query(map_name, cost)
+def test_heuristic_is_the_relaxed_cost_to_the_goal(map_name, cost):
+    world, problem, _, (gx, gy) = goal_query(map_name, cost)
     goal = problem.state_of((gx, gy))
-    for x, y in anchors:  # bit for bit
-        s = problem.state_of((x, y))
-        assert problem.heuristic(s) == world.pairwise_bound(s, goal)
-        if cost == "euclidean":
-            assert problem.heuristic(s) == math.hypot(x - gx, y - gy)
+    m = world.config.move_length
+    table = relaxed_cost_to_goal(world, (gx, gy))
+    ph, pw = world.placement_ok.shape
+    # every raster anchor in the goal's class, blocked placements too
+    assert len(table) == len(range(gx % m, pw, m)) * len(range(gy % m, ph, m))
+    for y in range(ph):
+        for x in range(pw):
+            s = problem.state_of((x, y))
+            h = problem.heuristic(s)
+            if s not in table:  # off the goal's class: no path reaches the goal
+                assert (x - gx) % m or (y - gy) % m
+                assert h == math.inf
+                continue
+            assert h == pytest.approx(table[s], rel=1e-12)
+            assert h >= world.pairwise_bound(s, goal) - 1e-9
+            if cost == "euclidean":  # the lattice's octile distance
+                dx, dy = sorted((abs(x - gx), abs(y - gy)))
+                assert h == pytest.approx(dx * math.sqrt(2) + dy - dx, rel=1e-12)
 
 
 @pytest.mark.parametrize("cost", COST_KINDS)
@@ -772,7 +806,7 @@ def test_heuristic_admissible_all_pairs_8x8():
 
 
 @pytest.mark.parametrize("footprint", [1, 2])
-@pytest.mark.parametrize("move", [1, 3])
+@pytest.mark.parametrize("move", [1, 2, 3])
 @pytest.mark.parametrize("cost_seed", [3, 5, 11])
 def test_pairwise_bound_is_admissible_and_consistent_under_random_factor(cost_seed, move,
                                                                         footprint):
@@ -793,6 +827,57 @@ def test_pairwise_bound_is_admissible_and_consistent_under_random_factor(cost_se
     # h(a, b) <= h(a, c) + h(c, b) over every triple, c on the middle axis
     h = np.array([[problem.pairwise_heuristic(a, b) for b in states] for a in states])
     assert (h[:, None, :] <= h[:, :, None] + h[None, :, :] + 1e-9).all()
+    # anchors in different residue classes mod the move length are at inf,
+    # and only they; so is every anchor off the goal's class from the goal
+    apart = np.array([[bool((xa - xb) % move or (ya - yb) % move) for xb, yb in anchors]
+                      for xa, ya in anchors])
+    assert (np.isinf(h) == apart).all() and apart.any() == (move > 1)
+    assert [problem.heuristic(s) == math.inf for s in states] == list(apart[:, -1])
+
+
+@pytest.mark.parametrize("cost", COST_KINDS)
+@pytest.mark.parametrize("map_name", ["maze64.map", "open64.map"])
+def test_heuristic_is_consistent_over_every_on_raster_move_at_its_named_cost(map_name,
+                                                                             cost):
+    # blocked moves and anchors too: the table prices every on-raster move
+    world, problem, _, _ = goal_query(map_name, cost)
+    moves = 0
+    for s in range(world.placement_ok.size):
+        for action in problem.actions(s):
+            named = problem.outcome_if_valid(s, action)
+            moves += 1
+            assert problem.heuristic(s) <= named.cost + problem.heuristic(named.successor)
+    assert moves > 6 * world.placement_ok.size
+
+
+@pytest.mark.parametrize("cost", COST_KINDS)
+@pytest.mark.parametrize("move", [1, 3])
+def test_the_pairwise_heuristic_dominates_the_endpoint_factor_bound(cost, move):
+    world = make_world(random_obstacle_map_text(12, 12, 0.1, seed=5), move=move, cost=cost,
+                       cost_seed=5)
+    anchors = free_anchors(world)
+    problem = GridPlanningProblem(world, anchors[0], anchors[-1])
+    tighter = 0
+    for a in range(world.placement_ok.size):
+        for b in range(world.placement_ok.size):
+            bound = world.pairwise_bound(a, b)
+            assert problem.pairwise_heuristic(a, b) >= bound - 1e-9
+            tighter += problem.pairwise_heuristic(a, b) > bound + 1e-9
+    assert tighter > 0
+
+
+@pytest.mark.parametrize("driver,n_threads", [("plan", 1), ("plan", 2), ("ara_star", 1)])
+def test_a_query_across_residue_classes_is_infeasible(driver, n_threads):
+    from anyplan.baselines import ara_star, dijkstra_oracle
+    from anyplan.controller import PlannerConfig, plan
+
+    world = open_world(10, move=3, cost="random_factor", cost_seed=5)
+    problem = GridPlanningProblem(world, (0, 0), (4, 3))  # x differs by 4, not a multiple
+    assert problem.heuristic(problem.start) == math.inf
+    assert dijkstra_oracle(problem, problem.start).cost == math.inf
+    run = {"plan": plan, "ara_star": ara_star}[driver]
+    result = run(PlannerConfig(w0=2.0, n_threads=n_threads), problem, problem.start)
+    assert result.status == "infeasible" and result.records == []
 
 
 @pytest.mark.parametrize("cost", COST_KINDS)
