@@ -28,6 +28,7 @@ from anyplan.grid2d import (
 from _support import (
     AllMovesProblem,
     all_pairs_optimal,
+    assert_no_leaked_workers,
     audit_consistency,
     edge_cost,
     free_anchors,
@@ -878,6 +879,7 @@ def test_a_query_across_residue_classes_is_infeasible(driver, n_threads):
     run = {"plan": plan, "ara_star": ara_star}[driver]
     result = run(PlannerConfig(w0=2.0, n_threads=n_threads), problem, problem.start)
     assert result.status == "infeasible" and result.records == []
+    assert_no_leaked_workers()
 
 
 @pytest.mark.parametrize("cost", COST_KINDS)
