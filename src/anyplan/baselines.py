@@ -22,6 +22,7 @@ from .domain import (
     Path,
     SearchDomain,
     SuccessorOutcome,
+    checked_actions,
     checked_heuristic,
     checked_outcome,
 )
@@ -54,7 +55,7 @@ def _dijkstra(domain: SearchDomain, start: int, is_goal
     kept: dict[Edge, SuccessorOutcome] = {}
     settled: set[int] = set()
     heap: list[tuple[float, int]] = [(0.0, start)]
-    actions, evaluate = domain.actions, domain.evaluate
+    evaluate = domain.evaluate
     heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
         d, s = heappop(heap)
@@ -63,7 +64,7 @@ def _dijkstra(domain: SearchDomain, start: int, is_goal
         settled.add(s)
         if is_goal is not None and is_goal(s):
             return s, dist, parents, kept, len(settled)
-        for a in actions(s):
+        for a in checked_actions(domain, s):
             outcome = checked_outcome(s, a, evaluate(s, a))
             valid, t, cost = outcome
             if not valid or t in settled:
@@ -108,7 +109,7 @@ def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleRe
     h0 = checked_heuristic(domain, start)
     heap: list[tuple[float, float, int]] = [(w * h0, h0, start)]
     # a state is expanded once, so each of its edges is evaluated once
-    actions, evaluate = domain.actions, domain.evaluate
+    evaluate = domain.evaluate
     heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
         _f, _h, s = heappop(heap)
@@ -118,7 +119,7 @@ def weighted_astar(domain: SearchDomain, start: int, w: float = 1.0) -> OracleRe
         if domain.is_goal(s):
             return OracleResult(g[s], walk_parents(kept, parents.get, start, s), len(closed))
         gs = g[s]
-        for a in actions(s):
+        for a in checked_actions(domain, s):
             outcome = checked_outcome(s, a, evaluate(s, a))
             valid, t, cost = outcome
             if not valid or t in closed:
@@ -170,7 +171,7 @@ def ara_star(config: PlannerConfig, domain: SearchDomain, start: int, *,
             if state.goal_found is not None and state.goal_g() <= state.open.min_f():
                 state.recollapse()
                 return ImproveOutcome.SOLVED
-            if not state.open:
+            if state.open.min_f() == INF:
                 return ImproveOutcome.EXHAUSTED
             edge = state.open.pop_min()
             if state.expand(edge, 0):

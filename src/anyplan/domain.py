@@ -66,10 +66,10 @@ class SearchDomain(ABC):
     @abstractmethod
     def actions(self, state: int) -> Sequence[int]:
         """Ordered, distinct action ids applicable at ``state``, never
-        ``DUMMY_ACTION`` (the search raises :class:`DomainError` otherwise).
-        Every listed edge costs an ``evaluate``, so a move the domain knows
-        is invalid without its expensive check (one leaving the map, say)
-        should not be listed."""
+        ``DUMMY_ACTION`` (the search raises :class:`DomainError` otherwise),
+        read once per state per episode: the first answer is the episode's.
+        Every listed edge costs an ``evaluate``, so do not list a move known
+        invalid without its expensive check (one leaving the map, say)."""
 
     @abstractmethod
     def evaluate(self, state: int, action: int) -> SuccessorOutcome:
@@ -130,14 +130,14 @@ def checked_heuristic(domain: SearchDomain, state: int) -> float:
     return h
 
 
-def checked_actions(domain: SearchDomain, state: int) -> Sequence[int]:
-    """``domain.actions(state)``, or :class:`DomainError` naming the state
-    when the listing repeats an id or lists ``DUMMY_ACTION``: the dummy edge
-    would re-spill itself, and a repeated id would leave the state one edge
-    short of closing, so either makes a pass loop forever."""
-    actions = domain.actions(state)
+def checked_actions(domain: SearchDomain, state: int) -> tuple[int, ...]:
+    """``domain.actions(state)`` as a tuple, or :class:`DomainError` naming
+    the state when the listing repeats an id or lists ``DUMMY_ACTION``: the
+    dummy edge would re-spill itself, and a repeated id would leave the
+    state one edge short of closing, so either makes a pass loop forever."""
+    actions = tuple(domain.actions(state))
     if DUMMY_ACTION in actions or len(set(actions)) != len(actions):
-        raise DomainError(f"state {state}: actions {tuple(actions)!r} repeat an id"
+        raise DomainError(f"state {state}: actions {actions!r} repeat an id"
                           f" or list DUMMY_ACTION ({DUMMY_ACTION})")
     return actions
 

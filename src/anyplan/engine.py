@@ -91,8 +91,8 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
                 continue
             ctx.recollapse()
             return ImproveOutcome.SOLVED
-        if not ctx.open and not ctx.be:
-            # BE empty implies no evaluation in flight: truly exhausted.
+        if ctx.open.min_f() == INF and not _busy(ctx):
+            # no edge left can reach a goal and none in flight can add one
             return ImproveOutcome.EXHAUSTED
         wid = _find_idle_slot(ctx)
         # With a single worker no evaluation is ever in flight during a pop,

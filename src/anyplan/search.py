@@ -109,11 +109,12 @@ class SearchState:
         """Pop-time bookkeeping of ``edge``, just taken off OPEN.  A dummy
         edge's state enters BE here and stays there until its last real
         edge is relaxed, so the independence check sees it throughout.  Its
-        action listing is checked here (:func:`checked_actions`)."""
+        first pop in an episode reads its listing (:func:`checked_actions`)."""
         node = self.nodes[edge.state]
         if edge.action == DUMMY_ACTION:
             self.be.add(edge.state)
-            node.n_actions = len(checked_actions(self.domain, edge.state))
+            if node.actions is None:
+                node.actions = checked_actions(self.domain, edge.state)
             node.n_successors_generated = 0
             self.iter_dummy_expansions += 1
             self.log(EVENT_DUMMY_EXPAND, worker, edge, node.g)
@@ -157,9 +158,9 @@ class SearchState:
         own priority, and close it at once if it has none."""
         node = self.nodes[state]
         f = edge_priority(node.g, node.h, self.w)
-        for a in self.domain.actions(state):
+        for a in node.actions:
             self.open.upsert(Edge(state, a), f, node.h)
-        if node.n_actions == 0:
+        if not node.actions:
             self._close(state, node, worker)
 
     def relax(self, edge: Edge, outcome: SuccessorOutcome, worker: int) -> None:
@@ -182,7 +183,7 @@ class SearchState:
                     self.incons.add(succ_key)
                 self.log(EVENT_RELAX, worker, Edge(succ_key, DUMMY_ACTION), new_g)
         node.n_successors_generated += 1
-        if node.n_successors_generated == node.n_actions:
+        if node.n_successors_generated == len(node.actions):
             if s not in self.be:
                 raise EngineInvariantError(f"state {s} completed while not in BE")
             self._close(s, node, worker)
@@ -227,10 +228,8 @@ class SearchState:
         """
         for s in sorted(self.be):
             node = self.nodes[s]
-            for a in self.domain.actions(s):
+            for a in node.actions:
                 self.open.discard(Edge(s, a))
-            node.n_successors_generated = 0
-            node.n_actions = -1
             if s not in self.incons:
                 self.open.upsert(Edge(s, DUMMY_ACTION),
                                  edge_priority(node.g, node.h, self.w), node.h)

@@ -20,14 +20,14 @@ INF = math.inf
 
 @dataclass(slots=True)
 class SearchNode:
-    """Per-state search record for one planning episode; ``g`` only ever
-    decreases."""
+    """One state's search record for an episode: ``g`` only ever decreases;
+    ``actions`` is the checked listing read at its first dummy-edge pop."""
 
     g: float = INF
     h: float = 0.0
     parent: Edge | None = None
     n_successors_generated: int = 0
-    n_actions: int = -1
+    actions: tuple[int, ...] | None = None
 
 
 def edge_priority(g: float, h: float, w: float) -> float:

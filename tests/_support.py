@@ -145,17 +145,20 @@ class StarDomain(SearchDomain):
 
 
 class CountingDomain(SearchDomain):
-    """Wraps a domain and counts evaluate() invocations (thread safe); every
-    other method is the inner domain's."""
+    """Wraps a domain and counts evaluate() invocations (thread safe) and
+    actions() invocations per state; every other method is the inner
+    domain's."""
 
     def __init__(self, inner: SearchDomain, delay: float = 0.0):
         self.inner = inner
         self.delay = delay
         self.calls = 0
         self.calls_by_edge: dict[tuple[int, int], int] = {}
+        self.listings_by_state: dict[int, int] = {}
         self._lock = threading.Lock()
 
     def actions(self, state):
+        self.listings_by_state[state] = self.listings_by_state.get(state, 0) + 1
         return self.inner.actions(state)
 
     def evaluate(self, state, action):
@@ -209,11 +212,14 @@ def validate_invariants(ctx: EpisodeContext) -> None:
         if Edge(s, DUMMY_ACTION) in in_open:
             raise EngineInvariantError(f"state {s} in INCON and OPEN simultaneously")
     for s, node in ctx.nodes.items():
-        if node.n_actions >= 0:
-            if node.n_successors_generated > node.n_actions:
-                raise EngineInvariantError(f"state {s} over-generated successors")
-            if s in ctx.closed and node.n_successors_generated != node.n_actions:
-                raise EngineInvariantError(f"state {s} closed before all successors")
+        if node.actions is None:
+            if s in ctx.be or s in ctx.closed:
+                raise EngineInvariantError(f"state {s} expanded without its listing")
+            continue
+        if node.n_successors_generated > len(node.actions):
+            raise EngineInvariantError(f"state {s} over-generated successors")
+        if s in ctx.closed and node.n_successors_generated != len(node.actions):
+            raise EngineInvariantError(f"state {s} closed before all successors")
 
 
 class AuditedContext(EpisodeContext):

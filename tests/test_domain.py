@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from anyplan.domain import (
     StateInterner,
     SuccessorOutcome,
 )
+from anyplan.search import EVENT_DUMMY_EXPAND
 
 from _support import (
     audit_consistency,
@@ -109,18 +111,24 @@ class BadHeuristicChain(ToyGraphDomain):
         return self.h if state == self.bad_state else super().heuristic(state)
 
 
+def run_search(search, domain, config=PlannerConfig(w0=1.0), **kwargs):
+    """Run ``search`` from state 0 of ``domain``: ``plan-<n>`` is ``plan``
+    at n workers; ``kwargs`` go to the repair searches."""
+    if search == "dijkstra_oracle":
+        return dijkstra_oracle(domain, 0)
+    if search == "weighted_astar":
+        return weighted_astar(domain, 0, config.w0)
+    if search in ("ara_star", "wastar"):
+        return {"ara_star": ara_star, "wastar": wastar}[search](config, domain, 0, **kwargs)
+    return plan(replace(config, n_threads=int(search[-1])), domain, 0, **kwargs)
+
+
 @pytest.mark.parametrize("h,what", [(math.nan, "nan"), (-1.0, "-1.0")])
 @pytest.mark.parametrize("bad_state", [0, 1])
 @pytest.mark.parametrize("planner", ["plan-1", "plan-2", "ara_star", "wastar", "weighted_astar"])
 def test_a_heuristic_outside_the_contract_is_named(h, what, bad_state, planner):
-    domain = BadHeuristicChain(bad_state, h)
     with pytest.raises(DomainError, match=rf"state {bad_state}: heuristic {what}"):
-        if planner == "weighted_astar":
-            weighted_astar(domain, 0)
-        elif planner in ("ara_star", "wastar"):
-            {"ara_star": ara_star, "wastar": wastar}[planner](PlannerConfig(w0=1.0), domain, 0)
-        else:
-            plan(PlannerConfig(w0=1.0, n_threads=int(planner[-1])), domain, 0)
+        run_search(planner, BadHeuristicChain(bad_state, h))
     assert_no_leaked_workers()
 
 
@@ -137,15 +145,58 @@ class HostileActions(ToyGraphDomain):
 
 
 @pytest.mark.parametrize("listing", [(0, DUMMY_ACTION), (DUMMY_ACTION,), (0, 0)])
-@pytest.mark.parametrize("driver,n_threads", [(plan, 1), (plan, 2), (ara_star, 1)])
-def test_an_action_listing_outside_the_contract_is_named(listing, driver, n_threads):
+@pytest.mark.parametrize("search", ["plan-1", "plan-2", "ara_star", "dijkstra_oracle",
+                                    "weighted_astar", "wastar"])
+def test_an_action_listing_outside_the_contract_is_named(listing, search):
     # a listed dummy edge re-spills itself ahead of the real edge and a
     # repeated id leaves the state one edge short of closing: either made
-    # every driver loop until its budget ran out
+    # every repair search loop until its budget ran out, and the reference
+    # searches returned a path through the dummy edge
     with pytest.raises(DomainError, match=rf"^state 1: actions {re.escape(repr(listing))}"
                                           r" repeat an id or list DUMMY_ACTION \(-1\)$"):
-        driver(PlannerConfig(w0=1.0, n_threads=n_threads, time_budget=5.0),
-               HostileActions(listing), 0)
+        run_search(search, HostileActions(listing), PlannerConfig(w0=1.0, time_budget=5.0))
+    assert_no_leaked_workers()
+
+
+class ChangingActions(ToyGraphDomain):
+    """0 -> 1 -> 2 at cost 5; state 1 lists its one action on the first
+    call and nothing after."""
+
+    def __init__(self):
+        super().__init__({0: (0, 0), 1: (1, 0), 2: (2, 0)},
+                         {0: [(1, 2.0)], 1: [(2, 3.0)], 2: []}, goals={2})
+        self.listing_1 = (0,)
+
+    def actions(self, state):
+        if state == 1:
+            listing, self.listing_1 = self.listing_1, ()
+            return listing
+        return super().actions(state)
+
+
+@pytest.mark.parametrize("search", ["plan-1", "plan-2", "ara_star"])
+def test_the_first_action_listing_is_the_episodes(search):
+    # a repair search that asked again when it spilled, closed or
+    # recollapsed state 1 met an empty listing: plan raised
+    # EngineInvariantError and ara_star returned infeasible
+    oracle = dijkstra_oracle(ChangingActions(), 0).cost
+    result = run_search(search, ChangingActions(), PlannerConfig(w0=1.0, time_budget=5.0))
+    assert oracle == 5.0
+    assert result.status == "proved_optimal" and result.final_cost == oracle
+    assert_no_leaked_workers()
+
+
+@pytest.mark.parametrize("search", ["plan-1", "plan-2", "ara_star"])
+def test_each_state_is_listed_once_an_episode(search):
+    # many passes re-expand the same states; each reads its listing once
+    world = open_world(18, footprint=2, move=2, cost="random_factor", cost_seed=7)
+    problem = grid_problem(world, (0, 0), (14, 14))
+    domain = CountingDomain(problem)
+    result = run_search(search, domain, PlannerConfig(w0=50.0, delta_w=0.5), log_events=True)
+    assert result.status == "proved_optimal" and len(result.iterations) > 1
+    expansions = [e.state for e in result.events if e.kind == EVENT_DUMMY_EXPAND]
+    assert len(expansions) > len(set(expansions))  # some state is expanded again
+    assert domain.listings_by_state == dict.fromkeys(set(expansions), 1)
     assert_no_leaked_workers()
 
 

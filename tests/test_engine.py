@@ -18,6 +18,7 @@ from anyplan.domain import (
     Edge,
     EdgeCache,
     SuccessorOutcome,
+    checked_actions,
 )
 from anyplan.engine import EngineInvariantError, EpisodeContext
 from anyplan.grid2d import (CostModel, GridDomainConfig, GridPlanningProblem, GridWorld,
@@ -87,7 +88,8 @@ def test_dummy_expansion_spills_real_edges_at_g_plus_wh():
     node = ctx.nodes[problem.start]
     # simulate the pop-time bookkeeping the coordinator performs
     ctx.be.add(problem.start)
-    node.n_actions = 8
+    node.actions = checked_actions(problem, problem.start)
+    assert len(node.actions) == 8
     node.n_successors_generated = 0
     ctx.spill(problem.start, 0)
     assert ctx.be == {problem.start}
@@ -104,7 +106,8 @@ def test_real_edge_relaxation_routes_fresh_state_to_open():
     ctx.w = 2.0
     node = ctx.nodes[problem.start]
     ctx.be.add(problem.start)
-    node.n_actions = 8
+    node.actions = checked_actions(problem, problem.start)
+    assert len(node.actions) == 8
     ctx.spill(problem.start, 0)
     for a in range(8):
         edge = Edge(problem.start, a)

@@ -879,6 +879,8 @@ def test_a_query_across_residue_classes_is_infeasible(driver, n_threads):
     run = {"plan": plan, "ara_star": ara_star}[driver]
     result = run(PlannerConfig(w0=2.0, n_threads=n_threads), problem, problem.start)
     assert result.status == "infeasible" and result.records == []
+    # the start's dummy edge enters OPEN at f = inf, so no pass evaluates an edge
+    assert result.context.cache.misses == 0
     assert_no_leaked_workers()
 
 
