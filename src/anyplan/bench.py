@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path as FsPath
 
@@ -48,6 +49,12 @@ TABLE1_COLUMNS = ("cost_kind", *MAP_KEYS, *PROBLEM_KEYS, "algorithm", "n_threads
 SPEEDUP_COLUMNS = ("cost_kind", *MAP_KEYS, *PROBLEM_KEYS, "baseline", "target",
                    "baseline_n_threads", "target_n_threads", "eval_delay_us", "n_pairs",
                    "speedup_init", "speedup_opt", "speedup_term")
+
+#: What a table row and a curve column are keyed on, named as their columns
+#: but with the edge delay in seconds (µs values could merge two delays).  A
+#: speedup pairs two cells equal in all but the last two fields, the problem.
+Cell = namedtuple("Cell", ("cost_kind", *MAP_KEYS, *PROBLEM_KEYS, "eval_delay",
+                           "algorithm", "n_threads"))
 
 
 class SpecError(ValueError):
@@ -234,29 +241,24 @@ class Summary:
     runs: list[RunMetrics]
 
 
-def _cell(m: RunMetrics) -> tuple:
-    """What a table row and a curve column are keyed on: the cost kind, the
-    :data:`MAP_KEYS` and :data:`PROBLEM_KEYS` values, the edge delay, the
-    algorithm and the worker count."""
-    return (m.cost_kind, m.map_name, m.map_scale, m.cost_seed, m.footprint, m.move,
-            m.collision_step, m.eval_delay, m.algorithm, m.n_threads)
+def _cell(m: RunMetrics) -> Cell:
+    return Cell(m.cost_kind, m.map_name, m.map_scale, m.cost_seed, m.footprint, m.move,
+                m.collision_step, m.eval_delay, m.algorithm, m.n_threads)
 
 
-def _cell_order(cell: tuple) -> tuple:
-    *where, algo, n_threads = cell
-    order = ALGORITHMS.index(algo) if algo in ALGORITHMS else len(ALGORITHMS)
+def _cell_order(cell: Cell) -> tuple:
+    order = ALGORITHMS.index(cell.algorithm) if cell.algorithm in ALGORITHMS else len(ALGORITHMS)
     # an unknown (None) field sorts before every known value
-    return *((v is not None, v) for v in where), order, n_threads
+    return *((v is not None, v) for v in cell[:-2]), order, cell.n_threads
 
 
 def aggregate(metrics: list[RunMetrics]) -> Summary:
     """Fold raw runs into the mean-time table, per-run-averaged speedups of
     :data:`SPEEDUP_TARGET` over every other algorithm and the
     time-discretized best-so-far optimality curves.  The ok runs are grouped
-    once into (cost kind, map, scale, cost seed, footprint, move, collision
-    step, edge delay, algorithm, workers) cells: a cell is a table row and a
-    curve column, and a speedup pairs two cells that differ only in
-    algorithm and workers."""
+    once into cells (:class:`Cell`): a cell is a table row and a curve
+    column, and a speedup pairs two cells that differ only in algorithm and
+    workers."""
     ok = [m for m in metrics if m.status not in ("error", "infeasible")]
     for m in ok:
         if m.status == STATUS_PROVED_OPTIMAL and m.t_init is not None:
@@ -265,37 +267,36 @@ def aggregate(metrics: list[RunMetrics]) -> Summary:
                     f"phase times out of order for {m.algorithm} pair {m.pair_index}: "
                     f"init={m.t_init} opt={m.t_opt} term={m.t_term}")
 
-    groups: dict[tuple, list[RunMetrics]] = {}
+    groups: dict[Cell, list[RunMetrics]] = {}
     for m in ok:
         groups.setdefault(_cell(m), []).append(m)
     cells = sorted(groups.items(), key=lambda item: _cell_order(item[0]))
 
     table_rows = []
-    for (cost_kind, *where, delay, algo, n_threads), runs in cells:
+    for cell, runs in cells:
         init_ratios = [m.optimality_ratio_series[0][1] for m in runs
                        if m.optimality_ratio_series]
-        table_rows.append({
-            "cost_kind": cost_kind,
-            **dict(zip((*MAP_KEYS, *PROBLEM_KEYS), where)),
-            "algorithm": algo,
-            "n_threads": n_threads,
-            "eval_delay_us": delay * 1e6,
+        row = {
+            **cell._asdict(),
+            "eval_delay_us": cell.eval_delay * 1e6,
             "n_runs": len(runs),
             "mean_t_init_ms": _scale_ms(_mean([m.t_init for m in runs if m.t_init is not None])),
             "mean_init_ratio": _mean(init_ratios),
             "mean_t_opt_ms": _scale_ms(_mean([m.t_opt for m in runs if m.t_opt is not None])),
             "mean_t_term_ms": _scale_ms(_mean([m.t_term for m in runs if m.t_term is not None])),
-        })
+        }
+        table_rows.append({k: row[k] for k in TABLE1_COLUMNS})
 
-    # each target cell against every other algorithm's cell of its cost
-    # kind, map, problem and delay: a cell key less its last two fields
-    speedup_rows = [row for target in cells if target[0][-2] == SPEEDUP_TARGET
+    # each target cell against every other algorithm's cell of its problem,
+    # a cell less its last two fields
+    speedup_rows = [row for target in cells if target[0].algorithm == SPEEDUP_TARGET
                     for base in cells if base[0][:-2] == target[0][:-2]
-                    and base[0][-2] != SPEEDUP_TARGET
+                    and base[0].algorithm != SPEEDUP_TARGET
                     if (row := _speedup_row(base, target)) is not None]
 
-    curves = {kind: _curve_for([(cell, runs) for cell, runs in cells if cell[0] == kind])
-              for kind in sorted({cell[0] for cell in groups})}
+    curves = {kind: _curve_for([(cell, runs) for cell, runs in cells
+                                if cell.cost_kind == kind])
+              for kind in sorted({cell.cost_kind for cell in groups})}
     return Summary(table_rows=table_rows, speedup_rows=speedup_rows,
                    curves=curves, runs=list(metrics))
 
@@ -304,19 +305,19 @@ def _scale_ms(value: float | None) -> float | None:
     return None if value is None else value * 1e3
 
 
-def _speedup_row(baseline: tuple[tuple, list[RunMetrics]],
-                 target: tuple[tuple, list[RunMetrics]]) -> dict | None:
+def _speedup_row(baseline: tuple[Cell, list[RunMetrics]],
+                 target: tuple[Cell, list[RunMetrics]]) -> dict | None:
     """Mean of per-run baseline/target time ratios of two ``(cell, runs)``
-    pairs of one (cost kind, map, scale, cost seed, footprint, move,
-    collision step, edge delay), paired on the (start, goal, repetition)
-    instance; None if no instance pairs.  Ratios first, then the average,
-    summed in (pair, repetition) order.
+    pairs of one problem, paired on the (start, goal, repetition) instance;
+    None if no instance pairs.  Ratios first, then the average, summed in
+    (pair, repetition) order.
 
     Two runs of one cell on one instance, or a pair with two optimal costs,
     are an :class:`AggregationError`.
     """
-    (cost_kind, map_name, scale, *problem, delay, b_algo, b_threads), b_runs = baseline
-    (*_, t_algo, t_threads), t_runs = target
+    b_cell, b_runs = baseline
+    t_cell, t_runs = target
+    b_algo, t_algo = b_cell.algorithm, t_cell.algorithm
 
     def by_instance(algo: str, runs: list[RunMetrics]) -> dict[tuple, RunMetrics]:
         index: dict[tuple, RunMetrics] = {}
@@ -324,7 +325,7 @@ def _speedup_row(baseline: tuple[tuple, list[RunMetrics]],
             key = (m.start, m.goal, m.repetition)
             if key in index:
                 raise AggregationError(
-                    f"two {algo} runs on one instance {(map_name, scale, *key)}")
+                    f"two {algo} runs on one instance {(b_cell.map, b_cell.scale, *key)}")
             index[key] = m
         return index
 
@@ -335,23 +336,23 @@ def _speedup_row(baseline: tuple[tuple, list[RunMetrics]],
         return None
     for b, t in pairs:
         if b.oracle_cost != t.oracle_cost:
-            raise AggregationError(f"{b_algo}/{t_algo} pair on {map_name} {b.start}->{b.goal}"
+            raise AggregationError(f"{b_algo}/{t_algo} pair on {b_cell.map} {b.start}->{b.goal}"
                                    f" has two optimal costs: {b.oracle_cost}, {t.oracle_cost}")
     row = {
-        "cost_kind": cost_kind,
-        **dict(zip((*MAP_KEYS, *PROBLEM_KEYS), (map_name, scale, *problem))),
+        **b_cell._asdict(),
         "baseline": b_algo,
         "target": t_algo,
-        "baseline_n_threads": b_threads,
-        "target_n_threads": t_threads,
-        "eval_delay_us": delay * 1e6,
+        "baseline_n_threads": b_cell.n_threads,
+        "target_n_threads": t_cell.n_threads,
+        "eval_delay_us": b_cell.eval_delay * 1e6,
         "n_pairs": len(pairs),
     }
     for phase in ("init", "opt", "term"):
         times = [(getattr(b, f"t_{phase}"), getattr(t, f"t_{phase}")) for b, t in pairs]
         row[f"speedup_{phase}"] = _mean([bt / tt for bt, tt in times
                                          if bt is not None and tt is not None and tt > 0])
-    return row
+    # the cell's algorithm and workers are the baseline's alone
+    return {k: row[k] for k in SPEEDUP_COLUMNS}
 
 
 def _best_ratio_at(m: RunMetrics, t: float) -> float:
@@ -365,16 +366,16 @@ def _best_ratio_at(m: RunMetrics, t: float) -> float:
     return best
 
 
-def _curve_for(cells: list[tuple[tuple, list[RunMetrics]]]) -> dict:
+def _curve_for(cells: list[tuple[Cell, list[RunMetrics]]]) -> dict:
     """Each cell's mean best-so-far optimality ratio over time, for the cells
     of one cost kind; columns are named
     ``<algorithm>_t<workers>_d<delay in us>_<map>_x<scale>``, then
     ``_s<cost seed>_f<footprint>_m<move>_c<collision step>`` with each
     unknown part left out."""
-    names = [f"{algo}_t{n}_d{_fmt(delay * 1e6)}_{map_name}_x{scale}"
-             + "".join(f"_{tag}{value}" for tag, value in zip("sfmc", problem)
-                       if value is not None)
-             for (_, map_name, scale, *problem, delay, algo, n), _ in cells]
+    names = [f"{c.algorithm}_t{c.n_threads}_d{_fmt(c.eval_delay * 1e6)}_{c.map}_x{c.scale}"
+             + "".join(f"_{tag}{getattr(c, key)}" for tag, key in zip("sfmc", PROBLEM_KEYS)
+                       if getattr(c, key) is not None)
+             for c, _ in cells]
     horizon = max(m.t_term if m.t_term is not None else m.duration
                   for _, runs in cells for m in runs)
     if horizon <= 0.0:

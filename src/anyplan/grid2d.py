@@ -537,16 +537,12 @@ def sample_start_goal_pairs(world: GridWorld, count: int, seed: int
     pw, ph = world._pw, world._ph
     rng = random.Random(seed)
     pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    reachable_cache: dict[int, list[int]] = {}
     for _ in range(count):
         for attempt in range(MAX_ATTEMPTS_PER_PAIR):
             start = int(anchors[rng.randrange(anchors.size)])
-            others = reachable_cache.get(start)
-            if others is None:
-                # (x, y) order is ascending x * ph + y
-                others = sorted(reachable_indices(world, start)[1:],
-                                key=lambda i: i % pw * ph + i // pw)
-                reachable_cache[start] = others
+            # (x, y) order is ascending x * ph + y
+            others = sorted(reachable_indices(world, start)[1:],
+                            key=lambda i: i % pw * ph + i // pw)
             if others:
                 goal = others[rng.randrange(len(others))]
                 pairs.append(((start % pw, start // pw), (goal % pw, goal // pw)))

@@ -306,6 +306,22 @@ def test_aggregate_keys_rows_curves_and_speedups_on_workers_and_delay():
         "aepase_t8_d2000_synthetic_x1"]
 
 
+def test_an_algorithm_outside_the_list_sorts_last_and_pairs_as_a_baseline():
+    # a runs file from another planner version can name any algorithm
+    runs = [mk_metrics(algo, 0, t_init=t, t_opt=t, t_term=t, cost_init=110.0)
+            for algo, t in (("pase_old", 0.06), ("aepase", 0.02), ("arastar", 0.04))]
+    summary = aggregate(runs)
+    assert [r["algorithm"] for r in summary.table_rows] == ["arastar", "aepase", "pase_old"]
+    # each row holds its file's columns alone, in order
+    assert {tuple(r) for r in summary.table_rows} == {TABLE1_COLUMNS}
+    assert {tuple(r) for r in summary.speedup_rows} == {SPEEDUP_COLUMNS}
+    assert [(r["baseline"], r["target"], r["speedup_term"]) for r in summary.speedup_rows] == [
+        ("arastar", "aepase", pytest.approx(2.0)), ("pase_old", "aepase", pytest.approx(3.0))]
+    assert list(summary.curves["euclidean"]["columns"]) == [
+        "arastar_t4_d0_synthetic_x1", "aepase_t4_d0_synthetic_x1",
+        "pase_old_t4_d0_synthetic_x1"]
+
+
 def test_aggregate_keys_rows_curves_and_speedups_on_map_and_scale():
     # one algorithm pair on two maps, and on the first map at a second
     # scale: three cells per algorithm, never pooled
