@@ -2,14 +2,13 @@
 
 Subcommands: ``run`` (execute a spec file or flag-defined run and emit the
 output files), ``oracle`` (precompute optimal costs for sampled pairs),
-``aggregate`` (re-aggregate a runs.ndjson), ``selftest`` (run the acceptance
-suite).  Exit codes: 0 success, 1 run failure, 2 bad spec/arguments.
+and ``aggregate`` (re-aggregate a runs.ndjson).  Exit codes: 0 success,
+1 run failure, 2 bad spec/arguments.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path as FsPath
 
@@ -110,19 +109,6 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    repo_root = FsPath(__file__).resolve().parents[2]
-    acceptance = repo_root / "tests" / "test_acceptance.py"
-    if not acceptance.exists():
-        print("error: acceptance suite not found (run from a source checkout)",
-              file=sys.stderr)
-        return 2
-    cmd = [sys.executable, "-m", "pytest", str(acceptance), "-v", "-s"]
-    if args.k:
-        cmd += ["-k", args.k]
-    return subprocess.call(cmd)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="anyplan",
                                      description="anytime parallel search benchmark harness")
@@ -144,10 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.add_argument("--runs", required=True)
     p_agg.add_argument("--out", default="bench_out")
     p_agg.set_defaults(func=_cmd_aggregate)
-
-    p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    p_self.add_argument("-k", help="pytest -k filter")
-    p_self.set_defaults(func=_cmd_selftest)
     return parser
 
 

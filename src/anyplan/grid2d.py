@@ -205,8 +205,6 @@ def sample_offsets(dx: int, dy: int, step: int) -> list[tuple[int, int]]:
     at exact ``step`` multiples of the per-axis parameter strictly inside
     the move, then the endpoint.  A zero move checks its start alone."""
     span = max(abs(dx), abs(dy))
-    if span == 0:
-        return [(0, 0)]
     offsets = []
     for k in range(math.ceil(span / step)):
         t = k * step / span
@@ -251,8 +249,9 @@ class GridWorld:
     The per-edge path works on flat anchor indices ``y * pw + x`` and plain
     Python values (:meth:`evaluate_anchor`): move validity is a lookup in a
     per-action byte table, the target is the index plus a per-action step,
-    and a ``random_factor`` cost reads the ``float`` factor of each end from
-    one per-anchor array.
+    and a cost reads the ``float`` factor of each end from one per-anchor
+    array.  Both cost models share one formula: ``euclidean`` is its
+    unit-factor case, every factor 1.
 
     The tables come from the map's memo (:attr:`GridMap.tables`), keyed by
     what each depends on: placements by footprint, move tables by
@@ -272,15 +271,16 @@ class GridWorld:
                                     lambda: _placement_table(grid, side))
         self._ph, self._pw = self.placement_ok.shape
         self._moves = _shared(grid, ("moves", side, m, step), self._build_moves)
-        self._anchor_factors: array | None = None
-        if self.cost_model.kind == "random_factor":
-            kind, seed = self.cost_model.kind, self.cost_model.rng_seed
-            self._anchor_factors = _shared(grid, ("factors", side, kind, seed),
-                                           lambda: self._build_anchor_factors(seed))
+        kind, seed = self.cost_model.kind, self.cost_model.rng_seed
+        self._anchor_factors = _shared(grid, ("factors", side, kind, seed),
+                                       lambda: self._build_anchor_factors(kind, seed))
 
-    def _build_anchor_factors(self, seed: int) -> array:
-        """An anchor's factor is its corner cell's; indexing the array yields
-        a float, not a numpy scalar."""
+    def _build_anchor_factors(self, kind: str, seed: int) -> array:
+        """An anchor's factor is its corner cell's under ``random_factor``
+        and 1 under ``euclidean``; indexing the array yields a float, not a
+        numpy scalar."""
+        if kind == "euclidean":
+            return array("d", [1.0]) * (self._ph * self._pw)
         factors = build_factor_map(seed, self.grid.width, self.grid.height)
         return array("d", factors[:self._ph, :self._pw].tobytes())
 
@@ -328,21 +328,20 @@ class GridWorld:
     def valid_outcome(self, i: int, action: int) -> SuccessorOutcome:
         """The outcome the move from anchor ``i`` has if it is valid, with
         no collision check and no delay: target ``i`` plus the action's flat
-        step, at its euclidean length, scaled under ``random_factor`` by the
-        mean of the factors at its two ends.  Both ends must be on the
-        raster."""
+        step, at its euclidean length scaled by the mean of the factors at
+        its two ends (both 1 under ``euclidean``, which leaves the length
+        bit for bit).  Both ends must be on the raster."""
         _, step, _, length = self._moves[action]
         j = i + step
         f = self._anchor_factors
-        return SuccessorOutcome(True, j, length if f is None else length * (f[i] + f[j]) / 2.0)
+        return SuccessorOutcome(True, j, length * (f[i] + f[j]) / 2.0)
 
     def pairwise_bound(self, i: int, j: int) -> float:
         """A lower bound on the cost of any path from anchor ``i`` to anchor
         ``j`` (raster indices): 0 when ``i == j``, else the euclidean distance
-        between them plus, under ``random_factor``, ``m/2 * (f - 1)`` for the
-        factor f at each end (m the move length).  The pairwise heuristic of
-        a :class:`GridPlanningProblem` reads it
-        (:meth:`GridPlanningProblem._bound`).
+        between them plus ``m/2 * (f - 1)`` for the factor f at each end (m
+        the move length).  The pairwise heuristic of a
+        :class:`GridPlanningProblem` reads it (:meth:`GridPlanningProblem._bound`).
 
         A path from i to j != i has a first and a last move, each at least m
         long, every factor is >= 1, and a move s -> s' of length len >= m
@@ -351,18 +350,17 @@ class GridWorld:
         0 at t, and bound(s, t) - bound(s', t) is at most len (the euclidean
         triangle inequality) plus ``m/2 * (f - 1)`` at each end of the move.
         Between two bounds through a third anchor c the slack is
-        ``m * (f[c] - 1)``.  Under ``euclidean`` costs it is the distance
-        alone, bit for bit.
+        ``m * (f[c] - 1)``.  Under ``euclidean`` costs every factor is 1, so
+        the added term is 0.0 and the bound is the distance alone, bit for
+        bit.
         """
         if i == j:
             return 0.0
         yi, xi = divmod(i, self._pw)
         yj, xj = divmod(j, self._pw)
-        d = math.hypot(xi - xj, yi - yj)
         f = self._anchor_factors
-        if f is None:
-            return d
-        return d + self.config.move_length * (f[i] + f[j] - 2.0) / 2.0
+        return (math.hypot(xi - xj, yi - yj)
+                + self.config.move_length * (f[i] + f[j] - 2.0) / 2.0)
 
     def evaluate_move(self, xy: tuple[int, int], action: int
                       ) -> tuple[bool, tuple[int, int] | None, float | None]:

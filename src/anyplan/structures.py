@@ -55,15 +55,10 @@ class OpenQueue:
     def __len__(self) -> int:
         return len(self._key)
 
-    def __bool__(self) -> bool:
-        return bool(self._key)
-
     def upsert(self, edge: Edge, f: float, h: float) -> None:
         """Insert ``edge`` at priority ``f``, or reposition it if present."""
         entry = (f, h, edge.state, edge.action)
         old = self._key.get(edge)
-        if old == entry:
-            return
         if old is not None:
             self._remove_entry(old)
         insort(self._entries, entry)
@@ -125,18 +120,21 @@ def pop_independent(open_queue: OpenQueue, be: set[int], eps: float,
                     nodes: dict[int, SearchNode], domain: SearchDomain) -> Edge | None:
     """Remove and return the lowest-priority independent edge, or None.
 
-    Scans in ascending order; the k-th candidate is checked against the k-1
+    Scans in ascending order and stops at the first infinite priority, an
+    edge no solution can use; the k-th candidate is checked against the k-1
     lower-priority edges skipped so far and against every state in BE.  It
     discards only the edge it returns, so it never resumes the scan of a
     queue it changed.
     """
-    if not open_queue:
+    if open_queue.min_f() == INF:  # empty, or every edge is of infinite priority
         return None
     if eps == INF:
         return open_queue.pop_min()
     prefix: list[int] = []
     prefix_seen: set[int] = set()
-    for candidate, _f in open_queue.entries():
+    for candidate, f in open_queue.entries():
+        if f == INF:
+            return None
         g_e = nodes[candidate.state].g
         for s in chain(be, prefix):
             if not _passes_pair(g_e, nodes[s].g, eps, domain, s, candidate.state):

@@ -781,6 +781,17 @@ def test_readme_spec_table_lists_exactly_the_spec_keys():
     assert sorted(listed) == sorted(SPEC_KEYS)
 
 
+def test_readme_names_exactly_the_cli_commands():
+    import argparse
+
+    from anyplan.cli import build_parser
+
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    named = re.findall(r"^anyplan (\w+)", (ROOT / "README.md").read_text(), re.M)
+    assert set(named) == set(commands)
+
+
 def test_cli_flags_are_the_spec_keys_with_no_default():
     from anyplan.cli import build_parser
 

@@ -455,6 +455,36 @@ def test_infeasible_instance_exhausts_cleanly():
     assert_no_leaked_workers()
 
 
+class DeadEndDomain(ToyGraphDomain):
+    """0 -> 1 -> 5 (the goal), whose last edge takes 50 ms to evaluate, and
+    0 -> 2 -> {3, 4}, where h(2) = inf: no solution passes through 2."""
+
+    def __init__(self):
+        super().__init__({0: (0, 0), 1: (1, 0), 5: (2, 0), 2: (0, 1), 3: (0, 2), 4: (-1, 1)},
+                         {0: [(1, 1.0), (2, 1.0)], 1: [(5, 1.0)], 2: [(3, 1.0), (4, 1.0)]},
+                         goals={5})
+
+    def heuristic(self, state):
+        return math.inf if state == 2 else super().heuristic(state)
+
+    def evaluate(self, state, action):
+        if state == 1:
+            time.sleep(0.05)
+        return super().evaluate(state, action)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 4])
+def test_no_edge_of_a_state_with_infinite_heuristic_is_evaluated(n_threads):
+    # while the goal edge is in flight, OPEN's only other edges hang off
+    # state 2 at infinite priority: an idle worker must wait, not take them
+    domain = CountingDomain(DeadEndDomain())
+    result = plan(PlannerConfig(w0=1.0, n_threads=n_threads), domain, 0)
+    assert result.status == "proved_optimal"
+    assert not [edge for edge in domain.calls_by_edge if edge[0] == 2]
+    assert result.final_cost == dijkstra_oracle(domain, 0).cost == 2.0
+    assert_no_leaked_workers()
+
+
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_only_cache_misses_reach_a_worker(n_threads, monkeypatch):
     import anyplan.engine

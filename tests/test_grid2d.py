@@ -867,6 +867,18 @@ def test_the_pairwise_heuristic_dominates_the_endpoint_factor_bound(cost, move):
     assert tighter > 0
 
 
+@pytest.mark.parametrize("map_text", [open_map_text(9, 9),
+                                      random_obstacle_map_text(12, 12, 0.1, seed=5)])
+def test_the_euclidean_pairwise_bound_is_the_distance_bit_for_bit(map_text):
+    # euclidean is the unit-factor case: its factor term adds exactly 0.0
+    world = make_world(map_text, footprint=2, move=3)
+    pw = world.placement_ok.shape[1]
+    for a in range(world.placement_ok.size):
+        for b in range(world.placement_ok.size):
+            (ya, xa), (yb, xb) = divmod(a, pw), divmod(b, pw)
+            assert world.pairwise_bound(a, b) == math.hypot(xa - xb, ya - yb)
+
+
 @pytest.mark.parametrize("driver,n_threads", [("plan", 1), ("plan", 2), ("ara_star", 1)])
 def test_a_query_across_residue_classes_is_infeasible(driver, n_threads):
     from anyplan.baselines import ara_star, dijkstra_oracle
