@@ -190,16 +190,31 @@ class SearchState:
 
     def skip_if_useless(self, edge: Edge, worker: int) -> bool:
         """Relax a popped real edge (s, a) as invalid, without evaluating it,
-        when it provably cannot lower its target's g, and say whether it did.
-        It cannot when the domain names the outcome the edge has if valid
-        (``outcome_if_valid``), its target t has a node, and g(t) <= g(s) +
-        the named cost: relaxing the named outcome would lower nothing, and
-        an invalid edge lowers nothing either.  A named outcome that is not
-        valid, or fails :func:`checked_outcome`, is a :class:`DomainError`
-        naming the edge, since a skipped edge is never evaluated and so
-        never checked where it is stored.  Nothing is cached, so a later
-        pass that lowers g(s) tests the edge again.  :meth:`expand` calls
-        it on each popped real edge before the edge cache."""
+        when it provably cannot help, and say whether it did.  The domain
+        must name the outcome the edge has if valid (``outcome_if_valid``):
+        target t at cost c.  The edge is skipped when either
+
+        - g(t) <= g(s) + c: relaxing the named outcome would lower nothing;
+        - g(s) + c + h(t) >= G, the incumbent's cost (:meth:`goal_g`), with
+          the unweighted h(t): h is admissible, so no path through the edge
+          beats the incumbent.  Before any goal is found G is inf, so this
+          skips only edges into a state whose h is inf.
+
+        An invalid edge lowers nothing either, so the skip relaxes it as
+        one.  Both rules stay true while g(t) and G fall, so a skipped edge
+        stays skippable until g(s) falls; then s is queued again and its
+        edges are popped again.  That is why nothing is cached, and why
+        w*h(t) in place of h(t) would be unsound: it is not a bound on the
+        cost to the goal.  The second rule keeps each pass's bound: if it
+        cuts an optimal path at a state s with g(s) <= lam * g*(s), lam the
+        pass's bound, then G <= g(s) + c + h(t) <= lam * (g*(s) + c + h(t))
+        <= lam * C*.
+
+        A named outcome that is not valid, or fails :func:`checked_outcome`,
+        is a :class:`DomainError` naming the edge, since a skipped edge is
+        never evaluated and so never checked where it is stored.
+        :meth:`expand` calls this on each popped real edge before the edge
+        cache, for both drivers."""
         s, a = edge
         named = self.domain.outcome_if_valid(s, a)
         if named is None:
@@ -207,9 +222,12 @@ class SearchState:
         if not named.valid:
             raise DomainError(f"edge {edge}: outcome_if_valid names an invalid outcome")
         checked_outcome(s, a, named)
+        new_g = self.nodes[s].g + named.cost
         succ = self.nodes.get(named.successor)
-        if succ is None or succ.g > self.nodes[s].g + named.cost:
-            return False
+        if succ is None or succ.g > new_g:
+            h_t = checked_heuristic(self.domain, named.successor) if succ is None else succ.h
+            if new_g + h_t < self.goal_g():
+                return False
         self.relax(edge, INVALID_OUTCOME, worker)
         return True
 

@@ -485,6 +485,50 @@ def test_no_edge_of_a_state_with_infinite_heuristic_is_evaluated(n_threads):
     assert_no_leaked_workers()
 
 
+@pytest.mark.parametrize("n_threads", [1, 2, 4])
+def test_no_edge_into_a_state_with_infinite_heuristic_is_evaluated(n_threads):
+    # edge (0, 1) names state 2, whose h is inf: g(0) + c + h(2) is not below
+    # any incumbent, not even the inf before the first goal
+    domain = CountingDomain(DeadEndDomain())
+    result = plan(PlannerConfig(w0=1.0, n_threads=n_threads), domain, 0)
+    assert result.status == "proved_optimal" and result.final_cost == 2.0
+    assert sorted(domain.calls_by_edge) == [(0, 0), (1, 0)]
+    assert_no_leaked_workers()
+
+
+class DetourDomain(ToyGraphDomain):
+    """0 -> 1 -> 3 (the goal) costs 29; 0 -> 2 -> 3 costs 12, the optimum.
+    Edge (0, 1) takes 50 ms to evaluate, so at any worker count the first
+    pass, at w = 10, finds the goal through 1 before 2 has a g.  Edge (2, 0)
+    costs 30: g(2) + 30 + h(4) is not below either incumbent."""
+
+    def __init__(self):
+        super().__init__({0: (0, 0), 1: (9, 0), 2: (0, 1), 3: (10, 0), 4: (0, 2)},
+                         {0: [(1, 9.0), (2, 1.0)], 1: [(3, 20.0)], 2: [(4, 30.0), (3, 11.0)]},
+                         goals={3})
+
+    def evaluate(self, state, action):
+        if (state, action) == (0, 1):
+            time.sleep(0.05)
+        return super().evaluate(state, action)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 4])
+def test_an_edge_that_cannot_beat_the_incumbent_is_not_evaluated(n_threads):
+    domain = CountingDomain(DetourDomain())
+    result = plan(PlannerConfig(w0=10.0, delta_w=9.0, n_threads=n_threads), domain, 0,
+                  log_events=True)
+    assert published_costs(result) == [29.0, 12.0]
+    assert result.status == "proved_optimal"
+    # 2 closes in the second pass, so (2, 0) was popped there; it never started
+    assert {(e.iteration, e.kind) for e in result.events
+            if e.state == 2 and e.kind != "relax"} == {
+        (1, "dummy_expand"), (1, "eval_start"), (1, "eval_end"), (1, "close")}
+    assert not [e for e in result.events if (e.state, e.action) == (2, 0)]
+    assert sorted(domain.calls_by_edge) == [(0, 0), (0, 1), (1, 0), (2, 1)]
+    assert_no_leaked_workers()
+
+
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_only_cache_misses_reach_a_worker(n_threads, monkeypatch):
     import anyplan.engine
