@@ -98,7 +98,8 @@ class SearchDomain(ABC):
         cost, when the domain knows it without the expensive part of
         ``evaluate``; None (the default) when it does not.  Validity stays
         unknown until ``evaluate``.  The search skips evaluating a popped
-        edge whose named outcome would lower no g.  A named outcome that is
+        edge whose named outcome would lower no g or could not beat the
+        incumbent (``SearchState.skip_if_useless``).  A named outcome that is
         not valid or fails :func:`checked_outcome` is a DomainError; so is
         a valid outcome that differs from the named one in successor or
         cost."""

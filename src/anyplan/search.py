@@ -125,11 +125,11 @@ class SearchState:
 
     def expand(self, edge: Edge, worker: int) -> bool:
         """Expand ``edge``, just popped off OPEN: the pop-time bookkeeping,
-        then spill a dummy edge, relax a real edge that cannot lower a g as
-        invalid (:meth:`skip_if_useless`), or relax an edge-cache hit.  A
-        real edge that is not skipped logs ``eval_start`` here.  Return True
-        only for an edge-cache miss: the caller evaluates it and hands the
-        outcome to :meth:`land`."""
+        then spill a dummy edge, relax a real edge that cannot lower a g or
+        beat the incumbent as invalid (:meth:`skip_if_useless`), or relax an
+        edge-cache hit.  A real edge that is not skipped logs ``eval_start``
+        here.  Return True only for an edge-cache miss: the caller evaluates
+        it and hands the outcome to :meth:`land`."""
         self.begin_expansion(edge, worker)
         if edge.action == DUMMY_ACTION:
             self.spill(edge.state, worker)
@@ -204,11 +204,12 @@ class SearchState:
         one.  Both rules stay true while g(t) and G fall, so a skipped edge
         stays skippable until g(s) falls; then s is queued again and its
         edges are popped again.  That is why nothing is cached, and why
-        w*h(t) in place of h(t) would be unsound: it is not a bound on the
-        cost to the goal.  The second rule keeps each pass's bound: if it
-        cuts an optimal path at a state s with g(s) <= lam * g*(s), lam the
-        pass's bound, then G <= g(s) + c + h(t) <= lam * (g*(s) + c + h(t))
-        <= lam * C*.
+        w*h(t) in place of h(t) would be unsound: it bounds no cost to the
+        goal, and w falls from pass to pass, so a skip made at a larger w
+        would not stay true.  The second rule keeps each pass's bound lam:
+        if it cuts an optimal path, of cost C*, at its edge (s, t) with
+        g(s) <= lam * g*(s), then G <= g(s) + c + h(t)
+        <= lam * (g*(s) + c + h(t)) <= lam * C*.
 
         A named outcome that is not valid, or fails :func:`checked_outcome`,
         is a :class:`DomainError` naming the edge, since a skipped edge is

@@ -473,11 +473,18 @@ class DeadEndDomain(ToyGraphDomain):
         return super().evaluate(state, action)
 
 
+class UnnamedDeadEnd(DeadEndDomain):
+    """DeadEndDomain naming no outcome, so no edge into 2 can be skipped."""
+
+    def outcome_if_valid(self, state, action):
+        return None
+
+
 @pytest.mark.parametrize("n_threads", [1, 2, 4])
 def test_no_edge_of_a_state_with_infinite_heuristic_is_evaluated(n_threads):
     # while the goal edge is in flight, OPEN's only other edges hang off
     # state 2 at infinite priority: an idle worker must wait, not take them
-    domain = CountingDomain(DeadEndDomain())
+    domain = CountingDomain(UnnamedDeadEnd())
     result = plan(PlannerConfig(w0=1.0, n_threads=n_threads), domain, 0)
     assert result.status == "proved_optimal"
     assert not [edge for edge in domain.calls_by_edge if edge[0] == 2]
