@@ -139,12 +139,11 @@ def wastar(config: PlannerConfig, domain: SearchDomain, start: int, *,
     """:func:`weighted_astar` at ``config.w0`` as a one-pass anytime run,
     timed and given its status as every driver is.  A state expansion counts
     as a dummy expansion; the published cost is the goal's cost-to-come."""
-    def run_pass(index: int, w: float, eps: float, deadline: float):
+    def run_pass(index: int, w: float, deadline: float):
         t0 = time.monotonic()
         res = weighted_astar(domain, start, w)
         outcome = ImproveOutcome.EXHAUSTED if res.path is None else ImproveOutcome.SOLVED
-        stats = IterationStats(w, eps, res.expansions, 0, 0, time.monotonic() - t0,
-                               outcome.value)
+        stats = IterationStats(w, res.expansions, 0, 0, time.monotonic() - t0)
         return outcome, stats, None if res.path is None else replace(res.path, cost=res.cost)
 
     return run_anytime(replace(config, max_iterations=1), run_pass, sink=sink)

@@ -88,8 +88,6 @@ class RunSpec:
             raise SpecError("map scale must be >= 1")
         if self.algorithm == "wastar" and self.planner.time_budget < math.inf:
             raise SpecError("timeout_ms: wastar has no deadline; leave the key out")
-        if self.algorithm == "wastar" and self.planner.epsilon is not None:
-            raise SpecError("epsilon: wastar's bound is its weight w0; leave the key out")
 
 
 @dataclass
@@ -448,7 +446,6 @@ SPEC_KEYS = {
     "threads": (int, PlannerConfig, "n_threads"),
     "w0": (float, PlannerConfig, "w0"),
     "dw": (float, PlannerConfig, "delta_w"),
-    "epsilon": (str, PlannerConfig, "epsilon"),
     "timeout_ms": (float, PlannerConfig, "time_budget"),
     "max_iterations": (int, PlannerConfig, "max_iterations"),
     "footprint": (int, GridDomainConfig, "footprint_side"),
@@ -495,9 +492,8 @@ def build_run_spec(values: dict) -> RunSpec:
 
     Each value is converted once by its :data:`SPEC_KEYS` type into its
     dataclass field, and an absent key keeps that field's default.  Only
-    ``cost`` (an alias), ``epsilon`` (``w`` tracks the weight), ``timeout_ms``
-    and ``eval_delay_us`` (to seconds) change beyond that.  A bad key or
-    value is a :class:`SpecError`.
+    ``cost`` (an alias), ``timeout_ms`` and ``eval_delay_us`` (to seconds)
+    change beyond that.  A bad key or value is a :class:`SpecError`.
     """
     unknown = sorted(values.keys() - SPEC_KEYS.keys())
     if unknown:
@@ -508,7 +504,6 @@ def build_run_spec(values: dict) -> RunSpec:
     convert = {
         "map": lambda v: str(FsPath(v)),
         "cost": lambda v: COST_ALIASES.get(v, v),
-        "epsilon": lambda v: None if v == "w" else float(v),
         "timeout_ms": lambda v: v / 1e3,
         "eval_delay_us": lambda v: v / 1e6,
     }

@@ -18,9 +18,8 @@ from .structures import INF, merge_incons
 STATUS_PROVED_OPTIMAL = "proved_optimal"
 STATUS_TIMEOUT = "timeout"
 STATUS_INFEASIBLE = "infeasible"
-#: Normal completion whose final pass ran with a bound above 1 (fixed
-#: epsilon policy or a truncated schedule); the result is bounded, not
-#: proved optimal.
+#: Normal completion of a truncated schedule, whose final pass ran at a
+#: weight above 1; the result is bounded, not proved optimal.
 STATUS_COMPLETED_BOUNDED = "completed_bounded"
 
 _CLAMP_TOL = 1e-9
@@ -30,24 +29,20 @@ _CLAMP_TOL = 1e-9
 class PlannerConfig:
     """Knobs of one planning episode.
 
-    ``epsilon=None`` tracks the heuristic weight each iteration (the default
-    policy); a float fixes the independence relaxation instead, and
-    ``math.inf`` disables the independence checks outright.
+    Each pass of the weight schedule inflates the heuristic and relaxes the
+    independence check by the same weight w, which bounds its record.
     ``max_iterations`` truncates the weight schedule; ``max_iterations=1``
     gives a single bounded-suboptimal pass at ``w0``.
     """
 
     w0: float = 1.0
     delta_w: float = 0.5
-    epsilon: float | None = None
     n_threads: int = 1
     time_budget: float = INF
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
         _check_schedule(self.w0, self.delta_w)
-        if self.epsilon is not None and not self.epsilon >= 1.0:
-            raise ValueError(f"epsilon must be >= 1 or inf, got {self.epsilon}")
         if self.n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
         if not self.time_budget >= 0.0:
@@ -55,14 +50,11 @@ class PlannerConfig:
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1 when given")
 
-    def epsilon_for(self, w: float) -> float:
-        return w if self.epsilon is None else self.epsilon
-
 
 @dataclass(frozen=True)
 class SolutionRecord:
     """One published incumbent: the path, its cost, and the suboptimality
-    bound max(eps, w) proved for it at publication time."""
+    bound w proved for it at publication time."""
 
     path: Path
     cost: float
@@ -75,12 +67,10 @@ class SolutionRecord:
 @dataclass(frozen=True)
 class IterationStats:
     w: float
-    eps: float
     n_dummy_expansions: int
     n_real_expansions: int
     n_incon_end: int
     wall_time: float
-    outcome: str
 
 
 @dataclass
@@ -137,7 +127,7 @@ def run_anytime(config: PlannerConfig, run_pass: Callable, *,
     """The anytime loop of every driver, and the only code that builds a
     :class:`PlanResult` or a record, reads the run clock or decides a status.
 
-    ``run_pass(index, w, eps, deadline)`` runs one pass of the (truncated)
+    ``run_pass(index, w, deadline)`` runs one pass of the (truncated)
     weight schedule and returns its :class:`ImproveOutcome`, its
     :class:`IterationStats` and the path it found, or None when the
     incumbent stands.  Each solved pass publishes one record: ``sink``, a
@@ -151,8 +141,7 @@ def run_anytime(config: PlannerConfig, run_pass: Callable, *,
     for i, w in enumerate(islice(_weights(config.w0, config.delta_w), config.max_iterations)):
         if time.monotonic() >= deadline:
             break
-        eps = config.epsilon_for(w)
-        outcome, stats, path = run_pass(i, w, eps, deadline)
+        outcome, stats, path = run_pass(i, w, deadline)
         result.iterations.append(stats)
         if outcome is not ImproveOutcome.SOLVED:
             if outcome is ImproveOutcome.EXHAUSTED:
@@ -161,13 +150,13 @@ def run_anytime(config: PlannerConfig, run_pass: Callable, *,
         if path is None or path.cost >= result.final_cost:
             path = result.records[-1].path  # the incumbent stands
         record = SolutionRecord(
-            path=path, cost=path.cost, w_at_publish=w, bound_lambda=max(eps, w),
+            path=path, cost=path.cost, w_at_publish=w, bound_lambda=w,
             t_since_plan_start=time.monotonic() - t0, iteration_index=i)
         result.records.append(record)
         if sink is not None:
             sink(record)
-    else:  # the last pass ran at this w and eps
-        result.status = STATUS_PROVED_OPTIMAL if w == eps == 1.0 else STATUS_COMPLETED_BOUNDED
+    else:  # the last pass ran at this w
+        result.status = STATUS_PROVED_OPTIMAL if w == 1.0 else STATUS_COMPLETED_BOUNDED
     result.wall_time = time.monotonic() - t0
     return result
 
@@ -181,9 +170,9 @@ def repair_passes(state: SearchState,
     goal.  A pass that expanded nothing changed no g and no parent, so it
     skips the backtrack.
     """
-    def run_pass(index: int, w: float, eps: float, deadline: float):
+    def run_pass(index: int, w: float, deadline: float):
         state.deadline = deadline
-        state.begin_pass(index, w, eps)
+        state.begin_pass(index, w)
         # merge_incons and backtrack are called by this module's names (and
         # plan passes improve_path by its name), which perfbench/bench_trace.py
         # wraps to time each layer
@@ -192,8 +181,7 @@ def repair_passes(state: SearchState,
         t0 = time.monotonic()
         outcome = improve(state)
         n_dummy, n_real = state.iter_dummy_expansions, state.iter_real_expansions
-        stats = IterationStats(w, eps, n_dummy, n_real, len(state.incons),
-                               time.monotonic() - t0, outcome.value)
+        stats = IterationStats(w, n_dummy, n_real, len(state.incons), time.monotonic() - t0)
         path = None
         if outcome is ImproveOutcome.SOLVED and n_dummy + n_real:
             path = backtrack(state, state.goal_found)
@@ -240,10 +228,10 @@ def plan_naive(config: PlannerConfig, domain: SearchDomain, start: int, *,
     workers, so restarts share no evaluations.  Publishes the best-so-far
     incumbent per weight.
     """
-    def run_pass(index: int, w: float, eps: float, deadline: float):
+    def run_pass(index: int, w: float, deadline: float):
         ctx = EpisodeContext(domain, start, config.n_threads)
         try:
-            return repair_passes(ctx, improve_path)(index, w, eps, deadline)
+            return repair_passes(ctx, improve_path)(index, w, deadline)
         finally:
             shutdown(ctx)
 

@@ -86,8 +86,8 @@ class SearchDomain(ABC):
         h(a, b) <= c*(a, b) (admissible) and h(a, b) <= h(a, c) + h(c, b)
         (forward-backward consistent).  Only the independence filter reads
         it, and only at more than one worker: a popped edge from s runs
-        beside s' when g(s) - g(s') <= eps * h(s', s), so a tighter bound
-        lets more popped edges run at once."""
+        beside s' when g(s) - g(s') <= w * h(s', s), w the pass's weight, so
+        a tighter bound lets more popped edges run at once."""
 
     @abstractmethod
     def is_goal(self, state: int) -> bool:

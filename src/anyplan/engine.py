@@ -61,7 +61,7 @@ class EpisodeContext(SearchState):
 
 
 def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
-    """One bounded-suboptimal search pass at the context's current w/eps.
+    """One bounded-suboptimal search pass at the context's current w.
 
     Runs on the coordinator, which owns the state; workers only evaluate.
     Loops while the incumbent goal priority exceeds OPEN's minimum: lands
@@ -85,7 +85,7 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
             # priority, so land it and re-check.  This is what makes
             # one-thread runs replay the serial search.  Nor may BE carry
             # into the next pass: a state popped here has a g bounded only at
-            # this pass's larger eps, which would break the next pass's bound.
+            # this pass's larger w, which would break the next pass's bound.
             if _busy(ctx):
                 _land(ctx, wait=True)
                 continue
@@ -98,7 +98,7 @@ def improve_path(ctx: EpisodeContext) -> ImproveOutcome:
         # With a single worker no evaluation is ever in flight during a pop,
         # so the independence filter adds no guarantee; popping the minimum
         # replays the serial repair search exactly.
-        eps = ctx.eps if len(ctx.slots) > 1 else INF
+        eps = ctx.w if len(ctx.slots) > 1 else INF
         edge = None if wid is None else pop_independent(
             ctx.open, ctx.be, eps, ctx.nodes, ctx.domain)
         if edge is None:

@@ -63,7 +63,6 @@ class SearchState:
         self.incons: set[int] = {start}
         self.nodes: dict[int, SearchNode] = {}
         self.w = 1.0
-        self.eps = 1.0
         self.goal_found: int | None = None
         self.iteration = 0
         self.log_enabled = log_enabled
@@ -95,12 +94,11 @@ class SearchState:
             time.monotonic_ns(), self.iteration, worker, edge.state,
             edge.action, g, g + self.w * h, kind))
 
-    def begin_pass(self, index: int, w: float, eps: float) -> None:
+    def begin_pass(self, index: int, w: float) -> None:
         """Zero the pass counters and reopen CLOSED; the caller then folds
         INCON into OPEN and re-keys OPEN at ``w``."""
         self.iteration = index
         self.w = w
-        self.eps = eps
         self.iter_dummy_expansions = 0
         self.iter_real_expansions = 0
         self.closed.clear()

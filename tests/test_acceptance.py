@@ -205,7 +205,7 @@ def test_criterion_01_optimal_equivalence(instance_set, stats):
                                        algorithm, n_threads, result.final_cost,
                                        instance.oracle_cost))
     elapsed = time.monotonic() - t0
-    report(1, "optimal equivalence at w=eps=1",
+    report(1, "optimal equivalence at w=1",
            not violations and elapsed < 120.0,
            f"{runs} runs over {len(instance_set)} instances, "
            f"{len(violations)} cost mismatches, {elapsed:.1f}s")

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +26,7 @@ from anyplan.bench import (
     run_metrics_from_json,
 )
 from anyplan.controller import PlannerConfig, weight_schedule
-from anyplan.grid2d import GridDomainConfig, GridWorld, load_map, sample_start_goal_pairs
+from anyplan.grid2d import CostModel, GridDomainConfig, GridWorld, load_map, sample_start_goal_pairs
 
 from _support import parse_run_spec
 
@@ -84,11 +84,9 @@ def test_parse_run_spec_requires_algo_and_map():
         parse_run_spec("pairs = 3\n")
 
 
-def test_parse_run_spec_comments_and_epsilon_forms():
-    text = spec_text(epsilon="w") + "# a comment\n\n"
-    assert parse_run_spec(text).planner.epsilon is None
-    assert parse_run_spec(spec_text(epsilon="inf")).planner.epsilon == math.inf
-    assert parse_run_spec(spec_text(epsilon="2.5")).planner.epsilon == 2.5
+def test_parse_run_spec_skips_comments_and_blank_lines():
+    text = spec_text(pairs="3  # three pairs") + "# a comment\n\n"
+    assert parse_run_spec(text) == parse_run_spec(spec_text(pairs=3))
 
 
 def test_parse_run_spec_bad_algorithm():
@@ -104,8 +102,10 @@ def test_run_spec_validation():
 
 
 def test_build_run_spec_rejects_a_mistyped_key():
-    with pytest.raises(SpecError, match="unknown key.*thread"):
-        build_run_spec({"algo": "epase", "map": "x", "thread": 4})
+    # epsilon is no key: each pass relaxes its independence check by its w
+    for key in ("thread", "epsilon"):
+        with pytest.raises(SpecError, match=f"unknown key.*{key}"):
+            build_run_spec({"algo": "epase", "map": "x", key: 4})
 
 
 def test_wastar_with_a_timeout_is_a_spec_error_naming_the_key(tmp_path):
@@ -117,22 +117,6 @@ def test_wastar_with_a_timeout_is_a_spec_error_naming_the_key(tmp_path):
     assert build_run_spec({"algo": "arastar", "map": "x", "timeout_ms": 100.0})
     rc = main(["run", "--algo", "wastar", "--map", str(MAPS / "cross32.map"),
                "--footprint", "4", "--move", "4", "--pairs", "1", "--timeout-ms", "100",
-               "--out", str(tmp_path)])
-    assert rc == 2
-    assert not (tmp_path / "runs.ndjson").exists()
-
-
-def test_wastar_with_an_epsilon_is_a_spec_error_naming_the_key(tmp_path):
-    from anyplan.cli import main
-
-    # weighted A*'s bound is its weight; a fixed epsilon would change the
-    # bound and the status of its one pass
-    for value in ("2.0", "inf"):
-        with pytest.raises(SpecError, match="epsilon"):
-            build_run_spec({"algo": "wastar", "map": "x", "epsilon": value})
-    assert build_run_spec({"algo": "wastar", "map": "x", "epsilon": "w"})
-    rc = main(["run", "--algo", "wastar", "--map", str(MAPS / "cross32.map"),
-               "--footprint", "4", "--move", "4", "--pairs", "1", "--epsilon", "2",
                "--out", str(tmp_path)])
     assert rc == 2
     assert not (tmp_path / "runs.ndjson").exists()
@@ -398,6 +382,18 @@ def test_problem_columns_are_the_spec_keys_the_instances_read():
     assert TABLE1_COLUMNS[3:7] == SPEEDUP_COLUMNS[3:7] == PROBLEM_KEYS
 
 
+def test_spec_keys_name_every_run_parameter_once():
+    # a config field added without a key, or a key left on a removed field,
+    # fails here: each run parameter is named by exactly one key
+    spec = RunSpec("epase", "m")
+    params = [(holder, f.name) for holder in (PlannerConfig, GridDomainConfig, CostModel)
+              for f in fields(holder)]
+    params += [(RunSpec, f.name) for f in fields(RunSpec)
+               if not is_dataclass(getattr(spec, f.name))]
+    named = [(holder, name) for _, holder, name in SPEC_KEYS.values()]
+    assert len(set(named)) == len(named) and set(named) == set(params)
+
+
 def test_map_columns_are_the_spec_keys_of_the_map():
     assert [SPEC_KEYS[key][1:] for key in MAP_KEYS] == [(RunSpec, "map_path"),
                                                        (RunSpec, "map_scale")]
@@ -610,15 +606,13 @@ def test_cli_spec_file_with_flag_overrides(tmp_path, monkeypatch):
     spec_dir = tmp_path / "specs"
     spec_dir.mkdir()
     spec_file = spec_dir / "run.spec"
-    spec_file.write_text(spec_text(map="cross32.map", threads=1, pairs=3, epsilon=2.5,
-                                   timeout_ms=750, max_iterations=4, collision_step=2,
-                                   eval_delay_us=30))
+    spec_file.write_text(spec_text(map="cross32.map", threads=1, pairs=3, timeout_ms=750,
+                                   max_iterations=4, collision_step=2, eval_delay_us=30))
     out = str(tmp_path / "out")
     assert cli.main(["run", "--spec", str(spec_file), "--threads", "2", "--pairs", "1",
                      "--out", out]) == 0
     spec = specs[-1]
     assert spec.planner.n_threads == 2 and spec.pair_count == 1
-    assert spec.planner.epsilon == 2.5
     assert spec.planner.time_budget == pytest.approx(0.75)
     assert spec.planner.max_iterations == 4
     assert spec.domain.collision_step == 2
@@ -704,14 +698,14 @@ NAN, INF = math.nan, math.inf
 NON_FINITE_ARGUMENTS = [
     (PlannerConfig, {"w0": NAN}), (PlannerConfig, {"w0": INF}),
     (PlannerConfig, {"delta_w": NAN}), (PlannerConfig, {"delta_w": INF}),
-    (PlannerConfig, {"epsilon": NAN}), (PlannerConfig, {"time_budget": NAN}),
+    (PlannerConfig, {"time_budget": NAN}),
     (GridDomainConfig, {"eval_delay": NAN}), (GridDomainConfig, {"eval_delay": INF}),
     (weight_schedule, {"w0": NAN, "delta_w": 0.5}), (weight_schedule, {"w0": INF, "delta_w": 0.5}),
     (weight_schedule, {"w0": 3.0, "delta_w": NAN}), (weight_schedule, {"w0": 3.0, "delta_w": INF}),
 ]
 
 NON_FINITE_SPEC_VALUES = [("w0", "nan"), ("w0", "inf"), ("dw", "nan"), ("dw", "inf"),
-                          ("epsilon", "nan"), ("timeout_ms", "nan"),
+                          ("timeout_ms", "nan"),
                           ("eval_delay_us", "nan"), ("eval_delay_us", "inf")]
 
 

@@ -1,5 +1,4 @@
 import ast
-import math
 import time
 import tracemalloc
 from pathlib import Path
@@ -59,9 +58,9 @@ def test_run_anytime_computes_no_weight_past_max_iterations():
     # one pass at w0 = 1e6, dw = 1 needs one weight, not a million
     weights = []
 
-    def run_pass(index, w, eps, deadline):
+    def run_pass(index, w, deadline):
         weights.append(w)
-        return ImproveOutcome.EXHAUSTED, IterationStats(w, eps, 0, 0, 0, 0.0, "exhausted"), None
+        return ImproveOutcome.EXHAUSTED, IterationStats(w, 0, 0, 0, 0.0), None
 
     config = PlannerConfig(w0=1e6, delta_w=1.0, max_iterations=1)
     tracemalloc.start()
@@ -94,10 +93,6 @@ def test_config_validation():
         PlannerConfig(delta_w=0)
     with pytest.raises(ValueError):
         PlannerConfig(n_threads=0)
-    with pytest.raises(ValueError):
-        PlannerConfig(epsilon=0.5)
-    assert PlannerConfig(epsilon=math.inf).epsilon_for(3.0) == math.inf
-    assert PlannerConfig().epsilon_for(3.0) == 3.0
 
 
 # -- plan ---------------------------------------------------------------------
@@ -179,14 +174,6 @@ def test_plan_sink_is_a_callable_not_a_collection():
     problem = grid_problem(open_world(5), (0, 0), (4, 4))
     with pytest.raises(TypeError):
         plan(PlannerConfig(w0=2.0, delta_w=1.0), problem, problem.start, sink=[])
-
-
-def test_plan_fixed_epsilon_completion_is_bounded_not_proved():
-    problem = grid_problem(open_world(7), (0, 0), (6, 6))
-    result = plan(PlannerConfig(w0=2.0, delta_w=1.0, epsilon=3.0, n_threads=2),
-                  problem, problem.start)
-    assert result.status == STATUS_COMPLETED_BOUNDED
-    assert all(rec.bound_lambda == 3.0 for rec in result.records)
 
 
 def test_plan_max_iterations_truncates_schedule():

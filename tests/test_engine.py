@@ -225,9 +225,9 @@ class ReopenEveryClosedState(EpisodeContext):
     """A seeded fault: each pass start puts every closed state into INCON,
     though its g did not drop, so the pass expands it again."""
 
-    def begin_pass(self, index, w, eps):
+    def begin_pass(self, index, w):
         self.incons |= self.closed
-        super().begin_pass(index, w, eps)
+        super().begin_pass(index, w)
 
 
 def test_the_log_check_counts_an_expansion_without_a_g_drop():

@@ -29,13 +29,11 @@ def euclidean_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(euclidean_graphs(), st.sampled_from([1, 2]), st.sampled_from([None, 1.0, math.inf]),
-       st.floats(1.0, 8.0), st.floats(0.2, 3.0))
-def test_anytime_search_keeps_its_bounds_on_random_graphs(domain, n_threads, epsilon,
-                                                          w0, delta_w):
+@given(euclidean_graphs(), st.sampled_from([1, 2]), st.floats(1.0, 8.0), st.floats(0.2, 3.0))
+def test_anytime_search_keeps_its_bounds_on_random_graphs(domain, n_threads, w0, delta_w):
     optimum = dijkstra_oracle(domain, 0).cost
     assert min(dijkstra_distances(domain, 0).get(g, math.inf) for g in domain.goals) == optimum
-    cfg = PlannerConfig(w0=w0, delta_w=delta_w, epsilon=epsilon, n_threads=n_threads)
+    cfg = PlannerConfig(w0=w0, delta_w=delta_w, n_threads=n_threads)
     result = plan(cfg, domain, 0)
     assert_no_leaked_workers()
     if optimum == math.inf:
@@ -44,6 +42,7 @@ def test_anytime_search_keeps_its_bounds_on_random_graphs(domain, n_threads, eps
     costs = published_costs(result)
     assert costs
     for rec in result.records:
+        assert rec.bound_lambda == rec.w_at_publish
         assert optimum * (1 - 1e-9) <= rec.cost <= rec.bound_lambda * optimum * (1 + 1e-9)
     assert all(a >= b for a, b in zip(costs, costs[1:]))
     if result.status == STATUS_PROVED_OPTIMAL:
