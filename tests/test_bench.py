@@ -101,11 +101,24 @@ def test_run_spec_validation():
         build_run_spec({"algo": "epase", "map": "x", "cost": "manhattan"})
 
 
-def test_build_run_spec_rejects_a_mistyped_key():
-    # epsilon is no key: each pass relaxes its independence check by its w
-    for key in ("thread", "epsilon"):
-        with pytest.raises(SpecError, match=f"unknown key.*{key}"):
-            build_run_spec({"algo": "epase", "map": "x", key: 4})
+# epsilon is no key: each pass relaxes its independence check by its w
+@pytest.mark.parametrize("key", ["thread", "epsilon"])
+def test_build_run_spec_rejects_a_mistyped_key(key):
+    with pytest.raises(SpecError, match=f"unknown key.*{key}"):
+        build_run_spec({"algo": "epase", "map": "x", key: 4})
+
+
+def test_cli_run_has_no_epsilon_flag(tmp_path, capsys):
+    from anyplan.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0 and "--epsilon" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--algo", "wastar", "--map", str(MAPS / "cross32.map"),
+              "--pairs", "1", "--epsilon", "2", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "runs.ndjson").exists()
 
 
 def test_wastar_with_a_timeout_is_a_spec_error_naming_the_key(tmp_path):

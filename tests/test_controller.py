@@ -352,3 +352,18 @@ def test_drivers_agree_on_each_terminal_status(driver, case):
         assert result.status == STATUS_PROVED_OPTIMAL
         assert result.final_cost == pytest.approx(
             dijkstra_oracle(problem, problem.start).cost, rel=1e-12)
+
+
+@pytest.mark.parametrize("driver", ["plan", "plan_naive", "ara_star"])
+def test_each_record_is_bounded_by_its_own_pass_weight(driver):
+    # a pass relaxes independence by its own w, so a record's bound is that w,
+    # and a run is proved optimal only when its last pass ran at w = 1
+    world = open_world(7, cost="random_factor", cost_seed=3)
+    for max_iterations, status, last_w in ((None, STATUS_PROVED_OPTIMAL, 1.0),
+                                           (2, STATUS_COMPLETED_BOUNDED, 2.0)):
+        problem = grid_problem(world, (0, 0), (6, 6))
+        cfg = PlannerConfig(w0=3.0, delta_w=1.0, n_threads=2, max_iterations=max_iterations)
+        result = DRIVERS[driver](cfg, problem, problem.start)
+        assert result.status == status and result.iterations[-1].w == last_w
+        assert result.records
+        assert all(r.bound_lambda == r.w_at_publish for r in result.records)
